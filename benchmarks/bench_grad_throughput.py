@@ -154,7 +154,7 @@ def run(n_examples: int, cw_examples: int, cw_iterations: int, repeats: int) -> 
         entry = {"unit": spec["unit"], "amount": spec["amount"]}
         for variant in ("legacy", "engine"):
             fn = spec[variant]
-            fn()  # warm up caches (parameter casts, im2col indices, BLAS)
+            fn()  # warm up caches (parameter casts, compiled plans, BLAS)
             seconds = timeit(fn, repeats)
             entry[variant] = {
                 "seconds": seconds,

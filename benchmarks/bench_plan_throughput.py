@@ -4,12 +4,17 @@ Measures the serving-shaped hot path — *repeated same-shape batched
 inference* on the digits CNN — two ways:
 
 * ``percall``  — the pre-plan engine execution: one allocating closure per
-  layer, shapes re-decided and every temporary re-allocated on each call
-  (:func:`repro.nn.kernels.build_percall_infer_kernels`, kept precisely as
-  this baseline);
+  layer, shapes re-decided and every temporary re-allocated on each call,
+  convolution as row-major ``cols @ w_mat.T`` over ``ops.im2col`` patch
+  rows (:func:`repro.nn.kernels.build_percall_infer_kernels`, kept
+  precisely as this baseline);
 * ``plan``     — the compiled-plan engine path: the layer stack lowered
   once per batch shape into arena-preallocated, fusion-folded ops, served
   from the engine's plan cache (:mod:`repro.nn.plan`).
+
+``per_op_ms`` breaks the fan-out batch's plan forward down by step: the
+script walks ``plan.steps`` itself and times each op with its fused
+elementwise stages, so the plan carries no timing code.
 
 Both regimes of the DCN serving asymmetry are timed: the detector-gated
 single-request forward (batch 1) and the corrector's fused fan-out batch.
@@ -92,6 +97,35 @@ def measure(run_once, batch: np.ndarray, calls: int, repeats: int) -> dict:
     }
 
 
+def step_name(index: int, op) -> str:
+    """``03_conv_relu_ms``: step index, op kind, fused stages."""
+    parts = [type(op).__name__.strip("_").removesuffix("Op").lower()]
+    parts += [type(post).__name__.strip("_").removesuffix("Stage").lower() for post in op.posts]
+    return f"{index:02d}_{'_'.join(parts)}_ms"
+
+
+def per_op_ms(plan, batch: np.ndarray, calls: int, repeats: int) -> dict:
+    """Milliseconds per forward of each plan step (best of ``repeats`` means).
+
+    Every call walks the whole plan in order, so each step reads the input
+    its producer just wrote, exactly as ``CompiledPlan.run`` does.
+    """
+    steps = plan.steps
+    best = [float("inf")] * len(steps)
+    for _ in range(repeats):
+        totals = [0.0] * len(steps)
+        for _ in range(calls):
+            buf = batch
+            for index, op in enumerate(steps):
+                start = time.perf_counter()
+                buf = op.forward(buf)
+                for post in op.posts:
+                    post.apply(buf, buf)
+                totals[index] += time.perf_counter() - start
+        best = [min(b, total / calls * 1e3) for b, total in zip(best, totals)]
+    return {step_name(i, op): ms for i, (op, ms) in enumerate(zip(steps, best))}
+
+
 def run(batch_size: int, calls: int, repeats: int) -> dict:
     dataset, model = model_for_dataset("mnist-fast")
     dtype = np.float32
@@ -108,6 +142,8 @@ def run(batch_size: int, calls: int, repeats: int) -> dict:
         "percall-single": measure(percall, single, calls, repeats),
         "plan-single": measure(plan, single, calls, repeats),
     }
+
+    ops_ms = per_op_ms(engine._plan_for(fanout.shape), fanout, calls, repeats)
 
     # Numerical sanity alongside the throughput claim: both paths compute
     # the same fused math, so they must agree to f32 roundoff.
@@ -130,6 +166,8 @@ def run(batch_size: int, calls: int, repeats: int) -> dict:
             repeats=repeats,
         ),
         "results": results,
+        "per_op_ms": ops_ms,
+        "per_op_total_ms": sum(ops_ms.values()),
         "plan_vs_percall_speedup": speedup,
         "plan_vs_percall_single_speedup": single_speedup,
         "max_abs_error_vs_percall": max_abs,

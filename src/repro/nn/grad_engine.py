@@ -24,12 +24,12 @@ Compiled plans with stashed activations
     :class:`~repro.verify.guards.GuardViolation` (``kind="stale-context"``)
     instead of silently reading the newer activations.
 
-Cached im2col index sets
-    Convolution (and the strided max-pool path) gather their patch matrices
-    through integer index sets cached per input geometry
-    ``(channels, height, width, kernel, stride)`` in the bounded LRU of
-    :mod:`repro.nn.kernels`, so steady-state attack iterations spend their
-    time inside BLAS matmuls, not index arithmetic.
+Image-major convolution
+    Convolution copies each image's ``(C·k·k, oh·ow)`` window columns out
+    of a padded frame bound at compile time; the input gradient is the
+    per-image ``Wᵀ @ grad`` followed by a slab col2im, so steady-state
+    attack iterations spend their time inside BLAS matmuls, not index
+    arithmetic.
 
 Counters and an autograd fallback
     ``engine.counters`` (:class:`GradientCounters`) tracks backward batches,
@@ -53,9 +53,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..verify import guards
-from .kernels import IM2COL_CACHE as _IM2COL_CACHE  # noqa: F401 - back-compat alias
-from .kernels import col2im as _col2im  # noqa: F401 - back-compat alias
-from .kernels import im2col_indices
 from .plan import DEFAULT_PLAN_ENTRIES, CompiledPlan
 from .plan import supports as plan_supports
 from .tensor import Tensor
@@ -63,7 +60,7 @@ from .tensor import Tensor
 if TYPE_CHECKING:  # pragma: no cover - circular import avoided at runtime
     from .network import Network
 
-__all__ = ["GradientEngine", "GradientCounters", "margin_seed", "im2col_indices"]
+__all__ = ["GradientEngine", "GradientCounters", "margin_seed"]
 
 DEFAULT_BATCH_SIZE = 256
 

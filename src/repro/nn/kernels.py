@@ -2,128 +2,50 @@
 
 Before the plan compiler (:mod:`repro.nn.plan`) existed, the inference,
 gradient and training engines each carried a private copy of the kernel
-plumbing: im2col gather indices, the col2im scatter-add, pool argmax
-handling, the per-layer closure kernels.  A conv fix had to land three
-times.  This module is the single home for that machinery:
+plumbing: the col2im scatter-add, pool argmax handling, the per-layer
+closure kernels.  A conv fix had to land three times.  This module is the
+single home for that machinery:
 
-Bounded im2col index cache
-    :func:`im2col_indices` returns the integer gather index set turning a
-    flat ``(C, H, W)`` image into im2col patch rows, cached per geometry in
-    a **bounded LRU** (:class:`Im2colCache`).  The pre-plan cache was a
-    module-level dict shared by two engines that grew without limit — one
-    entry per distinct ``(channels, height, width, kernel, stride)`` ever
-    seen, which under serving traffic with many input geometries is a slow
-    leak.  The LRU keeps the steady-state hit rate (a handful of
-    geometries per network) while capping worst-case memory.
-
-Scatter-add col2im with buffer reuse
-    :func:`col2im` accepts an optional preallocated output buffer so the
-    compiled plans can run the conv backward without allocating a fresh
-    image batch per call.
+Slab col2im with buffer reuse
+    :func:`col2im` scatter-adds the image-major column blocks of the
+    compiled conv lowering back into an image batch, one ``(kh, kw)`` slab
+    at a time, into an optional preallocated output buffer so the compiled
+    plans run the conv backward without allocating per call.
 
 Per-call reference kernels
     :func:`build_percall_infer_kernels` reproduces the pre-plan
-    InferenceEngine execution exactly: one closure per layer, every
-    temporary allocated per call.  It is the baseline the plan benchmark
-    (``benchmarks/bench_plan_throughput.py``) measures against and a
-    second reference implementation for the plan parity tests.
+    InferenceEngine arithmetic exactly: one closure per layer, every
+    temporary allocated per call, convolution as the row-major
+    ``cols @ w_mat.T`` over :func:`repro.nn.ops.im2col` patch rows.  It is
+    the baseline the plan benchmark (``benchmarks/bench_plan_throughput.py``)
+    measures against and a second reference implementation for the plan
+    parity tests.
 
-Everything here is stateless NumPy (plus the explicit cache object); the
-buffer-bound execution lives in :mod:`repro.nn.plan`.
+Everything here is stateless NumPy; the buffer-bound execution lives in
+:mod:`repro.nn.plan`.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Callable
 
 import numpy as np
 
 from .layers import AvgPool2D, Conv2D, Dense, Dropout, Flatten, MaxPool2D, ReLU, Sigmoid, Tanh
 from .norm import _BatchNormBase
-from .ops import stable_sigmoid
+from .ops import im2col, stable_sigmoid
 
 __all__ = [
-    "Im2colCache",
-    "IM2COL_CACHE",
-    "im2col_indices",
     "col2im",
     "conv_output_size",
     "bn_eval_scale_shift",
     "build_percall_infer_kernels",
 ]
 
-# Default capacity of the process-wide index cache.  A served network has a
-# handful of conv/pool geometries; 128 covers many networks plus the fuzzed
-# stacks the differential verifier generates, while bounding worst-case
-# memory to a few MB of int64 indices.
-DEFAULT_IM2COL_ENTRIES = 128
-
 
 def conv_output_size(size: int, kernel: int, stride: int, padding: int = 0) -> int:
     """Spatial output size of a conv/pool window sweep."""
     return (size + 2 * padding - kernel) // stride + 1
-
-
-class Im2colCache:
-    """Bounded LRU cache of im2col gather index sets, keyed by geometry.
-
-    Values are ``(flat_indices, out_h, out_w)`` where ``flat_indices``
-    addresses the flattened ``(C, H, W)`` image in the same
-    ``(row: oh, ow; col: c, kh, kw)`` order as :func:`repro.nn.ops.im2col`,
-    ready for ``np.take``.
-    """
-
-    def __init__(self, maxsize: int = DEFAULT_IM2COL_ENTRIES):
-        if maxsize < 1:
-            raise ValueError("maxsize must be >= 1")
-        self.maxsize = maxsize
-        self._entries: OrderedDict[
-            tuple[int, int, int, int, int], tuple[np.ndarray, int, int]
-        ] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def get(self, c: int, h: int, w: int, kernel: int, stride: int):
-        key = (c, h, w, kernel, stride)
-        cached = self._entries.get(key)
-        if cached is not None:
-            self.hits += 1
-            self._entries.move_to_end(key)
-            return cached
-        self.misses += 1
-        out_h = conv_output_size(h, kernel, stride)
-        out_w = conv_output_size(w, kernel, stride)
-        ks = np.arange(kernel)
-        rows = np.arange(out_h) * stride
-        cols = np.arange(out_w) * stride
-        idx = (
-            np.arange(c)[None, None, :, None, None] * (h * w)
-            + (rows[:, None] + ks[None, :])[:, None, None, :, None] * w
-            + (cols[:, None] + ks[None, :])[None, :, None, None, :]
-        )
-        cached = (np.ascontiguousarray(idx.reshape(-1)), out_h, out_w)
-        self._entries[key] = cached
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-        return cached
-
-
-#: Process-wide cache shared by the plan compiler and all engines; several
-#: engines per network (and several networks per process) reuse one set of
-#: integer index arrays per geometry.
-IM2COL_CACHE = Im2colCache()
-
-
-def im2col_indices(c: int, h: int, w: int, kernel: int, stride: int):
-    """Gather indices turning a flat image into im2col patch rows (LRU-cached)."""
-    return IM2COL_CACHE.get(c, h, w, kernel, stride)
 
 
 def col2im(
@@ -135,13 +57,16 @@ def col2im(
     out_w: int,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Scatter-add im2col patch gradients back into an image batch.
+    """Scatter-add image-major window columns back into an image batch.
 
-    Pass a preallocated ``out`` (shape ``x_shape``, matching dtype) to run
-    allocation-free; it is zeroed before accumulation.
+    ``cols`` is any array reshapable to ``(N, C, kernel, kernel, out_h,
+    out_w)``: per image, the ``(C·k·k, oh·ow)`` column block of the compiled
+    conv lowering.  Each ``(kh, kw)`` slab is one strided add over whole
+    output rows.  Pass a preallocated ``out`` (shape ``x_shape``, matching
+    dtype) to run allocation-free; it is zeroed before accumulation.
     """
     n, c, h, w = x_shape
-    cols6 = cols.reshape(n, out_h, out_w, c, kernel, kernel).transpose(0, 3, 1, 2, 4, 5)
+    cols6 = cols.reshape(n, c, kernel, kernel, out_h, out_w)
     if out is None:
         out = np.zeros(x_shape, dtype=cols.dtype)
     else:
@@ -149,7 +74,7 @@ def col2im(
     for i in range(kernel):
         for j in range(kernel):
             out[:, :, i : i + out_h * stride : stride, j : j + out_w * stride : stride] += cols6[
-                :, :, :, :, i, j
+                :, :, i, j
             ]
     return out
 
@@ -175,8 +100,7 @@ def max_pool_forward(x: np.ndarray, size: int, stride: int) -> np.ndarray:
         return x.reshape(n, c, h // size, size, w // size, size).max(axis=(3, 5))
     out_h = conv_output_size(h, size, stride)
     out_w = conv_output_size(w, size, stride)
-    idx, _, _ = im2col_indices(1, h, w, size, stride)
-    cols = np.take(x.reshape(n * c, h * w), idx, axis=1).reshape(-1, size * size)
+    cols = im2col(x.reshape(n * c, 1, h, w), size, stride)
     return cols.max(axis=1).reshape(n, c, out_h, out_w)
 
 
@@ -246,11 +170,10 @@ def _percall_conv_kernel(layer: Conv2D, cast) -> Callable[[np.ndarray], np.ndarr
     def run(x: np.ndarray) -> np.ndarray:
         if padding:
             x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-        n, c, h, w = x.shape
-        idx, out_h, out_w = im2col_indices(c, h, w, kernel, stride)
-        cols = np.take(x.reshape(n, c * h * w), idx, axis=1).reshape(
-            n * out_h * out_w, c * kernel * kernel
-        )
+        n, _, h, w = x.shape
+        out_h = conv_output_size(h, kernel, stride)
+        out_w = conv_output_size(w, kernel, stride)
+        cols = im2col(x, kernel, stride)
         w_mat = cast(weight).reshape(c_out, -1)
         out = cols @ w_mat.T + cast(bias)
         return np.ascontiguousarray(out.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2))

@@ -29,9 +29,13 @@ Fused elementwise chains
     mode by stashing its sign mask in a preallocated boolean buffer.
 
 Geometry bound once
-    im2col gather indices (shared bounded LRU in :mod:`repro.nn.kernels`),
-    pool argmax buffers, padded-input frames and flatten shapes are
-    resolved at compile time, keyed by the concrete batch shape.
+    Each conv owns a padded NCHW frame and a strided window view of it,
+    both built at compile time; per call it refreshes the frame interior
+    and copies, per image, a ``(C·k·k, oh·ow)`` column block whose inner
+    runs are whole output rows.  One batched ``W @ cols`` then writes the
+    NCHW output directly: no index gather, no layout transpose, and the
+    bias is a broadcast add.  Pool argmax buffers and flatten shapes are
+    likewise resolved at compile time, keyed by the concrete batch shape.
 
 Live parameters, no stale views
     Ops read parameters through the owning engine's staleness-checked cast
@@ -47,12 +51,22 @@ Generation-checked gradient contexts
     Contexts from *different* plans (different batch shapes, or different
     engines) do not invalidate each other.
 
-Numerical parity is load-bearing: every op reproduces the exact float
-operation sequence of the pre-plan engine kernels (``matmul(out=)`` +
-in-place bias add is bitwise ``x @ w + b``; fill-then-divide avg-pool
-backward; ``cols @ w_mat.T`` in the transposed-view form), so the float64
-plan stays bit-exact with the legacy autograd forward and the differential
-verifier's budgets carry over unchanged.
+Numerical parity is load-bearing and measured, not assumed, because BLAS
+picks its kernels by shape.  ``matmul(out=)`` + in-place bias add is
+bitwise ``x @ w + b``; avg-pool backward keeps the legacy fill-then-divide;
+max pooling is an exact selection.  The image-major ``W @ cols`` hands BLAS
+the legacy ``cols @ w_mat.T`` product with its operand roles swapped.  On
+the ``-fast`` zoo architectures (``cnn-fast``, ``cnn-fast-wide``) it rounds
+identically, so for ``n >= 2`` float32 and float64 logits are bitwise
+equal to the per-call reference and the float64 plan is bit-exact with the
+autograd forward.  Elsewhere the last bit can differ (``cnn-paper``'s
+14×14 conv in both dtypes, ``C·k·k = 27`` in float64; see
+``tests/nn/test_plan.py``).  A single-row Dense runs on a two-row buffer,
+since a one-row matmul takes BLAS's gemv path, so on the ``-fast``
+architectures a row's float32 logits do not depend on its batch.  Conv
+weight and bias gradients come from a different contraction order than the
+legacy ``grad_matᵀ @ cols`` and differ in the last bits; the differential
+verifier's budgets cover them.
 """
 
 from __future__ import annotations
@@ -60,7 +74,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..verify import guards
-from .kernels import bn_eval_scale_shift, col2im, conv_output_size, im2col_indices
+from .kernels import bn_eval_scale_shift, col2im, conv_output_size
 from .layers import AvgPool2D, Conv2D, Dense, Dropout, Flatten, MaxPool2D, ReLU, Sigmoid, Tanh
 from .norm import _BatchNormBase
 from .ops import stable_sigmoid
@@ -264,7 +278,16 @@ class _DenseOp(_Op):
         self.accumulate = accumulate
         self.mode = mode
         self.first = first
-        self.out = np.empty((n, layer.out_features), dtype=dtype)
+        # A one-row matmul takes BLAS's gemv path, whose reduction order is
+        # not gemm's: a single-row plan runs its matmul on a two-row buffer
+        # so a row's logits never depend on the batch it arrives in.
+        self.pair = self.pair_out = None
+        if n == 1:
+            self.pair = np.zeros((2, in_features), dtype=dtype)
+            self.pair_out = np.empty((2, layer.out_features), dtype=dtype)
+            self.out = self.pair_out[:1]
+        else:
+            self.out = np.empty((n, layer.out_features), dtype=dtype)
         skip_input_grad = mode == "train" and first
         self.gin = None
         if mode != "infer" and not skip_input_grad:
@@ -272,7 +295,11 @@ class _DenseOp(_Op):
         self._x = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        np.matmul(x, self.cast(self.weight), out=self.out)
+        if self.pair is None:
+            np.matmul(x, self.cast(self.weight), out=self.out)
+        else:
+            self.pair[0] = x[0]
+            np.matmul(self.pair, self.cast(self.weight), out=self.pair_out)
         self.out += self.cast(self.bias)
         if self.mode == "train":
             self._x = x
@@ -292,6 +319,14 @@ class _DenseOp(_Op):
 
 
 class _ConvOp(_Op):
+    """Image-major conv lowering, shared by all three modes.
+
+    Per image, the ``(C·k·k, oh·ow)`` column block is one strided window
+    copy out of the padded NCHW frame (inner runs are whole output rows),
+    and one batched ``W @ cols`` writes the NCHW output directly, so the
+    bias is a broadcast add over ``oh·ow`` and no layout transpose exists.
+    """
+
     def __init__(self, layer_index, layer, n, in_shape, dtype, mode, cast, accumulate, first):
         super().__init__(layer_index)
         c, h, w = in_shape
@@ -300,70 +335,57 @@ class _ConvOp(_Op):
         self.accumulate = accumulate
         self.mode = mode
         self.first = first
-        self.kernel, self.stride, self.padding = layer.kernel_size, layer.stride, layer.padding
+        k, s, p = layer.kernel_size, layer.stride, layer.padding
+        self.kernel, self.stride = k, s
         self.c_out = layer.out_channels
-        p = self.padding
-        hp, wp = h + 2 * p, w + 2 * p
-        self.idx, self.oh, self.ow = im2col_indices(c, hp, wp, self.kernel, self.stride)
-        self.n = n
-        self.in_flat = c * hp * wp
-        self.pad_shape = (n, c, hp, wp)
-        ckk = c * self.kernel * self.kernel
-        rows = n * self.oh * self.ow
-        # The zeroed border of the padded frame is written once, here; only
-        # the interior is refreshed per call.
-        self.padded = np.zeros(self.pad_shape, dtype=dtype) if p else None
-        self.cols_rows = np.empty((n, self.oh * self.ow * ckk), dtype=dtype)
-        self.cols = self.cols_rows.reshape(rows, ckk)
-        self.mm = np.empty((rows, self.c_out), dtype=dtype)
-        self.mm4 = self.mm.reshape(n, self.oh, self.ow, self.c_out)
+        pad_shape = (n, c, h + 2 * p, w + 2 * p)
+        self.oh = conv_output_size(pad_shape[2], k, s)
+        self.ow = conv_output_size(pad_shape[3], k, s)
+        self.pad_shape = pad_shape
+        # The frame's zeroed border is written once, here; only the interior
+        # is refreshed per call.  Unpadded convs copy into a frame too, so
+        # the window view below is bound once whatever the caller passes.
+        self.frame = np.zeros(pad_shape, dtype=dtype)
+        self.interior = (slice(None), slice(None), slice(p, p + h), slice(p, p + w))
+        fs = self.frame.strides
+        self.windows = np.lib.stride_tricks.as_strided(
+            self.frame,
+            shape=(n, c, k, k, self.oh, self.ow),
+            strides=(fs[0], fs[1], fs[2], fs[3], fs[2] * s, fs[3] * s),
+            writeable=False,
+        )
+        positions = self.oh * self.ow
+        self.cols = np.empty((n, c * k * k, positions), dtype=dtype)
         self.out = np.empty((n, self.c_out, self.oh, self.ow), dtype=dtype)
-        self.gmat4 = self.gmat = self.gcols = self.gx_pad = self.gin = None
-        if mode != "infer":
-            self.gmat4 = np.empty((n, self.oh, self.ow, self.c_out), dtype=dtype)
-            self.gmat = self.gmat4.reshape(rows, self.c_out)
-            if not (mode == "train" and first):
-                self.gcols = np.empty((rows, ckk), dtype=dtype)
-                self.gx_pad = np.empty(self.pad_shape, dtype=dtype)
-                if p:
-                    self.gin = np.empty((n, c, h, w), dtype=dtype)
+        self.out3 = self.out.reshape(n, self.c_out, positions)
+        self.gcols = self.gframe = self.gin = None
+        if mode != "infer" and not (mode == "train" and first):
+            self.gcols = np.empty_like(self.cols)
+            self.gframe = np.empty(pad_shape, dtype=dtype)
+            self.gin = self.gframe[self.interior] if p else self.gframe
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        p = self.padding
-        if p:
-            self.padded[:, :, p:-p, p:-p] = x
-            xp = self.padded
-        else:
-            xp = x
-        # mode="clip" is an identity for these compile-time in-range indices;
-        # it matters because take's default "raise" mode with an ``out``
-        # buffer goes through a ~2x slower buffered path.
-        np.take(
-            xp.reshape(self.n, self.in_flat), self.idx, axis=1, out=self.cols_rows, mode="clip"
-        )
-        w_mat = self.cast(self.weight).reshape(self.c_out, -1)
-        # The transposed-view matmul form is load-bearing: it is the exact
-        # BLAS call of the legacy kernels, keeping float64 plans bit-exact.
-        np.matmul(self.cols, w_mat.T, out=self.mm)
-        self.mm += self.cast(self.bias)
-        np.copyto(self.out, self.mm4.transpose(0, 3, 1, 2))
+        self.frame[self.interior] = x
+        np.copyto(self.cols.reshape(self.windows.shape), self.windows)
+        np.matmul(self.cast(self.weight).reshape(self.c_out, -1), self.cols, out=self.out3)
+        self.out3 += self.cast(self.bias)[:, None]
         return self.out
 
     def backward(self, grad: np.ndarray):
-        np.copyto(self.gmat4, grad.transpose(0, 2, 3, 1))
+        g3 = grad.reshape(self.out3.shape)
         if self.mode == "train":
-            self.accumulate(self.weight, (self.gmat.T @ self.cols).reshape(self.weight.shape))
-            self.accumulate(self.bias, self.gmat.sum(axis=0))
+            # Fresh arrays (see _DenseOp.backward).  The weight gradient
+            # contracts over (images, positions): one batched per-image
+            # product, then a sum over images — no copy of the columns.
+            dw = np.matmul(g3, self.cols.transpose(0, 2, 1)).sum(axis=0)
+            self.accumulate(self.weight, dw.reshape(self.weight.shape))
+            self.accumulate(self.bias, g3.sum(axis=(0, 2)))
             if self.first:
                 return None
         w_mat = self.cast(self.weight).reshape(self.c_out, -1)
-        np.matmul(self.gmat, w_mat, out=self.gcols)
-        col2im(self.gcols, self.pad_shape, self.kernel, self.stride, self.oh, self.ow, out=self.gx_pad)
-        p = self.padding
-        if p:
-            np.copyto(self.gin, self.gx_pad[:, :, p:-p, p:-p])
-            return self.gin
-        return self.gx_pad
+        np.matmul(w_mat.T, g3, out=self.gcols)
+        col2im(self.gcols, self.pad_shape, self.kernel, self.stride, self.oh, self.ow, out=self.gframe)
+        return self.gin
 
 
 class _MaxPoolOp(_Op):
@@ -374,82 +396,58 @@ class _MaxPoolOp(_Op):
         self.size, self.stride = size, stride
         self.fast = stride == size and h % size == 0 and w % size == 0
         self.track_grad = mode != "infer"
-        if self.fast:
-            oh, ow = h // size, w // size
-        else:
-            oh = conv_output_size(h, size, stride)
-            ow = conv_output_size(w, size, stride)
+        oh = conv_output_size(h, size, stride)
+        ow = conv_output_size(w, size, stride)
         self.oh, self.ow = oh, ow
         self.in_full = (n, c, h, w)
+        # One (rows, cols) slice per window position: each selects that
+        # position of every window across the whole batch.
+        self.slices = [
+            (slice(i, i + oh * stride, stride), slice(j, j + ow * stride, stride))
+            for i in range(size)
+            for j in range(size)
+        ]
         self.blocks_shape = (n, c, oh, size, ow, size)  # fast path only
         self.out = np.empty((n, c, oh, ow), dtype=dtype)
-        self.flat = self.arg = self.gflat = self.gin = None
-        self.cols_rows = self.cols = self.rows = self.gcols = self.gx_nc = None
-        if self.fast:
-            if self.track_grad:
-                self.flat = np.empty((n, c, oh, ow, size * size), dtype=dtype)
-                self.arg = np.empty((n, c, oh, ow), dtype=np.intp)
-                self.gflat = np.empty((n, c, oh, ow, size * size), dtype=dtype)
-                self.gin = np.empty((n, c, h, w), dtype=dtype)
-        else:
-            self.idx, _, _ = im2col_indices(1, h, w, size, stride)
-            cells = n * c * oh * ow
-            self.cols_rows = np.empty((n * c, oh * ow * size * size), dtype=dtype)
-            self.cols = self.cols_rows.reshape(cells, size * size)
-            self.out_flat = self.out.reshape(cells)
-            if self.track_grad:
-                self.arg = np.empty(cells, dtype=np.intp)
-                self.rows = np.arange(cells)
-                self.gcols = np.empty((cells, size * size), dtype=dtype)
-                self.gx_nc = np.empty((n * c, 1, h, w), dtype=dtype)
+        self.flat = self.flat6 = self.arg = self.gflat = self.gin = None
+        if self.track_grad:
+            self.flat = np.empty((n, c, oh, ow, size * size), dtype=dtype)
+            self.flat6 = self.flat.reshape(n, c, oh, ow, size, size)
+            self.arg = np.empty((n, c, oh, ow), dtype=np.intp)
+            self.gflat = np.empty((n, c, oh, ow, size * size), dtype=dtype)
+            self.gin = np.empty((n, c, h, w), dtype=dtype)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        n, c, h, w = self.in_full
-        if self.fast:
-            size = self.size
-            if not self.track_grad:
-                # Unrolled strided maximum: each (i, j) slice is one window
-                # position across the whole batch.  Max is an exact selection,
-                # so this is bitwise identical to the axis reduction — and an
-                # order of magnitude faster than np.max over split axes.
-                slices = [
-                    x[:, :, i::size, j::size] for i in range(size) for j in range(size)
-                ]
-                if len(slices) == 1:
-                    np.copyto(self.out, slices[0])
-                else:
-                    np.maximum(slices[0], slices[1], out=self.out)
-                    for block in slices[2:]:
-                        np.maximum(self.out, block, out=self.out)
-                return self.out
-            blocks = x.reshape(self.blocks_shape)
-            flat6 = self.flat.reshape(self.blocks_shape[:3] + (self.ow, self.size, self.size))
-            np.copyto(flat6, blocks.transpose(0, 1, 2, 4, 3, 5))
-            np.argmax(self.flat, axis=-1, out=self.arg)
-            np.max(self.flat, axis=-1, out=self.out)
-            return self.out
-        # mode="clip": identity for in-range indices, skips the slow
-        # buffered path take's default "raise" mode takes with ``out``.
-        np.take(x.reshape(n * c, h * w), self.idx, axis=1, out=self.cols_rows, mode="clip")
+        # Unrolled strided maximum over window positions.  Max is an exact
+        # selection, so this is bitwise identical to the axis reduction —
+        # and an order of magnitude faster than np.max over split axes.
+        blocks = [x[:, :, rows, cols] for rows, cols in self.slices]
+        if len(blocks) == 1:
+            np.copyto(self.out, blocks[0])
+        else:
+            np.maximum(blocks[0], blocks[1], out=self.out)
+            for block in blocks[2:]:
+                np.maximum(self.out, block, out=self.out)
         if self.track_grad:
-            np.argmax(self.cols, axis=1, out=self.arg)
-        np.max(self.cols, axis=1, out=self.out_flat)
+            # Window positions in (kh, kw) order, so argmax picks the same
+            # first maximal element as a reduction over the window would.
+            for (i, j), block in zip(np.ndindex(self.size, self.size), blocks):
+                self.flat6[..., i, j] = block
+            np.argmax(self.flat, axis=-1, out=self.arg)
         return self.out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         n, c, h, w = self.in_full
         size = self.size
+        self.gflat.fill(0.0)
+        np.put_along_axis(self.gflat, self.arg[..., None], grad[..., None], axis=-1)
+        gsrc = self.gflat.reshape(n, c, self.oh, self.ow, size, size)
         if self.fast:
-            self.gflat.fill(0.0)
-            np.put_along_axis(self.gflat, self.arg[..., None], grad[..., None], axis=-1)
-            gin6 = self.gin.reshape(self.blocks_shape)
-            gsrc = self.gflat.reshape(n, c, self.oh, self.ow, size, size)
-            np.copyto(gin6, gsrc.transpose(0, 1, 2, 4, 3, 5))
+            np.copyto(self.gin.reshape(self.blocks_shape), gsrc.transpose(0, 1, 2, 4, 3, 5))
             return self.gin
-        self.gcols.fill(0.0)
-        self.gcols[self.rows, self.arg] = grad.reshape(len(self.rows))
-        col2im(self.gcols, (n * c, 1, h, w), size, self.stride, self.oh, self.ow, out=self.gx_nc)
-        return self.gx_nc.reshape(self.in_full)
+        # Overlapping windows: scatter-add, one (kh, kw) slab at a time.
+        cols = gsrc.transpose(0, 1, 4, 5, 2, 3)
+        return col2im(cols, self.in_full, size, self.stride, self.oh, self.ow, out=self.gin)
 
 
 class _AvgPoolOp(_Op):

@@ -24,12 +24,11 @@ Training-mode plans
     estimates in place.  Plans live in a bounded per-engine LRU keyed by
     the exact batch shape (``plan_entries``).
 
-Shared im2col machinery, extended with the weight contraction
-    Convolutions gather patch matrices through the bounded geometry-keyed
-    index cache shared by the whole engine trilogy
-    (:data:`repro.nn.kernels.IM2COL_CACHE`); the conv backward stashes the
-    patch matrix so the weight gradient is the single BLAS contraction
-    ``grad_matᵀ @ cols``.
+Image-major convolution with one weight contraction
+    Convolutions share the compiled image-major lowering of the sibling
+    engines: each image's ``(C·k·k, oh·ow)`` window columns stay stashed
+    from the forward, so the weight gradient is one contraction of the
+    output gradient with them over ``(images, positions)``.
 
 Native losses
     A :class:`TrainLoss` bundles the float64 ``(value, ∂loss/∂logits)``

@@ -46,17 +46,19 @@ class TestParity:
 
     def test_batch_size_does_not_change_result(self, zoo_model):
         model, x = zoo_model
-        # BLAS blocking depends on the matrix shape, so different batch
-        # plans can differ in the last ulp — tolerances, not bit equality.
+        # float64 BLAS blocking depends on the matrix shape, so different
+        # batch plans can differ in the last ulp — a tolerance there.
         exact = InferenceEngine(model, dtype=np.float64)
         np.testing.assert_allclose(
             exact.logits(x, batch_size=7, memo=False),
             exact.logits(x, batch_size=64, memo=False),
             rtol=1e-12,
         )
+        # float32 is bitwise: 64 = 9*7 + 1, so the 7-row plan sweep ends in
+        # a single-row batch, which must agree with the 64-row plan exactly.
         a = model.engine.logits(x, batch_size=7, memo=False)
         b = model.engine.logits(x, batch_size=64, memo=False)
-        np.testing.assert_allclose(a, b, atol=1e-4)
+        np.testing.assert_array_equal(a, b)
 
     def test_empty_input(self, zoo_model):
         model, _ = zoo_model

@@ -1,75 +1,43 @@
-"""Tests for the shared kernel primitives: bounded im2col LRU, col2im reuse."""
+"""Tests for the shared kernel primitives: image-major col2im and its reuse."""
 
 import numpy as np
 import pytest
 
-from repro.nn.kernels import (
-    IM2COL_CACHE,
-    Im2colCache,
-    col2im,
-    conv_output_size,
-    im2col_indices,
-)
+from repro.nn import ops
+from repro.nn.kernels import col2im, conv_output_size
 
 
-class TestIm2colCache:
-    def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(ValueError):
-            Im2colCache(maxsize=0)
-
-    def test_size_stays_bounded_under_many_geometries(self):
-        # The pre-refactor module-level dict grew one entry per geometry
-        # forever; the LRU must cap at maxsize no matter the traffic.
-        cache = Im2colCache(maxsize=4)
-        for side in range(6, 40):
-            cache.get(1, side, side, 3, 1)
-        assert len(cache) == 4
-
-    def test_lru_evicts_least_recently_used(self):
-        cache = Im2colCache(maxsize=2)
-        a = cache.get(1, 6, 6, 2, 2)
-        cache.get(1, 8, 8, 2, 2)
-        cache.get(1, 6, 6, 2, 2)  # refresh A
-        cache.get(1, 10, 10, 2, 2)  # evicts the 8x8 entry, not A
-        hits_before = cache.hits
-        assert cache.get(1, 6, 6, 2, 2) is a
-        assert cache.hits == hits_before + 1
-        misses_before = cache.misses
-        cache.get(1, 8, 8, 2, 2)  # was evicted: must recompute
-        assert cache.misses == misses_before + 1
-
-    def test_hit_returns_identical_entry(self):
-        cache = Im2colCache(maxsize=8)
-        first = cache.get(2, 7, 7, 3, 2)
-        again = cache.get(2, 7, 7, 3, 2)
-        assert first is again
-        assert cache.hits == 1 and cache.misses == 1
-
-    def test_process_wide_cache_is_bounded(self):
-        assert isinstance(IM2COL_CACHE, Im2colCache)
-        assert IM2COL_CACHE.maxsize >= 1
-
-    def test_indices_match_manual_patch_extraction(self):
-        c, h, w, k, s = 2, 5, 5, 3, 2
-        idx, out_h, out_w = im2col_indices(c, h, w, k, s)
-        assert (out_h, out_w) == (conv_output_size(h, k, s), conv_output_size(w, k, s))
-        x = np.arange(c * h * w, dtype=np.float64).reshape(1, c * h * w)
-        cols = np.take(x, idx, axis=1).reshape(out_h * out_w, c * k * k)
-        img = x.reshape(c, h, w)
-        row = 0
-        for i in range(out_h):
-            for j in range(out_w):
-                patch = img[:, i * s : i * s + k, j * s : j * s + k].reshape(-1)
-                np.testing.assert_array_equal(cols[row], patch)
-                row += 1
+def _image_major_windows(x, k, s):
+    """Per image, the (C*k*k, oh*ow) window columns, built from ops.im2col rows."""
+    n, c, h, w = x.shape
+    out_h, out_w = conv_output_size(h, k, s), conv_output_size(w, k, s)
+    rows = ops.im2col(x, k, s).reshape(n, out_h * out_w, c * k * k)
+    return np.ascontiguousarray(rows.transpose(0, 2, 1)), out_h, out_w
 
 
 class TestCol2im:
+    @pytest.mark.parametrize("k,s", [(1, 1), (2, 2), (3, 1), (3, 2)])
+    def test_is_the_adjoint_of_image_major_im2col(self, k, s):
+        # <im2col(x), cols> == <x, col2im(cols)> for every x and cols: the
+        # scatter-add is exactly the transpose of the window gather.
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(2, 3, 7, 7))
+        windows, out_h, out_w = _image_major_windows(x, k, s)
+        cols = rng.normal(size=windows.shape)
+        back = col2im(cols, x.shape, k, s, out_h, out_w)
+        np.testing.assert_allclose(np.vdot(windows, cols), np.vdot(x, back), rtol=1e-12)
+
+    def test_ones_count_window_membership(self):
+        n, c, h, w, k, s = 1, 2, 5, 5, 3, 1
+        out_h, out_w = conv_output_size(h, k, s), conv_output_size(w, k, s)
+        counts = col2im(np.ones((n, c * k * k, out_h * out_w)), (n, c, h, w), k, s, out_h, out_w)
+        assert counts[0, 0, 0, 0] == 1 and counts[0, 1, 2, 2] == 9
+
     def test_preallocated_out_matches_allocating_form(self):
         rng = np.random.default_rng(0)
         n, c, h, w, k, s = 2, 3, 6, 6, 2, 2
-        _, out_h, out_w = im2col_indices(c, h, w, k, s)
-        cols = rng.normal(size=(n * out_h * out_w, c * k * k))
+        out_h, out_w = conv_output_size(h, k, s), conv_output_size(w, k, s)
+        cols = rng.normal(size=(n, c * k * k, out_h * out_w))
         fresh = col2im(cols, (n, c, h, w), k, s, out_h, out_w)
         buffer = np.full((n, c, h, w), 7.5)  # stale values must be cleared
         reused = col2im(cols, (n, c, h, w), k, s, out_h, out_w, out=buffer)

@@ -1,14 +1,19 @@
 """Tests for the compiled-plan layer: caching, invalidation, reuse hazards."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.nn import GradientEngine, InferenceEngine, SGD, Tensor, TrainingEngine, no_grad
+from repro.nn.kernels import build_percall_infer_kernels
 from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D, ReLU
+from repro.nn.losses import cross_entropy
 from repro.nn.network import Network
 from repro.nn.plan import CompiledPlan, compile_plan, supports
 from repro.nn.train import TrainConfig, fit
 from repro.verify.guards import GuardViolation
+from repro.zoo import MODEL_CONFIGS, build_network
 
 NUM_CLASSES = 3
 INPUT_SHAPE = (1, 6, 6)
@@ -216,3 +221,133 @@ class TestCompiledPlanContract:
         second = plan.run(x)
         assert first is second  # same plan-owned buffer both times
         assert plan.arena_bytes > 0
+
+
+def _percall_logits(network, x):
+    engine = InferenceEngine(network, dtype=x.dtype)
+    out = x
+    for kernel in build_percall_infer_kernels(network, engine._cast):
+        out = kernel(out)
+    return out
+
+
+def _zoo_architecture(name, seed=0):
+    shape = {"cnn-fast": (1, 16, 16), "cnn-fast-wide": (3, 16, 16)}[name]
+    return build_network(MODEL_CONFIGS[name], shape, 10, seed=seed), shape
+
+
+class TestImageMajorConv:
+    """The image-major conv lowering against the row-major per-call reference."""
+
+    def test_columns_match_manual_patch_extraction(self):
+        c, h, w, k, s = 2, 5, 5, 3, 2
+        rng = np.random.default_rng(0)
+        network = Network([Conv2D(c, 3, k, rng, stride=s, padding=1)], (c, h, w))
+        x = np.arange(2 * c * h * w, dtype=np.float64).reshape(2, c, h, w)
+        plan = compile_plan(network, x.shape, np.float64, "infer", network.engine._cast)
+        plan.run(x)
+        conv = plan.steps[0]
+        padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        for image in range(2):
+            position = 0
+            for i in range(conv.oh):
+                for j in range(conv.ow):
+                    patch = padded[image, :, i * s : i * s + k, j * s : j * s + k].reshape(-1)
+                    np.testing.assert_array_equal(conv.cols[image, :, position], patch)
+                    position += 1
+
+    @pytest.mark.parametrize("n", [2, 7, 64])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("kernel", [1, 3])
+    @pytest.mark.parametrize("c_in", [1, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_infer_plan_matches_percall_reference(self, dtype, c_in, kernel, padding, stride, n):
+        rng = np.random.default_rng(0)
+        conv = Conv2D(c_in, 4, kernel, rng, stride=stride, padding=padding)
+        features = int(np.prod(conv.output_shape((c_in, 8, 8))))
+        network = Network([conv, ReLU(), Flatten(), Dense(features, 3, rng)], (c_in, 8, 8))
+        x = np.random.default_rng(1).normal(size=(n, c_in, 8, 8)).astype(dtype)
+        out = InferenceEngine(network, dtype=dtype).logits(x, memo=False)
+        reference = _percall_logits(network, x)
+        if dtype == np.float32:
+            np.testing.assert_array_equal(out, reference)
+        else:
+            # W @ cols and cols @ W.T hand BLAS the same product with the
+            # operand roles swapped; OpenBLAS's double-precision edge kernels
+            # can then round the last bit differently (seen at C*k*k = 27).
+            np.testing.assert_allclose(out, reference, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("name", ["cnn-fast", "cnn-fast-wide"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_zoo_architectures_bitwise_equal_to_percall(self, name, dtype):
+        network, shape = _zoo_architecture(name)
+        x = np.random.default_rng(0).uniform(size=(64,) + shape).astype(dtype)
+        engine = InferenceEngine(network, dtype=dtype, memo_entries=0)
+        for n in (2, 7, 64):
+            np.testing.assert_array_equal(
+                engine.logits(x[:n], memo=False), _percall_logits(network, x[:n])
+            )
+
+    @pytest.mark.parametrize("name", ["cnn-fast", "cnn-fast-wide"])
+    def test_float32_rows_independent_of_batch_size(self, name):
+        # A row's float32 logits must not depend on the batch it arrives in:
+        # a bucket-1 dispatch and a coalesced one must agree bit for bit.
+        network, shape = _zoo_architecture(name)
+        x = np.random.default_rng(0).uniform(size=(64,) + shape).astype(np.float32)
+        engine = InferenceEngine(network, memo_entries=0)
+        full = engine.logits(x, memo=False)
+        for n in (1, 2, 7):
+            np.testing.assert_array_equal(engine.logits(x, batch_size=n, memo=False), full)
+
+    @pytest.mark.parametrize(
+        "name,dtype,n,digest",
+        [
+            ("cnn-fast", "float32", 2, "677e6ccbf02a8d3c"),
+            ("cnn-fast", "float32", 7, "ffec1671b0e17da7"),
+            ("cnn-fast", "float64", 2, "e7ba0614b0d22453"),
+            ("cnn-fast", "float64", 7, "3a0ab9e5910f02b5"),
+            ("cnn-fast-wide", "float32", 2, "af5c9517da036bb1"),
+            ("cnn-fast-wide", "float32", 7, "3d248b19b0786de1"),
+        ],
+    )
+    def test_grad_input_gradients_pinned(self, name, dtype, n, digest):
+        # Digests of the input gradients the row-major (gather + cols @ W.T)
+        # conv produced; the per-image W.T @ grad columns reproduce them.
+        network, shape = _zoo_architecture(name)
+        x = np.random.default_rng(0).uniform(size=(n,) + shape)
+        engine = GradientEngine(network, dtype=np.dtype(dtype))
+        grad = engine.cross_entropy_input_grad(x, np.arange(n) % 10)
+        assert hashlib.sha256(np.ascontiguousarray(grad).tobytes()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("mode", ["infer", "grad", "train"])
+    def test_zero_rows_in_every_mode(self, mode):
+        network, shape = _zoo_architecture("cnn-fast")
+        x = np.zeros((0,) + shape, dtype=np.float32)
+        engine = InferenceEngine(network, memo_entries=0)
+        plan = compile_plan(network, x.shape, np.float32, mode, engine._cast, lambda p, g: None)
+        if mode == "infer":
+            assert plan.run(x).shape == (0, 10)
+            return
+        logits, generation = plan.run_forward(x)
+        assert logits.shape == (0, 10)
+        grad = plan.run_backward(np.zeros((0, 10), dtype=np.float32), generation)
+        assert grad is None if mode == "train" else grad.shape == x.shape
+
+    def test_overlapping_max_pool_matches_reference_in_every_mode(self):
+        # The stride != size pool reads strided windows; max is an exact
+        # selection, so the forward is bitwise, and the backward routes each
+        # gradient to the first maximal element of its window.
+        rng = np.random.default_rng(0)
+        network = Network(
+            [Conv2D(1, 2, 3, rng, padding=1), MaxPool2D(3, 2), Flatten(), Dense(18, 3, rng)],
+            (1, 7, 7),
+        )
+        x = np.random.default_rng(1).normal(size=(5, 1, 7, 7))
+        engine = InferenceEngine(network, dtype=np.float64)
+        np.testing.assert_array_equal(engine.logits(x, memo=False), _percall_logits(network, x))
+        grad = GradientEngine(network, dtype=np.float64).cross_entropy_input_grad(x, np.arange(5) % 3)
+        xt = Tensor(x, requires_grad=True)
+        cross_entropy(network.forward(xt), np.arange(5) % 3).backward()
+        # The engine's gradient is of the summed loss; cross_entropy is the mean.
+        np.testing.assert_allclose(grad, 5 * xt.grad, rtol=1e-10, atol=1e-12)

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core import DCN, Corrector
 from repro.serve import DCNService
+from repro.zoo import MODEL_CONFIGS, build_network
 
 
 class _RuleDetector:
@@ -96,6 +97,29 @@ class TestServeBatchEquivalence:
         # ... and the corrector vote recovers the model's own labels.
         assert (served == network.predict(rows)).mean() > 0.8
         assert service.counters.corrected == len(rows)
+
+
+    def test_row_served_alone_matches_row_coalesced(self):
+        # A bucket-1 dispatch and a coalesced one must hand the detector the
+        # same logits bit for bit: otherwise a row sitting exactly on the
+        # detector threshold is flagged or not depending on its neighbours.
+        network = build_network(MODEL_CONFIGS["cnn-fast"], (1, 16, 16), 10, seed=0)
+        x = np.random.default_rng(0).uniform(size=(8, 1, 16, 16))
+        threshold = network.engine.logits(x[:8], memo=False)[0, 0]
+        seen = []
+
+        def on_threshold(logits):
+            seen.append(logits[0].copy())
+            return logits[:, 0] >= threshold
+
+        detector = _RuleDetector(network, on_threshold)
+        dcn = DCN(network, detector, Corrector(network, radius=0.1, samples=20, seed=0))
+        service = DCNService(dcn, max_batch=8, max_queue=64)
+        alone = service.serve_batch([x[:1]])[0]
+        coalesced = service.serve_batch(_requests(x, [1, 3, 4]))[0]
+        np.testing.assert_array_equal(seen[0], seen[1])
+        assert bool(coalesced.flagged[0]) and bool(alone.flagged[0])
+        np.testing.assert_array_equal(alone.labels, coalesced.labels)
 
 
 class TestAdmissionControl:

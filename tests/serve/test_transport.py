@@ -260,6 +260,18 @@ class TestServerClient:
                 sock.close()
 
 
+    def test_stop_on_idle_server_returns_promptly(self, tiny_dcn):
+        # close() alone does not wake a thread blocked in accept(); unless
+        # stop() wakes it, the join waits out its full 5 s timeout.
+        with DCNService(tiny_dcn, max_batch=8) as service:
+            server = DCNServer(service).start()
+            start = time.perf_counter()
+            server.stop()
+            elapsed = time.perf_counter() - start
+        assert elapsed < 1.0
+        assert not any(thread.is_alive() for thread in server._threads)
+
+
 class TestDeadlinePropagation:
     def test_server_sheds_unmeetable_deadline_both_sides_agree(
         self, tiny_correct, tiny_dcn
