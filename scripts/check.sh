@@ -60,6 +60,12 @@ echo "== serve-latency benchmark (smoke) =="
 python benchmarks/bench_serve_latency.py --smoke > /dev/null
 echo "ok"
 
+echo "== e2e benchmark smoke, traced (four workloads, served labels vs DCN.classify) =="
+# The tracer wraps engine, service and transport names by getattr, so a
+# rename that breaks the benchmark fails here.  --trace 1 on purpose:
+# --compare ignores traced records, untraced smoke records would not be.
+python3 benchmarks/e2e/run.py --smoke --trace 1
+
 echo "== perf smoke (bench regression gate vs committed baseline, warn-only) =="
 # A --smoke run is context-mismatched with the committed full baseline by
 # design; the gate reports drift without failing CI.  Full runs gate hard:

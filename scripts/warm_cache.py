@@ -37,7 +37,7 @@ def _train_counters(network) -> str:
         return "cached (no training this run)"
     return (
         f"{counters.batches} fused batches / {counters.examples} examples "
-        f"in {counters.seconds:.1f}s kernel time ({counters.fallbacks} fallbacks)"
+        f"in {counters.seconds:.1f}s kernel time"
     )
 
 

@@ -20,7 +20,7 @@ from ..cache import memoize_arrays
 from ..datasets import Dataset
 from ..nn import Adam, TrainConfig
 from ..nn.network import Network
-from ..nn.train_engine import TrainingEngine
+from ..nn.train_engine import train_engine_for
 from ..zoo import MODEL_CONFIGS, ModelConfig, _dtype_key, build_network
 
 __all__ = ["AdversariallyTrainedClassifier", "train_adversarial"]
@@ -65,10 +65,7 @@ def train_adversarial(
         rng = np.random.default_rng(config.seed + 201)
         optimizer = Adam(network.parameters(), lr=config.learning_rate)
         train_config = TrainConfig(epochs=config.epochs, batch_size=config.batch_size)
-        engine = network.train_engine
-        if engine.dtype != np.dtype(train_dtype):
-            engine = TrainingEngine(network, dtype=train_dtype)
-            network.attach_train_engine(engine)
+        engine = train_engine_for(network, train_dtype)
         x, y = dataset.x_train, dataset.y_train
         indices = np.arange(len(x))
         with engine.parameters_bound():

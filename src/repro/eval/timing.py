@@ -62,7 +62,7 @@ class DefenseProfile:
     ``n`` inputs costs ``n * m``, DCN costs ``n + flagged * m``.
 
     When a gradient engine was profiled too, its counter deltas appear
-    under a ``grad_`` prefix (``grad_backward_batches``, ``grad_examples``,
+    under a ``grad_`` prefix (``grad_batches``, ``grad_examples``,
     …); the ``backward_*`` properties read them.  Plain classification
     reports zero backwards — nonzero counts flag defenses (or adaptive
     attackers) that differentiate through the protected model.
@@ -78,7 +78,7 @@ class DefenseProfile:
 
     @property
     def forward_batches(self) -> int:
-        return int(self.counters.get("forward_batches", 0))
+        return int(self.counters.get("batches", 0))
 
     @property
     def backward_examples(self) -> int:
@@ -86,7 +86,7 @@ class DefenseProfile:
 
     @property
     def backward_batches(self) -> int:
-        return int(self.counters.get("grad_backward_batches", 0))
+        return int(self.counters.get("grad_batches", 0))
 
 
 def profile_defense(

@@ -5,8 +5,8 @@ DESIGN.md §2 for the substitution rationale.
 """
 
 from . import gradcheck, init, losses, metrics, ops, optim, schedules
-from .engine import EngineCounters, InferenceEngine, counter_delta
-from .grad_engine import GradientCounters, GradientEngine
+from .engine import EngineCounters, InferenceEngine, PlanEngine, counter_delta
+from .grad_engine import GradientEngine
 from .layers import AvgPool2D, Conv2D, Dense, Dropout, Flatten, MaxPool2D, ReLU, Sigmoid, Tanh
 from .norm import BatchNorm1D, BatchNorm2D
 from .network import Network
@@ -17,7 +17,6 @@ from .train import History, TrainConfig, fit
 from .train_engine import (
     CROSS_ENTROPY,
     MSE,
-    TrainingCounters,
     TrainingEngine,
     TrainLoss,
     soft_cross_entropy_loss,
@@ -28,13 +27,12 @@ __all__ = [
     "as_tensor",
     "no_grad",
     "Network",
+    "PlanEngine",
     "InferenceEngine",
     "EngineCounters",
     "counter_delta",
     "GradientEngine",
-    "GradientCounters",
     "TrainingEngine",
-    "TrainingCounters",
     "TrainLoss",
     "CROSS_ENTROPY",
     "MSE",

@@ -1,38 +1,38 @@
-"""The inference engine: one batched, instrumented prediction path.
+"""The plan-backed engine core and the inference engine built on it.
 
-Every *non-differentiable* prediction in the reproduction — defenses,
-correctors, detector queries, attack logit probes, table builders — routes
-through :class:`InferenceEngine`.  The engine owns three concerns the
-callers used to re-implement ad hoc:
+Every network computation outside the autograd reference runs a
+:class:`~repro.nn.plan.CompiledPlan`: the layer stack lowered once per batch
+shape into raw-NumPy ops with arena-preallocated buffers and fused
+elementwise chains, with no autograd graph and no
+:class:`~repro.nn.tensor.Tensor` wrappers.  :class:`PlanEngine` owns what
+every mode shares:
 
-Batch planning with a configurable compute dtype
-    Inference runs in ``float32`` by default (training stays ``float64``;
-    see DESIGN.md).  The engine executes :class:`~repro.nn.plan.CompiledPlan`
-    objects — the layer stack lowered once per batch shape into raw-NumPy
-    ops with arena-preallocated buffers and fused elementwise chains — no
-    autograd graph, no :class:`~repro.nn.tensor.Tensor` wrappers.  Plans
-    live in a bounded per-engine LRU keyed by the exact batch shape
-    (``plan_entries``); parameters are read through a staleness-checked
-    cast cache, so the hot im2col matmuls genuinely run in single
-    precision and pick up ``load_state``/optimiser updates live.
+Compiled plans in a bounded LRU
+    Plans live in a per-engine LRU keyed by the exact batch shape
+    (``plan_entries``) and compiled in the engine's mode (``infer``,
+    ``grad`` or ``train``).  A network with a layer that has no plan op is
+    refused at construction with a :class:`ValueError` naming the layer.
 
-A bounded content-hash memo
-    The evaluation harness queries the same pools repeatedly (Table 2's
-    benign seeds are also the detector's inputs; Tables 4/5/6 re-classify
-    the same adversarial arrays).  Identical inputs hit an LRU memo keyed
-    by a digest of the array bytes instead of re-running the CNN.  Paths
-    that classify freshly sampled noise (the region vote, attack inner
-    loops) opt out with ``memo=False`` so they cannot pollute the cache.
+A staleness-checked parameter cast cache
+    Plans read parameters through :meth:`PlanEngine._cast`, checked by
+    identity (``load_state`` rebinds) and ``Tensor.version`` (in-place
+    optimiser steps), so the hot matmuls run in the engine dtype and pick
+    up parameter changes without recompiling.
 
-Built-in counters
-    ``engine.counters`` tracks logit requests, batched forward calls,
-    examples actually pushed through the network, memo hits/misses and
-    wall-clock seconds — which turns the paper's runtime-vs-fraction
+One counters type
+    ``engine.counters`` (:class:`EngineCounters`) counts public requests,
+    batched plan executions, the rows they pushed, memo and plan-cache hits
+    and wall-clock seconds.  This turns the paper's runtime-vs-fraction
     accounting (Table 6 / Fig. 5) into an observable property of the
-    engine rather than stopwatch code around each defense.
+    engines rather than stopwatch code around each defense.
 
-Networks whose layers the engine does not know fall back to the legacy
-``network.forward`` float64 path (still batched, instrumented, memoised).
+:class:`InferenceEngine` adds a bounded content-hash memo on top: the
+evaluation harness queries the same pools repeatedly (Table 2's benign
+seeds are also the detector's inputs; Tables 4/5/6 re-classify the same
+adversarial arrays), so identical inputs return memoised logits instead of
+re-running the CNN.  Paths that classify freshly sampled noise (the region
+vote, attack inner loops) opt out with ``memo=False``.  Inference runs in
+``float32`` by default; see DESIGN.md for the dtype policy.
 """
 
 from __future__ import annotations
@@ -46,14 +46,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..verify import guards
-from .plan import DEFAULT_PLAN_ENTRIES, CompiledPlan
-from .plan import supports as plan_supports
-from .tensor import Tensor, no_grad
+from .plan import DEFAULT_PLAN_ENTRIES, CompiledPlan, unplannable
+from .tensor import Tensor
 
 if TYPE_CHECKING:  # pragma: no cover - circular import avoided at runtime
     from .network import Network
 
-__all__ = ["InferenceEngine", "EngineCounters", "counter_delta"]
+__all__ = ["PlanEngine", "InferenceEngine", "EngineCounters", "counter_delta"]
 
 DEFAULT_BATCH_SIZE = 256
 
@@ -62,14 +61,14 @@ DEFAULT_BATCH_SIZE = 256
 class EngineCounters:
     """Cumulative work counters of one engine (see :func:`counter_delta`)."""
 
-    requests: int = 0  # logits() calls answered (memo hits included)
-    forward_batches: int = 0  # batched network executions
-    examples: int = 0  # rows actually pushed through the network
+    requests: int = 0  # public calls answered (memo hits included)
+    batches: int = 0  # plan executions: forwards, seeded backwards or train steps
+    examples: int = 0  # rows those executions pushed through the network
     memo_hits: int = 0
     memo_misses: int = 0
     plan_hits: int = 0  # batches served by a cached compiled plan
     plan_misses: int = 0  # plan compilations (new batch shape, or cache off)
-    seconds: float = 0.0  # wall clock spent inside batched forwards
+    seconds: float = 0.0  # wall clock spent inside plan executions
 
     def as_dict(self) -> dict[str, float]:
         return asdict(self)
@@ -84,7 +83,132 @@ def counter_delta(before: EngineCounters, after: EngineCounters) -> dict[str, fl
     return {key: a[key] - b[key] for key in a}
 
 
-class InferenceEngine:
+class _PlanContext:
+    """Handle onto one grad/train plan forward's stashed activations.
+
+    Generation-stamped: a backward may seed it any number of times (the
+    Jacobian loop), but once a *newer* same-shape forward has run on the
+    same plan, using it raises a stale-context
+    :class:`~repro.verify.guards.GuardViolation`.
+    """
+
+    __slots__ = ("plan", "generation", "batch_len")
+
+    def __init__(self, plan: CompiledPlan, generation: int, batch_len: int):
+        self.plan = plan
+        self.generation = generation
+        self.batch_len = batch_len
+
+
+class PlanEngine:
+    """Compiled-plan execution for one network in one mode and dtype.
+
+    Subclasses set :attr:`mode` and add their entry points.  Parameters are
+    read live: ``load_state``, optimiser steps and dtype rebinding are
+    picked up through the cast cache, never through plan invalidation.
+    ``batch_size`` is the default row span of batched entry points (``None``
+    for engines that take whole batches).
+    """
+
+    mode = "infer"
+    _accumulate = None  # train mode's (param, grad) hook
+
+    def __init__(
+        self,
+        network: "Network",
+        dtype: np.dtype | type = np.float32,
+        batch_size: int | None = DEFAULT_BATCH_SIZE,
+        plan_entries: int = DEFAULT_PLAN_ENTRIES,
+    ):
+        if batch_size is not None and batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if plan_entries < 0:
+            raise ValueError("plan_entries must be >= 0")
+        missing = unplannable(network)
+        if missing:
+            raise ValueError(
+                f"{type(self).__name__} cannot compile a plan for layer type "
+                f"{', '.join(missing)}: every layer needs a plan op (see repro.nn.plan)"
+            )
+        self.network = network
+        self.dtype = np.dtype(dtype)
+        self.plan_entries = plan_entries
+        self.batch_size = batch_size
+        self.counters = EngineCounters()
+        # param-id -> (source array ref, version, cast copy); checked by
+        # identity (rebinding via load_state) AND version (in-place
+        # optimiser updates call Tensor.bump_version) so a stale cast is
+        # never served mid-training.  A parameter already in the engine
+        # dtype is served as the live array itself, without a copy.
+        self._casts: dict[int, tuple[np.ndarray, int, np.ndarray]] = {}
+        # batch shape -> CompiledPlan (LRU).  Plans depend only on shapes;
+        # parameter changes flow through the cast cache, never stale here.
+        self._plans: OrderedDict[tuple[int, ...], CompiledPlan] = OrderedDict()
+
+    def reset_counters(self) -> None:
+        self.counters = EngineCounters()
+
+    def invalidate(self) -> None:
+        """Drop every cached parameter cast and compiled plan."""
+        self._casts.clear()
+        self._plans.clear()
+
+    # -- plan cache and parameter casts -----------------------------------------
+
+    def _plan_for(self, shape: tuple[int, ...]) -> CompiledPlan:
+        key = tuple(shape)
+        plan = self._plans.get(key)
+        if plan is not None:
+            self.counters.plan_hits += 1
+            self._plans.move_to_end(key)
+            return plan
+        self.counters.plan_misses += 1
+        plan = CompiledPlan(
+            self.network, key, self.dtype, self.mode, self._cast, accumulate=self._accumulate
+        )
+        if self.plan_entries > 0:
+            self._plans[key] = plan
+            while len(self._plans) > self.plan_entries:
+                self._plans.popitem(last=False)
+        return plan
+
+    def _cast(self, param: Tensor) -> np.ndarray:
+        """Cached dtype cast of a parameter, identity+version-checked for staleness."""
+        source = param.data
+        entry = self._casts.get(id(param))
+        if entry is None or entry[0] is not source or entry[1] != param.version:
+            entry = (source, param.version, np.ascontiguousarray(source, dtype=self.dtype))
+            self._casts[id(param)] = entry
+        return entry[2]
+
+    # -- execution ----------------------------------------------------------------
+
+    def _chunks(self, n: int, batch_size: int | None):
+        """``(begin, end)`` row spans of at most ``batch_size`` (default: the engine's)."""
+        step = batch_size or self.batch_size
+        return ((begin, min(begin + step, n)) for begin in range(0, n, step))
+
+    def _run_forward(self, x: np.ndarray) -> tuple[np.ndarray, _PlanContext]:
+        """Grad/train plan forward: ``(logits, context)`` for a later backward."""
+        x = np.ascontiguousarray(np.asarray(x), dtype=self.dtype)
+        start = time.perf_counter()
+        plan = self._plan_for(x.shape)
+        buffer, generation = plan.run_forward(x)
+        # Boundary copy: the plan reuses the logits buffer on the next
+        # same-shape forward; callers own what they are handed.
+        out = buffer.copy()
+        self.counters.seconds += time.perf_counter() - start
+        return out, _PlanContext(plan, generation, len(x))
+
+    def _run_backward(self, ctx: _PlanContext, seed: np.ndarray) -> np.ndarray | None:
+        """Replay ``ctx``'s plan in reverse for the logits cotangent ``seed``."""
+        start = time.perf_counter()
+        out = ctx.plan.run_backward(seed, ctx.generation)
+        self.counters.seconds += time.perf_counter() - start
+        return out
+
+
+class InferenceEngine(PlanEngine):
     """Batched, memoised, dtype-configurable inference for one network.
 
     Parameters
@@ -92,20 +216,17 @@ class InferenceEngine:
     network:
         The :class:`~repro.nn.network.Network` whose predictions this
         engine serves.  Parameters are read live — ``load_state`` or an
-        optimiser step is picked up automatically (both rebind the
-        parameter arrays, which invalidates the cast cache and memo).
+        optimiser step is picked up automatically (both rebind or
+        version-bump the parameter arrays, which invalidates the cast
+        cache and memo).
     dtype:
         Compute dtype of the inference kernels.  ``float32`` (default) is
-        ~2× faster on the BLAS-backed im2col matmuls; ``float64``
-        reproduces the legacy path bit-for-bit.
+        ~2× faster on the BLAS-backed conv matmuls; ``float64`` is the
+        degradation ladder's reference rung.
     batch_size:
         Default batch plan; per-call ``batch_size`` overrides it.
     memo_entries:
         Capacity of the logits memo (LRU eviction).  ``0`` disables it.
-    native:
-        ``False`` skips plan compilation entirely, forcing every batch
-        onto the float64 autograd fallback — the degradation ladder's
-        reference rung (see :mod:`repro.runner.policy`).
     plan_entries:
         Capacity of the compiled-plan LRU (keyed by exact batch shape).
         ``0`` keeps the plan layer but recompiles per call.
@@ -117,34 +238,16 @@ class InferenceEngine:
         dtype: np.dtype | type = np.float32,
         batch_size: int = DEFAULT_BATCH_SIZE,
         memo_entries: int = 64,
-        native: bool = True,
         plan_entries: int = DEFAULT_PLAN_ENTRIES,
     ):
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         if memo_entries < 0:
             raise ValueError("memo_entries must be >= 0")
-        if plan_entries < 0:
-            raise ValueError("plan_entries must be >= 0")
-        self.network = network
-        self.dtype = np.dtype(dtype)
-        self.batch_size = batch_size
+        super().__init__(network, dtype, batch_size, plan_entries)
         self.memo_entries = memo_entries
-        self.plan_entries = plan_entries
-        self.counters = EngineCounters()
         self._memo: OrderedDict[bytes, np.ndarray] = OrderedDict()
-        # param-id -> (source array ref, version, cast copy); checked by
-        # identity (rebinding via load_state) AND version (in-place
-        # optimiser updates call Tensor.bump_version) so a stale cast is
-        # never served mid-training.
-        self._casts: dict[int, tuple[np.ndarray, int, np.ndarray]] = {}
         # (array ref, version) pairs backing the memo's validity: if any
         # parameter changes either way, every memoised result is stale.
         self._memo_param_refs: list[tuple[np.ndarray, int]] = []
-        # batch shape -> CompiledPlan (LRU).  Plans depend only on shapes;
-        # parameter changes flow through the cast cache, never stale here.
-        self._plans: OrderedDict[tuple[int, ...], CompiledPlan] = OrderedDict()
-        self._native = bool(native) and plan_supports(network)
 
     # -- public API -----------------------------------------------------------
 
@@ -203,20 +306,11 @@ class InferenceEngine:
         predictions = self.predict(x, batch_size=batch_size, memo=memo)
         return float((predictions == np.asarray(labels)).mean())
 
-    def reset_counters(self) -> None:
-        self.counters = EngineCounters()
-
     def invalidate(self) -> None:
         """Drop the memo, every cached parameter cast and every compiled plan."""
+        super().invalidate()
         self._memo.clear()
-        self._casts.clear()
         self._memo_param_refs = []
-        self._plans.clear()
-
-    @property
-    def supports_native(self) -> bool:
-        """Whether every layer runs on the engine's compiled raw-NumPy plans."""
-        return self._native
 
     # -- memo -----------------------------------------------------------------
 
@@ -261,49 +355,13 @@ class InferenceEngine:
     def _run_batches(self, x: np.ndarray, batch_size: int) -> np.ndarray:
         start = time.perf_counter()
         outputs = []
-        for begin in range(0, len(x), batch_size):
-            batch = x[begin : begin + batch_size]
-            self.counters.forward_batches += 1
+        for begin, end in self._chunks(len(x), batch_size):
+            batch = x[begin:end]
+            self.counters.batches += 1
             self.counters.examples += len(batch)
-            outputs.append(self._forward(batch))
+            # The plan hands back its own reused buffer; copy at the boundary
+            # so callers (and the memo) own their bytes.
+            outputs.append(self._plan_for(batch.shape).run(batch).copy())
         result = outputs[0] if len(outputs) == 1 else np.concatenate(outputs, axis=0)
         self.counters.seconds += time.perf_counter() - start
         return result
-
-    def _forward(self, batch: np.ndarray) -> np.ndarray:
-        if not self._native:
-            # Legacy fallback for unknown layer types: float64 autograd
-            # forward with graph recording disabled.  Cast back so callers
-            # always receive the engine dtype, native path or not.
-            with no_grad():
-                out = self.network.forward(Tensor(batch)).data
-            return np.ascontiguousarray(out, dtype=self.dtype)
-        # The plan hands back its own reused buffer; copy at the boundary so
-        # callers (and the memo) own their bytes, exactly as before.
-        return self._plan_for(batch.shape).run(batch).copy()
-
-    # -- plan cache ------------------------------------------------------------
-
-    def _plan_for(self, shape: tuple[int, ...]) -> CompiledPlan:
-        key = tuple(shape)
-        plan = self._plans.get(key)
-        if plan is not None:
-            self.counters.plan_hits += 1
-            self._plans.move_to_end(key)
-            return plan
-        self.counters.plan_misses += 1
-        plan = CompiledPlan(self.network, key, self.dtype, "infer", self._cast)
-        if self.plan_entries > 0:
-            self._plans[key] = plan
-            while len(self._plans) > self.plan_entries:
-                self._plans.popitem(last=False)
-        return plan
-
-    def _cast(self, param: Tensor) -> np.ndarray:
-        """Cached dtype cast of a parameter, identity+version-checked for staleness."""
-        source = param.data
-        entry = self._casts.get(id(param))
-        if entry is None or entry[0] is not source or entry[1] != param.version:
-            entry = (source, param.version, np.ascontiguousarray(source, dtype=self.dtype))
-            self._casts[id(param)] = entry
-        return entry[2]

@@ -117,7 +117,7 @@ def build_percall_infer_kernels(
     ``cast`` maps a parameter :class:`~repro.nn.tensor.Tensor` to its
     engine-dtype array (the engines pass their staleness-checked cast
     cache).  Returns ``None`` when the network contains an unsupported
-    layer type, mirroring the engines' fallback contract.  This path
+    layer type.  This path
     re-decides shapes and re-allocates every temporary on every call — it
     exists as the benchmark baseline and as an independent reference for
     the plan parity tests.

@@ -79,7 +79,7 @@ from .layers import AvgPool2D, Conv2D, Dense, Dropout, Flatten, MaxPool2D, ReLU,
 from .norm import _BatchNormBase
 from .ops import stable_sigmoid
 
-__all__ = ["CompiledPlan", "compile_plan", "supports", "MODES", "DEFAULT_PLAN_ENTRIES"]
+__all__ = ["CompiledPlan", "compile_plan", "supports", "unplannable", "MODES", "DEFAULT_PLAN_ENTRIES"]
 
 MODES = ("infer", "grad", "train")
 
@@ -103,9 +103,14 @@ _PLANNABLE = (
 )
 
 
+def unplannable(network) -> list[str]:
+    """Type names of the layers of ``network`` that have no compiled-plan op."""
+    return [type(layer).__name__ for layer in network.layers if not isinstance(layer, _PLANNABLE)]
+
+
 def supports(network) -> bool:
     """Whether every layer of ``network`` lowers to a compiled-plan op."""
-    return all(isinstance(layer, _PLANNABLE) for layer in network.layers)
+    return not unplannable(network)
 
 
 # -- fused elementwise stages ---------------------------------------------------

@@ -1,6 +1,6 @@
 """Mini-batch training loop with history tracking.
 
-Since PR 3 the loop is served by the fused
+The loop is served by the fused
 :class:`~repro.nn.train_engine.TrainingEngine` whenever the loss is one
 the engine can seed natively (a :class:`~repro.nn.train_engine.TrainLoss`
 — the default cross-entropy, distillation's soft targets, the
@@ -21,7 +21,7 @@ from .network import Network
 from .optim import Optimizer
 from .schedules import Schedule
 from .tensor import Tensor
-from .train_engine import CROSS_ENTROPY, TrainingEngine, TrainLoss
+from .train_engine import CROSS_ENTROPY, TrainLoss, train_engine_for
 
 __all__ = ["TrainConfig", "History", "fit"]
 
@@ -75,22 +75,6 @@ def _resolve_schedule(config: TrainConfig, base_lr: float) -> Callable[[int], fl
     return None
 
 
-def _resolve_engine(network: Network, config: TrainConfig) -> TrainingEngine:
-    """The network's training engine, re-attached if the dtype differs.
-
-    An engine deliberately forced onto the autograd fallback (the
-    degradation ladder's reference rung) is kept as-is: replacing it would
-    silently revert the downgrade mid-recovery.
-    """
-    engine = network.train_engine
-    if getattr(engine, "forced_fallback", False):
-        return engine
-    if engine.dtype != np.dtype(config.dtype):
-        engine = TrainingEngine(network, dtype=config.dtype)
-        network.attach_train_engine(engine)
-    return engine
-
-
 def fit(
     network: Network,
     optimizer: Optimizer,
@@ -119,7 +103,7 @@ def fit(
         loss = CROSS_ENTROPY
     use_engine = config.engine and loss is not None
     if use_engine:
-        engine = _resolve_engine(network, config)
+        engine = train_engine_for(network, config.dtype)
         bound = engine.parameters_bound()
     else:
         x = np.asarray(x, dtype=np.float64)

@@ -5,10 +5,10 @@ A unit attempt can end four ways:
 * **ok** — its payload is journaled and the run moves on.
 * **numerical failure** — a :class:`~repro.verify.guards.GuardViolation`
   (NaN/Inf, dtype drift, aliasing) or a ``FloatingPointError``.  The
-  degradation ladder retries the unit once on the **float64 autograd
-  fallback** (:func:`degraded_engines`): the fused float32 kernels are the
-  optimisation, the autograd path is the reference, so a numerical hiccup
-  costs one slow retry instead of the whole run.
+  degradation ladder retries the unit once on **fresh float64 plan
+  engines** (:func:`degraded_engines`): float32 is the optimisation,
+  float64 plans track the autograd reference, so a numerical hiccup costs
+  one slower retry instead of the whole run.
 * **ordinary error** — retried up to ``max_attempts`` with deterministic
   exponential backoff (no jitter: chaos tests replay schedules exactly).
 * **budget exhausted** — a unit that has already burned its wall-clock
@@ -83,7 +83,7 @@ class UnitFailure:
     message: str
     kind: str  # "numerical" | "error" | "budget"
     attempts: int
-    degraded: bool  # whether the fallback rung was tried
+    degraded: bool  # whether the float64 rung was tried
     traceback: list[str] = field(default_factory=list)
     counters: dict = field(default_factory=dict)  # engine counters at failure
     digest: str = ""  # the unit's RNG/input digest
@@ -132,12 +132,13 @@ def _capture(unit, exc: BaseException, kind: str, attempts: int, degraded: bool)
 
 @contextmanager
 def degraded_engines(networks) -> Iterator[None]:
-    """Serve every engine surface of ``networks`` from the float64 autograd
-    fallback for the duration — the degradation ladder's reference rung.
+    """Serve every engine surface of ``networks`` from fresh float64 plan
+    engines for the duration — the degradation ladder's reference rung.
 
-    The fused kernels are replaced wholesale (``native=False`` engines), so
-    whatever numerical state tripped a guard in the optimised path cannot
-    recur; the originals are restored on exit.
+    The float32 engines are replaced wholesale (new plans, casts and memo),
+    so whatever numerical state tripped a guard in the optimised path
+    cannot recur; the training engine is pinned so a ``fit`` inside the
+    rung keeps it.  The originals are restored on exit.
     """
     from ..nn.engine import InferenceEngine
     from ..nn.grad_engine import GradientEngine
@@ -147,9 +148,11 @@ def degraded_engines(networks) -> Iterator[None]:
     try:
         for net in networks:
             saved.append((net, net._engine, net._grad_engine, net._train_engine))
-            net.attach_engine(InferenceEngine(net, dtype=np.float64, native=False))
-            net.attach_grad_engine(GradientEngine(net, dtype=np.float64, native=False))
-            net.attach_train_engine(TrainingEngine(net, dtype=np.float64, native=False))
+            train_engine = TrainingEngine(net, dtype=np.float64)
+            train_engine.pinned = True
+            net.attach_engine(InferenceEngine(net, dtype=np.float64))
+            net.attach_grad_engine(GradientEngine(net, dtype=np.float64))
+            net.attach_train_engine(train_engine)
         yield
     finally:
         for net, engine, grad_engine, train_engine in saved:

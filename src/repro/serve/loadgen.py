@@ -234,16 +234,21 @@ def run_remote(
 
     Every entry in ``statuses`` resolves — ``ok``/``degraded``/``shed`` —
     because :meth:`DCNClient.classify` converts transport failures into
-    sheds or structured errors rather than hanging.
+    sheds or structured errors rather than hanging.  Latencies are timed
+    with ``clock`` around each ``classify`` call, so they include the
+    transport and client time the server-reported ``latency_s`` leaves out.
     """
     if not clients:
         raise ValueError("need at least one client")
     results: list[ServeResult | None] = [None] * len(stream)
+    latencies = [0.0] * len(stream)
 
     def drive(client_index: int) -> None:
         client = clients[client_index]
         for i in range(client_index, len(stream), len(clients)):
+            sent = clock()
             results[i] = client.classify(stream[i].x)
+            latencies[i] = clock() - sent
 
     stats = RunStats()
     start = clock()
@@ -256,11 +261,11 @@ def run_remote(
     for thread in threads:
         thread.join()
     stats.seconds = clock() - start
-    for result in results:
+    for result, latency in zip(results, latencies):
         stats.labels.append(result.labels)
         stats.statuses.append(result.status)
         if result.ok:
-            stats.latencies_s.append(result.latency_s)
+            stats.latencies_s.append(latency)
     return stats
 
 

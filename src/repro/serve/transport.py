@@ -9,10 +9,10 @@ Frame format
     followed by ``meta_len`` bytes of UTF-8 JSON metadata and ``body_len``
     bytes of body.  Arrays travel as concatenated bare-``.npy`` segments
     with a name/length table in ``meta["npy"]`` (:func:`encode_body` /
-    :func:`decode_body` — the hot path, no ZipFile machinery), falling
-    back to ``.npz`` bytes when the table is absent (:func:`encode_array`
-    / :func:`decode_arrays`).  ``allow_pickle`` is never enabled, so a
-    malicious peer cannot smuggle objects.  A frame
+    :func:`decode_body`); a body without the table is ``bad-payload``.
+    Object arrays are refused, so a malicious peer cannot smuggle
+    pickles, and a segment whose ``.npy`` header declares more bytes than
+    it carries is refused before anything is allocated.  A frame
     whose header fails the magic/version check, or whose declared size
     exceeds ``max_frame_bytes``, is rejected with a **structured**
     :class:`FrameError` (``code`` in :data:`FRAME_ERROR_CODES`) rather
@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import socket
 import struct
 import threading
@@ -67,8 +68,6 @@ __all__ = [
     "KIND_PING",
     "KIND_PONG",
     "FrameError",
-    "encode_array",
-    "decode_arrays",
     "encode_body",
     "decode_body",
     "read_frame",
@@ -119,30 +118,11 @@ class FrameError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def encode_array(**arrays: np.ndarray | None) -> bytes:
-    """``.npz``-encode named arrays (``None`` values are skipped)."""
-    buf = io.BytesIO()
-    present = {k: np.asarray(v) for k, v in arrays.items() if v is not None}
-    np.savez(buf, **present)
-    return buf.getvalue()
-
-
-def decode_arrays(data: bytes) -> dict[str, np.ndarray]:
-    """Decode an ``.npz`` body; never unpickles objects."""
-    try:
-        with np.load(io.BytesIO(data), allow_pickle=False) as archive:
-            return {name: archive[name] for name in archive.files}
-    except Exception as exc:
-        raise FrameError("bad-payload", f"undecodable array body: {exc}") from exc
-
-
 def encode_body(meta: dict, **arrays: np.ndarray | None) -> bytes:
     """Encode named arrays as concatenated bare-``.npy`` segments.
 
-    The hot request/response path: each array is ``np.save``-d directly
-    (no ZipFile container, ~3-5x cheaper to encode+decode than ``.npz``)
-    and the name/byte-length segment table rides in ``meta["npy"]``.
-    ``None`` values are skipped, matching :func:`encode_array`.
+    Each array is ``np.save``-d directly and the name/byte-length segment
+    table rides in ``meta["npy"]``.  ``None`` values are skipped.
     """
     buf = io.BytesIO()
     segments: list[list] = []
@@ -157,11 +137,13 @@ def encode_body(meta: dict, **arrays: np.ndarray | None) -> bytes:
 
 
 def decode_body(meta: dict, data: bytes) -> dict[str, np.ndarray]:
-    """Decode a frame body — ``.npy`` segments when ``meta["npy"]`` names
-    them (the :func:`encode_body` layout), ``.npz`` otherwise."""
+    """Decode a frame body laid out by :func:`encode_body`.
+
+    Any malformed table or segment raises ``FrameError("bad-payload")``.
+    """
     segments = meta.get("npy")
     if segments is None:
-        return decode_arrays(data)
+        raise FrameError("bad-payload", "frame body has no npy segment table")
     out: dict[str, np.ndarray] = {}
     offset = 0
     try:
@@ -173,16 +155,38 @@ def decode_body(meta: dict, data: bytes) -> dict[str, np.ndarray]:
                 or offset + length > len(data)
             ):
                 raise FrameError("bad-payload", "malformed npy segment table")
-            value = np.load(io.BytesIO(data[offset : offset + length]), allow_pickle=False)
-            if not isinstance(value, np.ndarray):
-                raise FrameError("bad-payload", "npy segment is not a bare array")
-            out[name] = value
+            out[name] = _load_npy(data[offset : offset + length])
             offset += length
     except FrameError:
         raise
     except Exception as exc:
         raise FrameError("bad-payload", f"undecodable array body: {exc}") from exc
     return out
+
+
+def _load_npy(segment: bytes) -> np.ndarray:
+    """One bare ``.npy`` segment, its declared size checked before allocation.
+
+    ``np.load`` allocates the header's declared shape before it reads the
+    data, so a short segment claiming a huge shape would allocate that
+    much; the header is parsed first and must account for the segment
+    exactly.
+    """
+    stream = io.BytesIO(segment)
+    version = np.lib.format.read_magic(stream)
+    if version == (1, 0):
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(stream)
+    elif version == (2, 0):
+        shape, fortran_order, dtype = np.lib.format.read_array_header_2_0(stream)
+    else:
+        raise FrameError("bad-payload", f"unsupported npy version {version}")
+    if dtype.hasobject:
+        raise FrameError("bad-payload", "object arrays are refused")
+    count = math.prod(shape)
+    if stream.tell() + count * dtype.itemsize != len(segment):
+        raise FrameError("bad-payload", "npy segment length does not match its header")
+    flat = np.frombuffer(segment, dtype, count, stream.tell())
+    return flat.reshape(shape, order="F" if fortran_order else "C").copy(order="A")
 
 
 def _recv_exact(sock: socket.socket, n: int, deadline: float | None) -> bytes | None:
@@ -250,7 +254,9 @@ def read_frame(
         raise FrameError("torn", "EOF before frame body")
     try:
         meta = json.loads(meta_bytes.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and over-long integer
+        # literals; RecursionError, metadata nested too deeply to parse.
         raise FrameError("bad-payload", f"undecodable frame metadata: {exc}") from exc
     if not isinstance(meta, dict):
         raise FrameError("bad-payload", "frame metadata is not a JSON object")
@@ -429,6 +435,9 @@ class DCNServer:
                     name="dcn-server-conn",
                     daemon=True,
                 )
+                # Drop finished handlers so a long-lived server's list
+                # stays bounded by its live connections.
+                self._threads = [t for t in self._threads if t.is_alive()]
                 self._threads.append(handler)
             handler.start()
 

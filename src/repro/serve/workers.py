@@ -241,7 +241,10 @@ class ServePool:
             name=f"serve-pool-recv-{worker_id}.g{generation}", daemon=True,
         )
         thread.start()
-        self._threads.append(thread)
+        with self._lock:
+            # One receive thread per respawn: drop the finished ones.
+            self._threads = [t for t in self._threads if t.is_alive()]
+            self._threads.append(thread)
 
     def stop(self) -> None:
         """Final fleet snapshot, clean worker shutdown, join everything."""

@@ -277,18 +277,17 @@ def diff_case(case: Case, dtype, report: Report | None = None, label: str = "") 
 
         # Path 2: InferenceEngine, layer by layer then end to end.
         engine = InferenceEngine(network, dtype=dtype, memo_entries=0)
-        if engine.supports_native:
-            x_cast = np.ascontiguousarray(x, dtype=dtype)
-            plan = engine._plan_for(x_cast.shape)
-            for layer, out, ref in zip(network.layers, plan.layer_outputs(x_cast), reference):
-                report.record(
-                    case_label,
-                    "infer-fwd",
-                    type(layer).__name__,
-                    dtype_name,
-                    _rel_error(out, ref),
-                    ulp_distance(out, ref),
-                )
+        x_cast = np.ascontiguousarray(x, dtype=dtype)
+        plan = engine._plan_for(x_cast.shape)
+        for layer, out, ref in zip(network.layers, plan.layer_outputs(x_cast), reference):
+            report.record(
+                case_label,
+                "infer-fwd",
+                type(layer).__name__,
+                dtype_name,
+                _rel_error(out, ref),
+                ulp_distance(out, ref),
+            )
         logits = engine.logits(x, memo=False)
         report.record(
             case_label,

@@ -94,7 +94,7 @@ class TestTiming:
         assert profile.labels.shape == (4,)
         assert profile.backward_batches == 1
         assert profile.backward_examples == 4
-        assert profile.counters["grad_backward_batches"] == 1
+        assert profile.counters["grad_batches"] == 1
         # Forward counters still come from the inference engine, unprefixed.
         # (The predict may be a memo hit, so assert on requests, not examples.)
         assert profile.counters["requests"] >= 1
@@ -112,7 +112,7 @@ class TestTiming:
 
         profile = profile_defense(_Plain(), x[:3], network.engine)
         assert profile.backward_batches == 0
-        assert "grad_backward_batches" not in profile.counters
+        assert "grad_batches" not in profile.counters
 
 
 class TestScaleConfig:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.defenses.region import region_vote
-from repro.nn import InferenceEngine, Tensor, counter_delta, no_grad
+from repro.nn import GradientEngine, InferenceEngine, Tensor, TrainingEngine, counter_delta, no_grad
 from repro.nn.layers import Layer
 from repro.nn.network import Network
 from repro.zoo import model_for_dataset
@@ -28,8 +28,10 @@ def zoo_model():
 
 class TestParity:
     def test_zoo_cnn_runs_native_kernels(self, zoo_model):
-        model, _ = zoo_model
-        assert model.engine.supports_native
+        model, x = zoo_model
+        engine = InferenceEngine(model)
+        engine.logits(x[:2], memo=False)
+        assert engine.counters.plan_misses == 1  # compiled, not interpreted
 
     def test_float32_matches_legacy_within_1e4(self, zoo_model):
         model, x = zoo_model
@@ -65,21 +67,18 @@ class TestParity:
         out = model.engine.logits(np.zeros((0,) + model.input_shape))
         assert out.shape == (0,) + model.output_shape
 
-    def test_unknown_layer_falls_back_to_legacy_forward(self, tiny_model):
+    @pytest.mark.parametrize(
+        "engine_cls", [InferenceEngine, GradientEngine, TrainingEngine], ids=lambda cls: cls.__name__
+    )
+    def test_unplannable_layer_is_refused_at_construction(self, tiny_model, engine_cls):
         class Scale(Layer):
             def forward(self, x, training):
                 return x * 2.0
 
-            def output_shape(self, input_shape):
-                return input_shape
-
-        network, x, _ = tiny_model
+        network, _, _ = tiny_model
         wrapped = Network(list(network.layers) + [Scale()], network.input_shape)
-        engine = InferenceEngine(wrapped, dtype=np.float64)
-        assert not engine.supports_native
-        np.testing.assert_allclose(
-            engine.logits(x[:8], memo=False), 2.0 * legacy_logits(network, x[:8]), rtol=1e-12
-        )
+        with pytest.raises(ValueError, match="Scale"):
+            engine_cls(wrapped)
 
 
 class TestMemo:
@@ -132,7 +131,7 @@ class TestCounters:
         engine.logits(x[:10], batch_size=4, memo=False)
         c = engine.counters
         assert c.requests == 1
-        assert c.forward_batches == 3  # 4 + 4 + 2
+        assert c.batches == 3  # 4 + 4 + 2
         assert c.examples == 10
         assert c.memo_hits == 0 and c.memo_misses == 0
         assert c.seconds > 0.0

@@ -28,7 +28,6 @@ from repro.nn import (
     losses,
     ops,
 )
-from repro.nn.layers import Layer
 
 NUM_CLASSES = 5
 
@@ -128,13 +127,6 @@ def random_stack(draw):
     return network, x, labels
 
 
-class _Double(Layer):
-    """A layer the engine has no kernel for (forces the autograd fallback)."""
-
-    def forward(self, x, training):
-        return ops.mul(x, 2.0)
-
-
 @st.composite
 def stack_and_dtype(draw):
     network, x, labels = draw(random_stack())
@@ -151,7 +143,6 @@ class TestParity:
     def test_cross_entropy_grad_matches_autograd(self, case):
         network, x, labels, dtype = case
         engine = GradientEngine(network, dtype=dtype)
-        assert engine.supports_native
         grad = engine.cross_entropy_input_grad(x, labels)
         assert grad.dtype == np.dtype(dtype)
         reference = autograd_cross_entropy_grad(network, x, labels)
@@ -204,32 +195,7 @@ class TestParity:
         np.testing.assert_allclose(split, whole, atol=1e-12)
 
 
-# -- counters and fallback -------------------------------------------------------
-
-
-@pytest.fixture
-def fallback_network():
-    rng = np.random.default_rng(7)
-    return Network([Flatten(), _Double(), Dense(16, NUM_CLASSES, rng)], (1, 4, 4))
-
-
-class TestFallback:
-    def test_unknown_layer_falls_back_to_autograd(self, fallback_network):
-        engine = GradientEngine(fallback_network, dtype=np.float64)
-        assert not engine.supports_native
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(3, 1, 4, 4))
-        jac = engine.jacobian(x)
-        np.testing.assert_allclose(jac, autograd_jacobian(fallback_network, x), atol=1e-12)
-        # Every one of the C seeded backwards went through autograd.
-        assert engine.counters.fallbacks == NUM_CLASSES
-        assert engine.counters.backward_batches == NUM_CLASSES
-
-    def test_fallback_result_is_engine_dtype(self, fallback_network):
-        engine = GradientEngine(fallback_network)  # float32 default
-        grad = engine.cross_entropy_input_grad(np.zeros((2, 1, 4, 4)), np.array([0, 1]))
-        assert grad.dtype == np.float32
-        assert engine.counters.fallbacks == 1
+# -- counters --------------------------------------------------------------------
 
 
 class TestCounters:
@@ -240,10 +206,9 @@ class TestCounters:
         x = rng.normal(size=(5, 1, 3, 3))
         engine.cross_entropy_input_grad(x, np.zeros(5, dtype=int))
         assert engine.counters.requests == 1
-        assert engine.counters.backward_batches == 3  # ceil(5 / 2)
+        assert engine.counters.batches == 3  # ceil(5 / 2)
         assert engine.counters.examples == 5
         assert engine.counters.seconds > 0
-        assert engine.counters.fallbacks == 0
 
     def test_jacobian_shares_one_forward_per_batch(self):
         rng = np.random.default_rng(4)
@@ -251,7 +216,7 @@ class TestCounters:
         engine = GradientEngine(network)
         engine.jacobian(rng.normal(size=(4, 1, 3, 3)))
         # One backward per class, each pushing the full batch.
-        assert engine.counters.backward_batches == NUM_CLASSES
+        assert engine.counters.batches == NUM_CLASSES
         assert engine.counters.examples == 4 * NUM_CLASSES
 
     def test_reset_and_snapshot(self):
@@ -261,9 +226,9 @@ class TestCounters:
         engine.logit_input_grad(np.zeros((1, 1, 2, 2)), np.array([0]))
         before = engine.counters.snapshot()
         engine.logit_input_grad(np.zeros((1, 1, 2, 2)), np.array([0]))
-        assert engine.counters.backward_batches == before.backward_batches + 1
+        assert engine.counters.batches == before.batches + 1
         engine.reset_counters()
-        assert engine.counters.backward_batches == 0
+        assert engine.counters.batches == 0
 
 
 class TestNetworkAttachment:

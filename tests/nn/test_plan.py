@@ -7,7 +7,7 @@ import pytest
 
 from repro.nn import GradientEngine, InferenceEngine, SGD, Tensor, TrainingEngine, no_grad
 from repro.nn.kernels import build_percall_infer_kernels
-from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D, ReLU
+from repro.nn.layers import Conv2D, Dense, Flatten, Layer, MaxPool2D, ReLU
 from repro.nn.losses import cross_entropy
 from repro.nn.network import Network
 from repro.nn.plan import CompiledPlan, compile_plan, supports
@@ -179,7 +179,11 @@ class TestCompiledPlanContract:
     def test_supports_matches_engine_fallback_decision(self):
         network = _network()
         assert supports(network)
-        assert network.engine.supports_native
+        network.engine  # builds: the engine accepts what supports() accepts
+        unplannable = Network(network.layers + [Layer()], network.input_shape)
+        assert not supports(unplannable)
+        with pytest.raises(ValueError, match="Layer"):
+            InferenceEngine(unplannable)
 
     def test_rejects_unknown_mode_and_trainless_accumulate(self):
         network = _network()

@@ -33,10 +33,8 @@ from repro.nn import (
     Tensor,
     TrainingEngine,
     losses,
-    ops,
     soft_cross_entropy_loss,
 )
-from repro.nn.layers import Layer
 
 NUM_CLASSES = 5
 
@@ -135,13 +133,6 @@ def random_stack(draw):
     return network, x, labels
 
 
-class _Double(Layer):
-    """A layer the engine has no kernel for (forces the autograd fallback)."""
-
-    def forward(self, x, training):
-        return ops.mul(x, 2.0)
-
-
 @st.composite
 def stack_and_dtype(draw):
     network, x, labels = draw(random_stack())
@@ -158,7 +149,6 @@ class TestParity:
     def test_parameter_grads_match_autograd(self, case):
         network, x, labels, dtype = case
         engine = TrainingEngine(network, dtype=dtype)
-        assert engine.supports_native
 
         stats = batchnorm_stats(network)
         reseed_dropout(network, 99)
@@ -310,49 +300,7 @@ class TestParameterBinding:
         assert np.abs(after - before).max() > 1e-6
 
 
-# -- counters and fallback -------------------------------------------------------
-
-
-@pytest.fixture
-def fallback_network():
-    rng = np.random.default_rng(7)
-    return Network([Flatten(), _Double(), Dense(16, NUM_CLASSES, rng)], (1, 4, 4))
-
-
-class TestFallback:
-    def test_unknown_layer_falls_back_to_autograd(self, fallback_network):
-        engine = TrainingEngine(fallback_network, dtype=np.float64)
-        assert not engine.supports_native
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(3, 1, 4, 4))
-        labels = np.array([0, 1, 2])
-        fallback_network.zero_grad()
-        value, logits = engine.train_batch(x, labels)
-        got = [np.array(p.grad) for p in fallback_network.parameters()]
-        ref_value, ref_grads = autograd_step(fallback_network, x, labels, losses.cross_entropy)
-        assert value == pytest.approx(ref_value)
-        for a, b in zip(got, ref_grads):
-            np.testing.assert_allclose(a, b, atol=1e-12)
-        assert engine.counters.fallbacks == 1
-        assert engine.counters.batches == 1
-
-    def test_fallback_applies_scale(self, fallback_network):
-        engine = TrainingEngine(fallback_network)
-        x = np.zeros((2, 1, 4, 4))
-        labels = np.array([0, 1])
-        fallback_network.zero_grad()
-        engine.train_batch(x, labels, scale=0.5)
-        halved = [np.array(p.grad) for p in fallback_network.parameters()]
-        fallback_network.zero_grad()
-        engine.train_batch(x, labels)
-        full = [np.array(p.grad) for p in fallback_network.parameters()]
-        for a, b in zip(halved, full):
-            np.testing.assert_allclose(a, 0.5 * b, atol=1e-12)
-
-    def test_fallback_binding_is_noop(self, fallback_network):
-        engine = TrainingEngine(fallback_network)  # float32, but not native
-        with engine.parameters_bound():
-            assert all(p.data.dtype == np.float64 for p in fallback_network.parameters())
+# -- counters --------------------------------------------------------------------
 
 
 class TestCounters:
@@ -366,7 +314,6 @@ class TestCounters:
         assert engine.counters.batches == 2
         assert engine.counters.examples == 7
         assert engine.counters.seconds > 0
-        assert engine.counters.fallbacks == 0
 
     def test_reset_and_snapshot(self):
         rng = np.random.default_rng(5)

@@ -146,7 +146,8 @@ def test_guard_trip_degrades_to_float64_fallback(seed):
     assert rel <= REL_BUDGET[np.dtype(np.float32)]
     # The poison and the fallback are both gone afterwards.
     assert network.grad_engine.dtype == np.dtype(np.float32)
-    assert not getattr(network.train_engine, "forced_fallback", False)
+    assert network.train_engine.dtype == np.dtype(np.float32)
+    assert not network.train_engine.pinned
 
 
 def test_run_coverage_reports_holes_not_exceptions(tmp_path):

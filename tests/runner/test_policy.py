@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import repro.runner.policy as policy_module
-from repro.nn import Dense, Flatten, Network, ReLU
+from repro.nn import SGD, Dense, Flatten, Network, ReLU, TrainConfig, fit
 from repro.runner import FailurePolicy, WorkUnit, degraded_engines, execute_unit
 
 
@@ -89,19 +89,39 @@ def _small_network():
 
 def test_degraded_engines_swap_and_restore():
     network = _small_network()
-    x = np.random.default_rng(1).normal(size=(3, 1, 4, 4))
+    rng = np.random.default_rng(1)
+    x, labels = rng.normal(size=(3, 1, 4, 4)), np.array([0, 1, 2])
     original = (network.engine, network.grad_engine, network.train_engine)
     assert original[0].dtype == np.dtype(np.float32)
 
     with degraded_engines([network]):
-        assert network.engine.dtype == np.dtype(np.float64)
-        assert not network.engine.supports_native  # autograd fallback, not compiled
-        assert not network.grad_engine.supports_native
-        assert network.train_engine.forced_fallback
-        logits64 = network.engine.logits(x)
-        assert logits64.dtype == np.float64
+        engines = (network.engine, network.grad_engine, network.train_engine)
+        assert all(engine.dtype == np.dtype(np.float64) for engine in engines)
+        assert network.engine.logits(x).dtype == np.float64
+        assert network.grad_engine.cross_entropy_input_grad(x, labels).dtype == np.float64
+        _, logits = network.train_engine.train_batch(x, labels)
+        assert logits.dtype == np.float64
+        # Every surface is plan-backed: its first call compiled a float64 plan.
+        assert [engine.counters.plan_misses for engine in engines] == [1, 1, 1]
 
     assert (network.engine, network.grad_engine, network.train_engine) == original
+
+
+def test_fit_inside_degraded_rung_keeps_float64_engine():
+    network = _small_network()
+    rng = np.random.default_rng(2)
+    x, y = rng.normal(size=(8, 1, 4, 4)), rng.integers(0, 4, size=8)
+    config = TrainConfig(epochs=1, batch_size=4, dtype="float32")
+
+    with degraded_engines([network]):
+        rung = network.train_engine
+        fit(network, SGD(network.parameters(), lr=0.1), x, y, config, rng)
+        assert network.train_engine is rung
+        assert rung.dtype == np.dtype(np.float64)
+        assert rung.counters.batches == 2
+
+    assert network.train_engine.dtype == np.dtype(np.float32)
+    assert not network.train_engine.pinned
 
 
 def test_degraded_engines_restore_on_error():

@@ -19,7 +19,7 @@ from repro.serve.transport import (
     KIND_REQUEST,
     KIND_RESPONSE,
     _HEADER,
-    encode_array,
+    encode_body,
     read_frame,
     write_frame,
 )
@@ -233,11 +233,9 @@ class TestProtocolViolations:
 
     def test_mismatched_reply_id_is_protocol_error(self):
         def respond(conn):
-            write_frame(
-                conn, KIND_RESPONSE,
-                {"id": 999, "status": "ok", "retryable": False},
-                encode_array(labels=np.zeros(1, dtype=np.int64)),
-            )
+            meta = {"id": 999, "status": "ok", "retryable": False}
+            body = encode_body(meta, labels=np.zeros(1, dtype=np.int64))
+            write_frame(conn, KIND_RESPONSE, meta, body)
 
         server = _ScriptedServer(respond)
         client = DCNClient(server.address, retries=0, sleep=lambda s: None)

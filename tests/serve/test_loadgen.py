@@ -1,5 +1,7 @@
 """The deterministic load generator and its offline/coalesced drivers."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,10 @@ from repro.serve import (
     DCNService,
     StreamSpec,
     build_stream,
+    ServeResult,
     run_coalesced,
     run_offline,
+    run_remote,
     summarize_latencies,
 )
 
@@ -182,3 +186,21 @@ class TestShedAccounting:
             label is None for label, status in zip(stats.labels, stats.statuses)
             if status == "shed"
         )
+
+
+class TestRunRemote:
+    def test_latencies_are_timed_on_the_client(self, pools):
+        benign, _ = pools
+        stream = build_stream(benign, None, StreamSpec(requests=6, adv_fraction=0.0, seed=0))
+
+        class SlowClient:
+            """Spends 20 ms per call but reports the server's view: zero."""
+
+            def classify(self, x):
+                time.sleep(0.02)
+                return ServeResult("ok", labels=np.zeros(len(x), dtype=np.int64), latency_s=0.0)
+
+        stats = run_remote([SlowClient(), SlowClient()], stream)
+        assert stats.statuses == ["ok"] * len(stream)
+        assert len(stats.latencies_s) == len(stream)
+        assert min(stats.latencies_s) >= 0.02

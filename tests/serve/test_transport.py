@@ -33,9 +33,7 @@ from repro.serve.transport import (
     PROTOCOL_VERSION,
     _HEADER,
     FrameError,
-    decode_arrays,
     decode_body,
-    encode_array,
     encode_body,
     read_frame,
     write_frame,
@@ -68,12 +66,13 @@ def _pair():
 class TestFrameCodec:
     def test_roundtrip_meta_and_arrays(self):
         a, b = _pair()
-        body = encode_array(x=np.arange(6, dtype=np.float32).reshape(2, 3), skip=None)
-        write_frame(a, KIND_REQUEST, {"id": 7, "deadline_s": 0.5}, body)
+        sent = {"id": 7, "deadline_s": 0.5}
+        body = encode_body(sent, x=np.arange(6, dtype=np.float32).reshape(2, 3), skip=None)
+        write_frame(a, KIND_REQUEST, sent, body)
         kind, meta, got = read_frame(b)
         assert kind == KIND_REQUEST
-        assert meta == {"id": 7, "deadline_s": 0.5}
-        arrays = decode_arrays(got)
+        assert meta == {"id": 7, "deadline_s": 0.5, "npy": [["x", len(body)]]}
+        arrays = decode_body(meta, got)
         assert list(arrays) == ["x"]  # None-valued arrays are skipped
         np.testing.assert_array_equal(
             arrays["x"], np.arange(6, dtype=np.float32).reshape(2, 3)
@@ -92,11 +91,12 @@ class TestFrameCodec:
         np.testing.assert_array_equal(arrays["labels"], x)
         np.testing.assert_array_equal(arrays["flagged"], flagged)
 
-    def test_decode_body_falls_back_to_npz(self):
-        # A peer that sends .npz without a segment table still decodes.
-        body = encode_array(x=np.ones(3, dtype=np.float64))
-        arrays = decode_body({"id": 1}, body)
-        np.testing.assert_array_equal(arrays["x"], np.ones(3))
+    def test_body_without_segment_table_is_bad_payload(self):
+        # No .npz fallback: a body must carry its segment table.
+        body = encode_body({}, x=np.ones(3, dtype=np.float64))
+        with pytest.raises(FrameError) as err:
+            decode_body({"id": 1}, body)
+        assert err.value.code == "bad-payload"
 
     @pytest.mark.parametrize(
         "table",
@@ -226,9 +226,8 @@ class TestServerClient:
             with DCNServer(service, max_frame_bytes=512) as server:
                 sock = socket.create_connection(server.address, timeout=5.0)
                 sock.settimeout(5.0)
-                write_frame(
-                    sock, KIND_REQUEST, {"id": 0}, encode_array(x=x[:8])
-                )
+                meta = {"id": 0}
+                write_frame(sock, KIND_REQUEST, meta, encode_body(meta, x=x[:8]))
                 kind, meta, _ = read_frame(sock)
                 assert kind == KIND_ERROR
                 assert meta["code"] == "oversized"
@@ -259,6 +258,27 @@ class TestServerClient:
                 assert meta["id"] == 42
                 sock.close()
 
+
+    def test_finished_connection_threads_are_pruned(self, tiny_dcn):
+        with DCNService(tiny_dcn, max_batch=8) as service:
+            with DCNServer(service) as server:
+                accept = server._threads[0]
+
+                def ping_once():
+                    sock = socket.create_connection(server.address, timeout=5.0)
+                    write_frame(sock, KIND_PING, {"id": 0})
+                    assert read_frame(sock)[1] == {"id": 0}
+                    return sock
+
+                for _ in range(200):
+                    ping_once().close()
+                for thread in list(server._threads):
+                    if thread is not accept:
+                        thread.join(timeout=5.0)
+                live = ping_once()
+                # The accept thread plus the one live connection's handler.
+                assert len(server._threads) == 2
+                live.close()
 
     def test_stop_on_idle_server_returns_promptly(self, tiny_dcn):
         # close() alone does not wake a thread blocked in accept(); unless
@@ -306,10 +326,8 @@ class TestDeadlinePropagation:
                 sock.settimeout(5.0)
                 # A request whose remaining budget is already <= 0 must be
                 # refused at admission, without touching the backend.
-                write_frame(
-                    sock, KIND_REQUEST, {"id": 1, "deadline_s": -0.5},
-                    encode_array(x=x[:1]),
-                )
+                meta = {"id": 1, "deadline_s": -0.5}
+                write_frame(sock, KIND_REQUEST, meta, encode_body(meta, x=x[:1]))
                 kind, meta, _ = read_frame(sock)
                 assert kind == KIND_RESPONSE
                 assert meta["status"] == "shed"

@@ -12,9 +12,7 @@ from repro.nn import (
     SGD,
     Adam,
     TrainingEngine,
-    ops,
 )
-from repro.nn.layers import Layer
 from repro.verify import guards
 from repro.verify.guards import GuardViolation
 
@@ -86,22 +84,6 @@ class TestDtypeTrap:
             guards.check_dtype("x", np.zeros(3, dtype=np.float32), np.float32)
             with pytest.raises(GuardViolation, match="drifted"):
                 guards.check_dtype("x", np.zeros(3, dtype=np.float64), np.float32)
-
-    def test_inference_fallback_returns_engine_dtype(self):
-        """Regression: the float64 autograd fallback used to escape a
-        float32 engine uncast — exactly the silent drift the guard traps."""
-
-        class Custom(Layer):
-            def forward(self, x, training):
-                return ops.relu(x)
-
-        rng = np.random.default_rng(0)
-        net = Network([Flatten(), Dense(4, 3, rng), Custom()], (1, 2, 2))
-        engine = InferenceEngine(net, dtype=np.float32)
-        assert not engine.supports_native
-        with guards.enforce(True):
-            out = engine.logits(np.ones((2, 1, 2, 2)), memo=False)
-        assert out.dtype == np.float32
 
 
 class TestAliasTrap:
