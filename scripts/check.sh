@@ -15,10 +15,12 @@ python -m compileall -q src benchmarks scripts
 echo "== tier-1 tests =="
 python -m pytest -x -q "$@"
 
-echo "== nn + verify tests, warnings as errors =="
+echo "== nn + verify + serve + eval tests, warnings as errors =="
 # The numerics tree must be warning-clean: a RuntimeWarning (overflow,
-# invalid value) from a kernel is a latent divergence, not noise.
-python -m pytest -x -q -W error tests/nn tests/verify
+# invalid value) from a kernel is a latent divergence, not noise.  Serving
+# and evaluation run the same kernels plus threads and sockets, where a
+# warning (unclosed resource, unjoined thread) is a leak.
+python -m pytest -x -q -W error tests/nn tests/verify tests/serve tests/eval
 
 echo "== verify smoke (compiled plans + cross-engine differential) =="
 # Fuzzes the compiled infer/grad/train plans against float64 autograd,

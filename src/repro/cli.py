@@ -582,7 +582,7 @@ def _cmd_serve(dataset_name: str | None, requests: int, adv_fraction: float,
     import contextlib
     import time
 
-    from .serve import ServeCounters, TelemetryExporter
+    from .serve import TelemetryExporter
 
     dcn, stream = _serve_stream(
         dataset_name, requests, adv_fraction, min_size, max_size, seed
@@ -605,24 +605,19 @@ def _cmd_serve(dataset_name: str | None, requests: int, adv_fraction: float,
                 for ticket in tickets:
                     result = ticket.wait(60.0)
                     statuses[result.status] = statuses.get(result.status, 0) + 1
-        if workers > 1:
-            snapshot = front.fleet_snapshot()
-            counters = ServeCounters.merged([snapshot["counters"]])
-            latencies = snapshot["latency"]
-        else:
-            counters = front.counters
-            latencies = front.latencies.summary()
+        snapshot = front.telemetry_snapshot()
+    counters, latencies = snapshot["counters"], snapshot["latency"]
     seconds = time.perf_counter() - start
 
     served = sum(n for status, n in statuses.items() if status != "shed")
     print(f"served {served}/{requests} requests in {seconds:.3f}s "
-          f"({served / seconds:.0f} req/s, {counters.examples / seconds:.0f} examples/s)"
+          f"({served / seconds:.0f} req/s, {counters['examples'] / seconds:.0f} examples/s)"
           + (f" [{workers} workers]" if workers > 1 else ""))
     print("statuses: " + ", ".join(f"{k}={v}" for k, v in sorted(statuses.items())))
     print(f"latency: p50 {latencies['p50_ms']:.2f} ms, p95 {latencies['p95_ms']:.2f} ms")
     if telemetry is not None:
         print(f"telemetry journal: {telemetry}")
-    for key, value in counters.as_dict().items():
+    for key, value in counters.items():
         print(f"  {key:>18}: {value}")
     return 0
 

@@ -47,21 +47,12 @@ class Corrector:
         """
         return region_vote_fused(self.network, x, self.radius, self.samples, self.seed)
 
-    def correct_fused(self, x: np.ndarray, pad_chunks: bool = False) -> np.ndarray:
+    def correct_fused(self, x: np.ndarray) -> np.ndarray:
         """Recover labels for flagged rows fused from *many* requests.
 
         One noise draw, one engine pass, one vectorised vote over the
         stacked ``(n_flagged, *input_shape)`` rows — instead of one
         region vote per originating request.  Labels are bitwise-identical
         to per-request :meth:`correct` on the same rows.
-
-        ``pad_chunks`` quantises the sample chunks' flat shapes onto the
-        power-of-two ladder.  The corrector's flat shapes are already
-        bounded (at most ``per_chunk`` distinct sizes), so leave this off
-        when the serving engine's plan budget covers them — padding then
-        only wastes engine compute.  Turn it on when the plan budget is
-        tight and compile churn costs more than the padded rows.
         """
-        return region_vote_fused(
-            self.network, x, self.radius, self.samples, self.seed, pad_chunks=pad_chunks
-        )
+        return region_vote_fused(self.network, x, self.radius, self.samples, self.seed)

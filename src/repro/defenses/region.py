@@ -19,6 +19,12 @@ from ..nn.network import Network
 
 __all__ = ["region_vote", "region_vote_fused", "call_rng", "input_rng", "RegionClassifier"]
 
+#: Sub-batch the fused vote runs its flat sample chunks at.  Per-row logits
+#: are invariant to batch splitting, and the engine's kernels are faster in
+#: cache-sized batches than in one large pass, so the vote keeps a large
+#: chunk (amortising Python glue) while the kernels run at this size.
+KERNEL_BATCH = 64
+
 
 def call_rng(seed: int, x: np.ndarray) -> np.random.Generator:
     """Per-call generator derived from a base seed and the input's content.
@@ -115,8 +121,6 @@ def region_vote_fused(
     samples: int,
     seed: int,
     batch_size: int = 512,
-    pad_chunks: bool = False,
-    kernel_batch: int = 64,
 ) -> np.ndarray:
     """Majority vote with per-input noise streams — safe to fuse across batches.
 
@@ -132,21 +136,7 @@ def region_vote_fused(
     batch_size:
         Rows of sampled points assembled per chunk (bounds noise-buffer
         memory; ``per_chunk = batch_size // samples`` inputs per chunk).
-    pad_chunks:
-        Quantise each sample chunk's row count onto the power-of-two
-        ladder with zero-row padding, so the flat batches the engine sees
-        take only ``O(log per_chunk)`` distinct shapes instead of one per
-        flagged count (padding predictions are discarded before the vote,
-        which leaves labels unchanged).  Useful when the engine's
-        compiled-plan budget is too tight to keep every flat shape
-        resident; otherwise the padding only wastes predictions.
-    kernel_batch:
-        Sub-batch size the engine runs the flat chunks at.  Per-row
-        logits are invariant to batch splitting, and the engine's kernels
-        are measurably faster in cache-sized batches than in one
-        ``batch_size``-row pass, so the fused vote keeps the large chunk
-        (amortising Python glue) while the kernels run at their sweet
-        spot.
+        The engine runs each chunk in :data:`KERNEL_BATCH`-row sub-batches.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
@@ -172,17 +162,7 @@ def region_vote_fused(
             )
         points = np.clip(chunk[:, None] + noise[: len(chunk)], PIXEL_MIN, PIXEL_MAX)
         flat = points.reshape((-1,) + x.shape[1:])
-        real = len(flat)
-        if pad_chunks:
-            rows_bucket = 1
-            while rows_bucket < len(chunk):
-                rows_bucket *= 2
-            rows_bucket = min(rows_bucket, per_chunk)
-            if rows_bucket > len(chunk):
-                flat = np.concatenate(
-                    [flat, np.zeros(((rows_bucket - len(chunk)) * samples,) + x.shape[1:])]
-                )
-        labels = engine.predict(flat, batch_size=kernel_batch, memo=False)[:real]
+        labels = engine.predict(flat, batch_size=KERNEL_BATCH, memo=False)
         rows = np.repeat(np.arange(start, start + len(chunk)), samples)
         np.add.at(votes, (rows, labels), 1)
     return votes.argmax(axis=1)

@@ -18,7 +18,7 @@ from typing import Iterator
 import numpy as np
 
 from ..defenses.base import Defense
-from ..nn.engine import InferenceEngine, counter_delta
+from ..nn.engine import InferenceEngine
 from ..nn.grad_engine import GradientEngine
 
 __all__ = ["monotonic", "stopwatch", "time_defense", "DefenseProfile", "profile_defense"]
@@ -57,36 +57,35 @@ def time_defense(defense: Defense, x: np.ndarray) -> tuple[np.ndarray, float]:
 class DefenseProfile:
     """Labels plus the cost of producing them.
 
+    ``forward`` is the inference engine's counter delta over the call and
+    ``backward`` the gradient engine's (empty when none was profiled).
     ``forward_examples`` is the number of examples pushed through the
     underlying network while classifying — e.g. RC with ``m`` votes on
-    ``n`` inputs costs ``n * m``, DCN costs ``n + flagged * m``.
-
-    When a gradient engine was profiled too, its counter deltas appear
-    under a ``grad_`` prefix (``grad_batches``, ``grad_examples``,
-    …); the ``backward_*`` properties read them.  Plain classification
-    reports zero backwards — nonzero counts flag defenses (or adaptive
-    attackers) that differentiate through the protected model.
+    ``n`` inputs costs ``n * m``, DCN costs ``n + flagged * m``.  Plain
+    classification reports zero backwards — nonzero counts flag defenses
+    (or adaptive attackers) that differentiate through the protected model.
     """
 
     labels: np.ndarray
     seconds: float
-    counters: dict[str, float] = field(default_factory=dict)
+    forward: dict[str, float] = field(default_factory=dict)
+    backward: dict[str, float] = field(default_factory=dict)
 
     @property
     def forward_examples(self) -> int:
-        return int(self.counters.get("examples", 0))
+        return int(self.forward.get("examples", 0))
 
     @property
     def forward_batches(self) -> int:
-        return int(self.counters.get("batches", 0))
+        return int(self.forward.get("batches", 0))
 
     @property
     def backward_examples(self) -> int:
-        return int(self.counters.get("grad_examples", 0))
+        return int(self.backward.get("examples", 0))
 
     @property
     def backward_batches(self) -> int:
-        return int(self.counters.get("grad_batches", 0))
+        return int(self.backward.get("batches", 0))
 
 
 def profile_defense(
@@ -100,16 +99,12 @@ def profile_defense(
     ``engine`` should be the engine of the network the defense queries
     (usually ``defense.network.engine``); the returned profile carries the
     counter deltas attributable to this call.  Pass the network's
-    ``grad_engine`` as well to also capture backward-pass deltas (prefixed
-    ``grad_`` in :attr:`DefenseProfile.counters`).
+    ``grad_engine`` as well to also capture backward-pass deltas.
     """
-    before = engine.counters.snapshot()
-    grad_before = grad_engine.counters.snapshot() if grad_engine is not None else None
+    engines = (engine,) if grad_engine is None else (engine, grad_engine)
+    before = [e.counters.snapshot() for e in engines]
     start = monotonic()
     labels = defense.classify(x)
     seconds = monotonic() - start
-    counters = counter_delta(before, engine.counters)
-    if grad_engine is not None:
-        grad_delta = counter_delta(grad_before, grad_engine.counters)
-        counters.update({f"grad_{key}": value for key, value in grad_delta.items()})
-    return DefenseProfile(labels=labels, seconds=seconds, counters=counters)
+    deltas = [e.counters.delta(then) for e, then in zip(engines, before)]
+    return DefenseProfile(labels, seconds, *deltas)

@@ -5,7 +5,7 @@ DESIGN.md §2 for the substitution rationale.
 """
 
 from . import gradcheck, init, losses, metrics, ops, optim, schedules
-from .engine import EngineCounters, InferenceEngine, PlanEngine, counter_delta
+from .engine import EngineCounters, InferenceEngine, PlanEngine
 from .grad_engine import GradientEngine
 from .layers import AvgPool2D, Conv2D, Dense, Dropout, Flatten, MaxPool2D, ReLU, Sigmoid, Tanh
 from .norm import BatchNorm1D, BatchNorm2D
@@ -30,7 +30,6 @@ __all__ = [
     "PlanEngine",
     "InferenceEngine",
     "EngineCounters",
-    "counter_delta",
     "GradientEngine",
     "TrainingEngine",
     "TrainLoss",

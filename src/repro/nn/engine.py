@@ -22,9 +22,10 @@ A staleness-checked parameter cast cache
 One counters type
     ``engine.counters`` (:class:`EngineCounters`) counts public requests,
     batched plan executions, the rows they pushed, memo and plan-cache hits
-    and wall-clock seconds.  This turns the paper's runtime-vs-fraction
-    accounting (Table 6 / Fig. 5) into an observable property of the
-    engines rather than stopwatch code around each defense.
+    and wall-clock seconds; snapshot and ``delta`` come from the shared
+    :class:`~repro.counters.Counters` base.  This turns the paper's
+    runtime-vs-fraction accounting (Table 6 / Fig. 5) into an observable
+    property of the engines rather than stopwatch code around each defense.
 
 :class:`InferenceEngine` adds a bounded content-hash memo on top: the
 evaluation harness queries the same pools repeatedly (Table 2's benign
@@ -40,11 +41,12 @@ from __future__ import annotations
 import hashlib
 import time
 from collections import OrderedDict
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..counters import Counters
 from ..verify import guards
 from .plan import DEFAULT_PLAN_ENTRIES, CompiledPlan, unplannable
 from .tensor import Tensor
@@ -52,14 +54,14 @@ from .tensor import Tensor
 if TYPE_CHECKING:  # pragma: no cover - circular import avoided at runtime
     from .network import Network
 
-__all__ = ["PlanEngine", "InferenceEngine", "EngineCounters", "counter_delta"]
+__all__ = ["PlanEngine", "InferenceEngine", "EngineCounters"]
 
 DEFAULT_BATCH_SIZE = 256
 
 
 @dataclass
-class EngineCounters:
-    """Cumulative work counters of one engine (see :func:`counter_delta`)."""
+class EngineCounters(Counters):
+    """Cumulative work counters of one engine (diff with ``delta``)."""
 
     requests: int = 0  # public calls answered (memo hits included)
     batches: int = 0  # plan executions: forwards, seeded backwards or train steps
@@ -69,18 +71,6 @@ class EngineCounters:
     plan_hits: int = 0  # batches served by a cached compiled plan
     plan_misses: int = 0  # plan compilations (new batch shape, or cache off)
     seconds: float = 0.0  # wall clock spent inside plan executions
-
-    def as_dict(self) -> dict[str, float]:
-        return asdict(self)
-
-    def snapshot(self) -> "EngineCounters":
-        return replace(self)
-
-
-def counter_delta(before: EngineCounters, after: EngineCounters) -> dict[str, float]:
-    """Per-field difference of two counter snapshots (after − before)."""
-    a, b = after.as_dict(), before.as_dict()
-    return {key: a[key] - b[key] for key in a}
 
 
 class _PlanContext:

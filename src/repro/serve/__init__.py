@@ -26,7 +26,6 @@ from .service import OVERLOAD_POLICIES, DCNService, ServeResult, ServeTicket
 from .slo import AdmissionDecision, DispatchCostModel, SloAdmission
 from .telemetry import (
     LatencySketch,
-    LatencyStats,
     ServeCounters,
     TelemetryExporter,
     read_telemetry,
@@ -60,7 +59,6 @@ __all__ = [
     "DEFAULT_MAX_FRAME_BYTES",
     "OVERLOAD_POLICIES",
     "ServeCounters",
-    "LatencyStats",
     "LatencySketch",
     "TelemetryExporter",
     "read_telemetry",

@@ -44,10 +44,11 @@ import random
 import socket
 import threading
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
+from ..counters import Counters
 from .service import ServeResult
 from .transport import (
     DEFAULT_MAX_FRAME_BYTES,
@@ -95,7 +96,7 @@ class _Retryable(Exception):
 
 
 @dataclass
-class ClientCounters:
+class ClientCounters(Counters):
     """Cumulative outcome counters of one :class:`DCNClient`."""
 
     requests: int = 0  # classify() calls
@@ -113,12 +114,6 @@ class ClientCounters:
     breaker_probes: int = 0  # half-open probe requests sent
     breaker_closed: int = 0  # successful probes that re-closed the circuit
     backoff_seconds: float = 0.0  # total time slept between attempts
-
-    def as_dict(self) -> dict[str, float]:
-        return asdict(self)
-
-    def snapshot(self) -> "ClientCounters":
-        return replace(self)
 
 
 class CircuitBreaker:

@@ -44,8 +44,11 @@ Around the hot path sits admission control, in one of two regimes:
   depth bound kept as a hard backstop.
 
 Either way queue memory stays bounded under any load.  Every stage
-increments :class:`~repro.serve.telemetry.ServeCounters` and per-request
-latencies feed :class:`~repro.serve.telemetry.LatencyStats`.
+increments :class:`~repro.serve.telemetry.ServeCounters`, and every
+request's latency lands in one mergeable
+:class:`~repro.serve.telemetry.LatencySketch` (``latencies``) — the
+same kind of record a :class:`~repro.serve.ServePool` merges into fleet
+percentiles.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ import numpy as np
 from ..core.dcn import DCN
 from .bucketing import bucket_for, bucket_sizes, pad_to_bucket
 from .slo import DispatchCostModel, SloAdmission
-from .telemetry import LatencyStats, ServeCounters
+from .telemetry import LatencySketch, ServeCounters
 
 __all__ = [
     "DCNService",
@@ -182,11 +185,6 @@ class DCNService:
         ladder plus the corrector's bounded set of sample-chunk flats —
         and a budget that covers all of them makes every post-warm-up
         dispatch a plan hit.  Never shrinks an engine's existing budget.
-    pad_corrector:
-        Forwarded to ``Corrector.correct_fused``: quantise corrector
-        sample chunks onto power-of-two flat shapes.  Off by default —
-        with ``plan_entries`` covering the corrector's shapes, padding
-        only wastes engine compute.
     """
 
     def __init__(
@@ -198,7 +196,6 @@ class DCNService:
         overload: str = "shed",
         slo_target_s: float | None = None,
         plan_entries: int = 32,
-        pad_corrector: bool = False,
         clock=time.perf_counter,
     ):
         if max_batch < 1:
@@ -216,12 +213,11 @@ class DCNService:
         self.max_queue = max_queue
         self.max_delay = max_delay
         self.overload = overload
-        self.pad_corrector = pad_corrector
         self.buckets = bucket_sizes(max_batch)
         for engine in (dcn.network.engine, dcn.detector.network.engine):
             engine.plan_entries = max(engine.plan_entries, plan_entries)
         self.counters = ServeCounters()
-        self.latencies = LatencyStats()
+        self.latencies = LatencySketch()
         # A flagged row pays its share of the batch forward plus the
         # corrector's m extra forwards — the prior the cost model splits
         # mixed dispatches with until both costs are observed directly.
@@ -353,7 +349,7 @@ class DCNService:
             return {
                 "counters": self.counters.as_dict(),
                 "latency": self.latencies.summary(),
-                "sketch": self.latencies.sketch.state(),
+                "sketch": self.latencies.state(),
                 "cost": self.cost_model.state(),
             }
 
@@ -481,9 +477,7 @@ class DCNService:
         correct_mask = flagged & ~degraded_rows
         corrected = int(correct_mask.sum())
         if corrected:
-            labels[correct_mask] = self.dcn.corrector.correct_fused(
-                rows[correct_mask], pad_chunks=self.pad_corrector
-            )
+            labels[correct_mask] = self.dcn.corrector.correct_fused(rows[correct_mask])
 
         end = self._clock()
         offset = 0

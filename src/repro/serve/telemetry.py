@@ -1,17 +1,17 @@
-"""Serving telemetry: counters, latency percentiles, sketches, streaming export.
+"""Serving telemetry: counters, latency sketches, streaming export.
 
-:class:`ServeCounters` follows the engines' counter pattern (PR 1's
-``EngineCounters``): a flat dataclass of cumulative counts with
-``as_dict``/``snapshot``, diffable with
-:func:`repro.nn.engine.counter_delta`, and — new for multi-worker serving
-— mergeable across workers with :meth:`ServeCounters.merged`.
+:class:`ServeCounters` declares a service's cumulative counts on the
+shared :class:`~repro.counters.Counters` base, which snapshots, diffs and
+merges them; a multi-worker front end sums workers' counters with
+``ServeCounters.merged`` (``max_queue_depth``, a high-water mark, takes
+the max).
 
-:class:`LatencyStats` keeps a bounded window of per-request latencies for
-the percentiles the SLO story is written in (p50/p95), and feeds every
-recording into an embedded :class:`LatencySketch` — a mergeable
-log-bucketed quantile sketch (DDSketch-style, bounded relative error) so
-a multi-worker front end can report fleet-wide percentiles by summing
-bucket counts instead of shipping raw latency windows.
+:class:`LatencySketch` is the one latency record: a mergeable
+log-bucketed quantile sketch (DDSketch-style, relative error ``alpha``).
+A service records every request into one, reports p50/p95 from it, and
+ships its bucket counts so a front end reports fleet-wide percentiles by
+summing buckets instead of shipping raw latencies.  In-process and fleet
+percentiles therefore carry the same error bound.
 
 :class:`TelemetryExporter` journals periodic snapshots (counters +
 latency summary + sketch state) as append-only JSONL through the
@@ -26,15 +26,14 @@ import math
 import os
 import threading
 import time
-from collections import deque
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
-import numpy as np
+from ..counters import Counters
 
 __all__ = [
     "ServeCounters",
-    "LatencyStats",
     "LatencySketch",
     "TelemetryExporter",
     "read_telemetry",
@@ -46,8 +45,10 @@ TELEMETRY_EVENT = "serve-telemetry"
 
 
 @dataclass
-class ServeCounters:
+class ServeCounters(Counters):
     """Cumulative work counters of one :class:`~repro.serve.DCNService`."""
+
+    HIGH_WATER: ClassVar[frozenset[str]] = frozenset({"max_queue_depth"})
 
     requests: int = 0  # requests admitted (shed requests excluded)
     examples: int = 0  # rows admitted across those requests
@@ -70,39 +71,10 @@ class ServeCounters:
     plan_misses: int = 0  # engine plan compilations attributed to serving
     seconds: float = 0.0  # wall clock inside dispatches
 
-    def as_dict(self) -> dict[str, float]:
-        return asdict(self)
-
-    def snapshot(self) -> "ServeCounters":
-        return replace(self)
-
     @property
     def flagged_fraction(self) -> float:
         """Fraction of served rows that activated the corrector."""
         return self.flagged / self.examples if self.examples else 0.0
-
-    @classmethod
-    def merged(cls, snapshots: "list[dict | ServeCounters]") -> "ServeCounters":
-        """Sum counters across workers (``max_queue_depth`` takes the max).
-
-        Accepts ``as_dict()`` payloads (what workers ship over the wire)
-        or live instances; unknown keys are ignored so snapshots from a
-        newer worker never crash an older front end.
-        """
-        known = {f.name for f in fields(cls)}
-        total = cls()
-        for snap in snapshots:
-            data = snap.as_dict() if isinstance(snap, ServeCounters) else snap
-            for key, value in data.items():
-                if key not in known:
-                    continue
-                if key == "max_queue_depth":
-                    total.max_queue_depth = max(total.max_queue_depth, int(value))
-                elif key == "seconds":
-                    total.seconds += float(value)
-                else:
-                    setattr(total, key, getattr(total, key) + int(value))
-        return total
 
 
 class LatencySketch:
@@ -219,48 +191,6 @@ class LatencySketch:
     @classmethod
     def from_state(cls, state: dict) -> "LatencySketch":
         return cls(alpha=float(state["alpha"])).merge_state(state)
-
-
-class LatencyStats:
-    """Bounded window of per-request latencies with percentile summaries.
-
-    The window is a ring buffer (``maxlen`` most recent requests), so a
-    long-running service reports *current* tail behaviour rather than an
-    all-time average that buries regressions.  Every recording also feeds
-    :attr:`sketch`, the mergeable lifetime sketch the multi-worker front
-    end aggregates fleet percentiles from.
-    """
-
-    def __init__(self, maxlen: int = 65536, sketch_alpha: float = 0.01):
-        if maxlen < 1:
-            raise ValueError("maxlen must be >= 1")
-        self._window: deque[float] = deque(maxlen=maxlen)
-        self.count = 0  # lifetime recordings, window evictions included
-        self.sketch = LatencySketch(alpha=sketch_alpha)
-
-    def record(self, seconds: float) -> None:
-        self._window.append(float(seconds))
-        self.count += 1
-        self.sketch.record(seconds)
-
-    def percentile(self, q: float) -> float:
-        """Latency at percentile ``q`` (0-100) in seconds; NaN when empty."""
-        if not self._window:
-            return float("nan")
-        return float(np.percentile(np.fromiter(self._window, dtype=np.float64), q))
-
-    def summary(self) -> dict[str, float]:
-        """Millisecond percentiles in benchcmp-gateable naming (``*_ms``)."""
-        if not self._window:
-            return {"count": float(self.count), "p50_ms": float("nan"),
-                    "p95_ms": float("nan"), "mean_ms": float("nan")}
-        window = np.fromiter(self._window, dtype=np.float64)
-        return {
-            "count": float(self.count),
-            "p50_ms": float(np.percentile(window, 50) * 1e3),
-            "p95_ms": float(np.percentile(window, 95) * 1e3),
-            "mean_ms": float(window.mean() * 1e3),
-        }
 
 
 class TelemetryExporter:

@@ -41,7 +41,9 @@ Merged telemetry
     and mergeable :class:`~repro.serve.telemetry.LatencySketch` states on
     demand; :meth:`ServePool.fleet_snapshot` sums counters and merges
     sketches into fleet-wide p50/p95 without ever shipping raw latency
-    windows.  The poll is **bounded**: a worker that dies mid-request can
+    windows.  Snapshots are kept per worker *generation*, so a respawned
+    worker starting from zero never pulls fleet totals backwards.  The
+    poll is **bounded**: a worker that dies mid-request can
     delay the snapshot by at most the stats timeout, after which the
     partial snapshot lists the non-responders in ``stale_workers``
     (their last-known counters still included).  The pool exposes
@@ -174,7 +176,10 @@ class ServePool:
         self._dead: set[int] = set()
         self._inflight: list[dict[int, ServeTicket]] = []
         self._stats_waits: dict[int, dict] = {}
-        self._last_snapshots: dict[int, dict] = {}
+        # Keyed by (worker, generation): a respawned worker's counters
+        # restart at zero, so its predecessor's last snapshot must stay in
+        # the sum or fleet totals would go backwards.
+        self._last_snapshots: dict[tuple[int, int], dict] = {}
         self._threads: list[threading.Thread] = []
         self._monitor_stop = threading.Event()
         self._event_ledger: Ledger | None = None
@@ -352,8 +357,10 @@ class ServePool:
     def fleet_snapshot(self, timeout: float | None = None) -> dict:
         """Merged counters + fleet-wide latency percentiles, one dict.
 
-        Live workers are polled for fresh snapshots; dead workers
-        contribute their last one (work since then died with them).  The
+        Live workers are polled for fresh snapshots; dead workers — and
+        every generation a respawn replaced — contribute their last one
+        (work since then died with them), so fleet totals never go
+        backwards across a respawn.  The
         poll is bounded: workers that fail to answer within ``timeout``
         (default ``_STATS_TIMEOUT``) are listed in
         ``workers.stale_workers`` and their *last-known* snapshot is
@@ -384,20 +391,18 @@ class ServePool:
                 self._stats_waits.pop(seq, None)
                 stale = sorted(w for w in live if w not in slot["got"])
         with self._lock:
-            snapshots = dict(self._last_snapshots)
-            front_shed = self.front_shed
+            snapshots = list(self._last_snapshots.values())
+            reporting = sorted({worker for worker, _ in self._last_snapshots})
+            front = {
+                "shed": self.front_shed,
+                "respawns": self.respawns,
+                "crash_loops": self.crash_loops,
+            }
             dead = sorted(self._dead)
-            respawns = self.respawns
-            crash_loops = self.crash_loops
             generations = list(self._generations)
-        counters = ServeCounters.merged(
-            [snap["counters"] for snap in snapshots.values()]
-        )
-        counters.shed += front_shed
-        counters.respawns += respawns
-        counters.crash_loops += crash_loops
+        counters = ServeCounters.merged([snap["counters"] for snap in snapshots] + [front])
         sketch = LatencySketch()
-        for snap in snapshots.values():
+        for snap in snapshots:
             sketch.merge_state(snap["sketch"])
         return {
             "counters": counters.as_dict(),
@@ -406,11 +411,11 @@ class ServePool:
             "workers": {
                 "total": self.workers,
                 "dead": dead,
-                "reporting": sorted(snapshots),
+                "reporting": reporting,
                 "stale_workers": stale,
-                "front_shed": front_shed,
-                "respawns": respawns,
-                "crash_loops": crash_loops,
+                "front_shed": front["shed"],
+                "respawns": front["respawns"],
+                "crash_loops": front["crash_loops"],
                 "generations": generations,
             },
         }
@@ -421,9 +426,7 @@ class ServePool:
 
     def counters(self) -> ServeCounters:
         """Merged fleet :class:`ServeCounters` (front-end sheds included)."""
-        snapshot = self.fleet_snapshot()
-        merged = ServeCounters.merged([snapshot["counters"]])
-        return merged
+        return ServeCounters(**self.fleet_snapshot()["counters"])
 
     def latency_summary(self) -> dict:
         """Fleet-wide p50/p95/mean from the merged sketches."""
@@ -497,7 +500,7 @@ class ServePool:
             elif kind == "stats":
                 _, seq, snapshot = message
                 with self._lock:
-                    self._last_snapshots[worker_id] = snapshot
+                    self._last_snapshots[(worker_id, generation)] = snapshot
                     slot = self._stats_waits.get(seq)
                     if slot is not None:
                         slot["got"][worker_id] = snapshot

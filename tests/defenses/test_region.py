@@ -135,20 +135,13 @@ class TestFusedVote:
         # batch votes bitwise-identically to voting each row alone.
         np.testing.assert_array_equal(fused, per_row)
 
-    def test_chunk_padding_leaves_labels_unchanged(self, tiny_correct):
-        from repro.defenses.region import region_vote_fused
+    def test_kernel_batch_is_a_pure_performance_knob(self, tiny_correct, monkeypatch):
+        from repro.defenses import region
 
         network, x, _ = tiny_correct
-        plain = region_vote_fused(network, x[:7], **self._args())
-        padded = region_vote_fused(network, x[:7], pad_chunks=True, **self._args())
-        np.testing.assert_array_equal(plain, padded)
-
-    def test_kernel_batch_is_a_pure_performance_knob(self, tiny_correct):
-        from repro.defenses.region import region_vote_fused
-
-        network, x, _ = tiny_correct
-        a = region_vote_fused(network, x[:6], kernel_batch=64, **self._args())
-        b = region_vote_fused(network, x[:6], kernel_batch=7, **self._args())
+        a = region.region_vote_fused(network, x[:6], **self._args())
+        monkeypatch.setattr(region, "KERNEL_BATCH", 7)
+        b = region.region_vote_fused(network, x[:6], **self._args())
         np.testing.assert_array_equal(a, b)
 
     def test_float32_rows_vote_like_float64(self, tiny_correct):

@@ -94,10 +94,10 @@ class TestTiming:
         assert profile.labels.shape == (4,)
         assert profile.backward_batches == 1
         assert profile.backward_examples == 4
-        assert profile.counters["grad_batches"] == 1
-        # Forward counters still come from the inference engine, unprefixed.
+        assert profile.backward["batches"] == 1
+        # Forward counters come from the inference engine's own delta.
         # (The predict may be a memo hit, so assert on requests, not examples.)
-        assert profile.counters["requests"] >= 1
+        assert profile.forward["requests"] >= 1
 
     def test_profile_defense_without_grad_engine_has_zero_backwards(self, tiny_model):
         from repro.eval import profile_defense
@@ -112,7 +112,46 @@ class TestTiming:
 
         profile = profile_defense(_Plain(), x[:3], network.engine)
         assert profile.backward_batches == 0
-        assert "grad_batches" not in profile.counters
+        assert profile.backward == {}
+
+
+class _RuleDetector:
+    def __init__(self, network, rule):
+        self.network = network
+        self._rule = rule
+
+    def is_adversarial(self, logits):
+        return self._rule(np.asarray(logits))
+
+
+class TestTable6Cost:
+    """The paper's Table 6 / Fig. 5 cost claim, asserted on engine counts."""
+
+    def test_dcn_pays_n_plus_flagged_m_and_rc_pays_n_m(self, tiny_correct):
+        from repro.core import DCN, Corrector
+        from repro.defenses.region import RegionClassifier
+        from repro.eval import profile_defense
+
+        network, x, _ = tiny_correct
+        n, m = 12, 20
+        rows = x[:n]
+        rule = lambda logits: logits.argmax(axis=-1) % 2 == 0  # noqa: E731
+        dcn = DCN(network, _RuleDetector(network, rule),
+                  Corrector(network, radius=0.1, samples=m, seed=0))
+        rc = RegionClassifier(network, radius=0.1, samples=m, seed=0)
+        flagged = int(rule(network.engine.logits(rows, memo=False)).sum())
+        assert 0 < flagged < n
+        # The fixture is shared: drop the memo so the DCN's one forward over
+        # the batch is counted rather than served from an earlier call.
+        network.engine.invalidate()
+        engines = dict(engine=network.engine, grad_engine=network.grad_engine)
+        dcn_cost = profile_defense(dcn, rows, **engines)
+        rc_cost = profile_defense(rc, rows, **engines)
+        assert dcn_cost.forward_examples == n + flagged * m
+        assert rc_cost.forward_examples == n * m
+        for profile in (dcn_cost, rc_cost):
+            assert profile.backward_examples == 0
+            assert profile.backward_batches == 0
 
 
 class TestScaleConfig:

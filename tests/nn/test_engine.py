@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.defenses.region import region_vote
-from repro.nn import GradientEngine, InferenceEngine, Tensor, TrainingEngine, counter_delta, no_grad
+from repro.nn import GradientEngine, InferenceEngine, Tensor, TrainingEngine, no_grad
 from repro.nn.layers import Layer
 from repro.nn.network import Network
 from repro.zoo import model_for_dataset
@@ -88,7 +88,7 @@ class TestMemo:
         first = engine.predict(x)
         before = engine.counters.snapshot()
         second = engine.predict(x)
-        delta = counter_delta(before, engine.counters)
+        delta = engine.counters.delta(before)
         assert delta["memo_hits"] == 1
         assert delta["examples"] == 0  # nothing re-ran through the network
         np.testing.assert_array_equal(first, second)
@@ -99,7 +99,7 @@ class TestMemo:
         engine.logits(x, memo=False)
         before = engine.counters.snapshot()
         engine.logits(x, memo=False)
-        delta = counter_delta(before, engine.counters)
+        delta = engine.counters.delta(before)
         assert delta["memo_hits"] == 0
         assert delta["examples"] == len(x)
 
@@ -148,7 +148,7 @@ class TestCounters:
         engine = InferenceEngine(network)
         before = engine.counters.snapshot()
         engine.logits(x[:6], memo=False)
-        delta = counter_delta(before, engine.counters)
+        delta = engine.counters.delta(before)
         assert delta["examples"] == 6
         assert delta["requests"] == 1
 

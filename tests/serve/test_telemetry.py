@@ -133,12 +133,14 @@ class TestTelemetryExporter:
         assert records[-1]["final"] is True
         assert all(not r["final"] for r in records[:-1])
         last = records[-1]
-        # Counters, window percentiles, mergeable sketch and the SLO cost
+        # Counters, sketch percentiles, the sketch state and the SLO cost
         # model all stream through the journal.
         assert last["counters"]["requests"] == 2
         assert last["counters"]["examples"] == 5
         assert last["latency"]["count"] == 2.0
         assert last["sketch"]["count"] == 2
+        # One latency record: the summary is the journaled sketch's own.
+        assert last["latency"] == LatencySketch.from_state(last["sketch"]).summary()
         assert last["cost"]["observations"] >= 1
         # The journal is plain JSONL: every line parses standalone.
         for line in journal.read_text().splitlines():

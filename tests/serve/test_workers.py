@@ -241,6 +241,36 @@ class TestSupervision:
         assert len(events) == 1
         assert events[0]["worker"] == 0
 
+    def test_fleet_counters_never_decrease_across_respawn(
+        self, tiny_correct, tiny_dcn, tmp_path
+    ):
+        _, x, _ = tiny_correct
+        with ServePool(
+            tiny_dcn, workers=2, ledger_path=tmp_path / "pool.jsonl", max_batch=8,
+            max_queue=64, max_restarts=3, restart_window_s=60.0,
+        ) as pool:
+            for i in range(6):
+                assert pool.classify(x[i : i + 1], timeout=10.0).status == "ok"
+            before = pool.fleet_snapshot()
+            assert before["counters"]["requests"] == 6
+            pool.processes[0].kill()
+            deadline = time.monotonic() + 15.0
+            while time.monotonic() < deadline and not (
+                pool.respawns == 1 and pool.live_workers() == [0, 1]
+            ):
+                time.sleep(0.05)
+            assert pool.respawns == 1
+            after = pool.fleet_snapshot()
+        # The replacement starts from zero; its predecessor's last
+        # snapshot stays in the sum, so cumulative totals hold.
+        assert after["workers"]["reporting"] == [0, 1]
+        assert after["counters"]["requests"] == 6
+        assert after["latency"]["count"] == 6.0
+        gauges = {"queue_depth", "queued_rows"}
+        for key, value in before["counters"].items():
+            if key not in gauges:
+                assert after["counters"][key] >= value, key
+
     def test_respawned_worker_uses_generation_lease_key(
         self, tiny_correct, tiny_dcn, tmp_path
     ):
