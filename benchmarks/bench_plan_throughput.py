@@ -13,8 +13,9 @@ inference* on the digits CNN — two ways:
   from the engine's plan cache (:mod:`repro.nn.plan`).
 
 ``per_op_ms`` breaks the fan-out batch's plan forward down by step: the
-script walks ``plan.steps`` itself and times each op with its fused
-elementwise stages, so the plan carries no timing code.
+script walks ``plan.steps`` itself and times each op's ``step`` (the base
+op plus its fused elementwise stages, exactly as the plan runs them), so
+the plan carries no timing code.
 
 Both regimes of the DCN serving asymmetry are timed: the detector-gated
 single-request forward (batch 1) and the corrector's fused fan-out batch.
@@ -107,8 +108,9 @@ def step_name(index: int, op) -> str:
 def per_op_ms(plan, batch: np.ndarray, calls: int, repeats: int) -> dict:
     """Milliseconds per forward of each plan step (best of ``repeats`` means).
 
-    Every call walks the whole plan in order, so each step reads the input
-    its producer just wrote, exactly as ``CompiledPlan.run`` does.
+    Every call walks the whole plan in order through each op's ``step``,
+    so each step reads the input its producer just wrote and its posts run
+    over the same buffer, exactly as ``CompiledPlan.run`` does.
     """
     steps = plan.steps
     best = [float("inf")] * len(steps)
@@ -118,9 +120,7 @@ def per_op_ms(plan, batch: np.ndarray, calls: int, repeats: int) -> dict:
             buf = batch
             for index, op in enumerate(steps):
                 start = time.perf_counter()
-                buf = op.forward(buf)
-                for post in op.posts:
-                    post.apply(buf, buf)
+                buf = op.step(buf)
                 totals[index] += time.perf_counter() - start
         best = [min(b, total / calls * 1e3) for b, total in zip(best, totals)]
     return {step_name(i, op): ms for i, (op, ms) in enumerate(zip(steps, best))}

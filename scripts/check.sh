@@ -68,6 +68,9 @@ echo "== e2e benchmark smoke, traced (four workloads, served labels vs DCN.class
 # --compare ignores traced records, untraced smoke records would not be.
 python3 benchmarks/e2e/run.py --smoke --trace 1
 
+echo "== e2e benchmark self-tests (the harness that gates every change) =="
+python -m pytest -q benchmarks/e2e
+
 echo "== perf smoke (bench regression gate vs committed baseline, warn-only) =="
 # A --smoke run is context-mismatched with the committed full baseline by
 # design; the gate reports drift without failing CI.  Full runs gate hard:

@@ -19,9 +19,9 @@ from ..nn.network import Network
 
 __all__ = ["region_vote", "region_vote_fused", "call_rng", "input_rng", "RegionClassifier"]
 
-#: Sub-batch the fused vote runs its flat sample chunks at.  Per-row logits
+#: Sub-batch both votes run their flat sample chunks at.  Per-row logits
 #: are invariant to batch splitting, and the engine's kernels are faster in
-#: cache-sized batches than in one large pass, so the vote keeps a large
+#: cache-sized batches than in one large pass, so a vote keeps a large
 #: chunk (amortising Python glue) while the kernels run at this size.
 KERNEL_BATCH = 64
 
@@ -83,6 +83,10 @@ def region_vote(
         Hypercube half-width ``r``; samples are clipped to the pixel box.
     samples:
         Number of points ``m`` drawn per input.
+    batch_size:
+        Rows of sampled points drawn per chunk (bounds noise-buffer memory
+        and fixes the order the generator is consumed in).  The engine runs
+        each chunk in :data:`KERNEL_BATCH`-row sub-batches.
 
     Returns
     -------
@@ -106,7 +110,7 @@ def region_vote(
         noise = rng.uniform(-radius, radius, size=(len(chunk), samples) + chunk.shape[1:])
         points = np.clip(chunk[:, None] + noise, PIXEL_MIN, PIXEL_MAX)
         flat = points.reshape((-1,) + chunk.shape[1:])
-        labels = engine.predict(flat, batch_size=batch_size, memo=False)
+        labels = engine.predict(flat, batch_size=KERNEL_BATCH, memo=False)
         # One scatter-add replaces the per-row bincount loop: O(1) Python
         # overhead per chunk instead of O(rows).
         rows = np.repeat(np.arange(start, start + len(chunk)), samples)

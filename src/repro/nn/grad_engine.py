@@ -20,12 +20,12 @@ Compiled plans with stashed activations
     :class:`~repro.verify.guards.GuardViolation` (``kind="stale-context"``)
     instead of silently reading the newer activations.
 
-Image-major convolution
-    Convolution copies each image's ``(C·k·k, oh·ow)`` window columns out
-    of a padded frame bound at compile time; the input gradient is the
-    per-image ``Wᵀ @ grad`` followed by a slab col2im, so steady-state
-    attack iterations spend their time inside BLAS matmuls, not index
-    arithmetic.
+Row-padded convolution
+    Convolution copies each image's window columns out of a padded frame
+    bound at compile time, every row one contiguous run of the frame; the
+    input gradient is the per-image ``Wᵀ @ grad`` followed by a col2im of
+    ``k·k`` contiguous-run adds, so steady-state attack iterations spend
+    their time inside BLAS matmuls, not index arithmetic.
 
 ``engine.counters`` counts public gradient calls as ``requests`` and seeded
 backwards as ``batches``.  Dtype policy: attacks default to float32 through

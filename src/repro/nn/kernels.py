@@ -6,11 +6,14 @@ plumbing: the col2im scatter-add, pool argmax handling, the per-layer
 closure kernels.  A conv fix had to land three times.  This module is the
 single home for that machinery:
 
-Slab col2im with buffer reuse
-    :func:`col2im` scatter-adds the image-major column blocks of the
-    compiled conv lowering back into an image batch, one ``(kh, kw)`` slab
-    at a time, into an optional preallocated output buffer so the compiled
-    plans run the conv backward without allocating per call.
+Window views and slab col2im
+    :func:`window_view` is the one ``as_strided`` construction behind the
+    compiled conv lowering and the overlapping max-pool backward: a
+    ``(N, C, k, k, out_h, span)`` view of a frame whose channels are laid
+    out row-major.  :func:`col2im` scatter-adds window columns back through
+    a writeable such view, one ``(kh, kw)`` slab at a time, into a
+    preallocated buffer, so the plans run their backward without
+    allocating per call.
 
 Per-call reference kernels
     :func:`build_percall_infer_kernels` reproduces the pre-plan
@@ -37,6 +40,7 @@ from .ops import im2col, stable_sigmoid
 
 __all__ = [
     "col2im",
+    "window_view",
     "conv_output_size",
     "bn_eval_scale_shift",
     "build_percall_infer_kernels",
@@ -48,34 +52,50 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int = 0) -> i
     return (size + 2 * padding - kernel) // stride + 1
 
 
-def col2im(
-    cols: np.ndarray,
-    x_shape: tuple[int, ...],
+def window_view(
+    frame: np.ndarray,
     kernel: int,
     stride: int,
     out_h: int,
-    out_w: int,
-    out: np.ndarray | None = None,
+    span: int,
+    row: int,
+    writeable: bool = False,
 ) -> np.ndarray:
-    """Scatter-add image-major window columns back into an image batch.
+    """``(N, C, kernel, kernel, out_h, span)`` window view of ``frame``.
 
-    ``cols`` is any array reshapable to ``(N, C, kernel, kernel, out_h,
-    out_w)``: per image, the ``(C·k·k, oh·ow)`` column block of the compiled
-    conv lowering.  Each ``(kh, kw)`` slab is one strided add over whole
-    output rows.  Pass a preallocated ``out`` (shape ``x_shape``, matching
-    dtype) to run allocation-free; it is zeroed before accumulation.
+    ``frame`` is ``(N, C, ...)`` with each channel's pixels contiguous and
+    row-major, ``row`` elements per image row.  Element ``[n, c, i, j, r,
+    q]`` is pixel ``(r·stride + i, q·stride + j)`` of that channel, read
+    through the flat channel: with ``stride == 1`` and ``span == row``,
+    each ``[n, c, i, j]`` slab is one contiguous run of ``out_h·row``
+    elements starting at ``i·row + j``, and the positions past the valid
+    output width in each row wrap into the next row.  The caller sizes
+    ``frame`` so every position it reads stays in bounds.  Within one slab
+    the positions are distinct, so a writeable view takes slab-wise ``+=``.
     """
-    n, c, h, w = x_shape
-    cols6 = cols.reshape(n, c, kernel, kernel, out_h, out_w)
-    if out is None:
-        out = np.zeros(x_shape, dtype=cols.dtype)
-    else:
-        out.fill(0.0)
+    item = frame.itemsize
+    return np.lib.stride_tricks.as_strided(
+        frame,
+        shape=frame.shape[:2] + (kernel, kernel, out_h, span),
+        strides=frame.strides[:2] + (row * item, item, stride * row * item, stride * item),
+        writeable=writeable,
+    )
+
+
+def col2im(cols: np.ndarray, windows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Scatter-add window columns back into ``out`` through its window view.
+
+    ``windows`` is a writeable :func:`window_view` of ``out`` and ``cols``
+    any array reshapable to its shape (per image, the ``(C·k·k,
+    positions)`` column block).  ``out`` is zeroed, then each ``(kh, kw)``
+    slab is one add, in ``(kh, kw)`` order.
+    """
+    out.fill(0.0)
+    cols6 = cols.reshape(windows.shape)
+    kernel = windows.shape[2]
     for i in range(kernel):
         for j in range(kernel):
-            out[:, :, i : i + out_h * stride : stride, j : j + out_w * stride : stride] += cols6[
-                :, :, i, j
-            ]
+            windows[:, :, i, j] += cols6[:, :, i, j]
     return out
 
 

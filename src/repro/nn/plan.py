@@ -26,16 +26,26 @@ Fused elementwise chains
     intact: in ``grad``/``train`` mode a tanh/sigmoid output is *protected*
     — it is needed to form its own gradient, so nothing may fuse over it
     and the chain restarts on a fresh buffer.  ReLU stays fusable in every
-    mode by stashing its sign mask in a preallocated boolean buffer.
+    mode by stashing its sign mask in a preallocated boolean buffer.  One
+    method, ``_Op.step``, runs an op and its fused stages, and decides which
+    buffer they cover: a conv's whole row-padded buffer, junk columns
+    included, except for training dropout, whose mask draws exactly the
+    layer's output shape.
 
 Geometry bound once
-    Each conv owns a padded NCHW frame and a strided window view of it,
-    both built at compile time; per call it refreshes the frame interior
-    and copies, per image, a ``(C·k·k, oh·ow)`` column block whose inner
-    runs are whole output rows.  One batched ``W @ cols`` then writes the
-    NCHW output directly: no index gather, no layout transpose, and the
-    bias is a broadcast add.  Pool argmax buffers and flatten shapes are
-    likewise resolved at compile time, keyed by the concrete batch shape.
+    Each conv owns a flat per-channel padded frame (``hp·wp`` plus a
+    ``k − 1`` tail) and a window view of it, both built at compile time.
+    At stride 1 column positions run over whole padded rows, ``oh·wp`` of
+    them with ``wp − ow`` junk columns per row, so per call the conv
+    refreshes the frame interior and copies, per image, a ``(C·k·k,
+    oh·wp)`` column block in which every row is one contiguous run of the
+    frame.  One batched ``W @ cols`` then writes a ``(n, c_out, oh, wp)``
+    buffer whose ``[..., :ow]`` view is the layer's output: no index
+    gather, no layout transpose, and the bias is a broadcast add.  The
+    backward scatters the output gradient into a buffer whose junk columns
+    stay zero, so its ``col2im`` is ``k·k`` contiguous-run adds.  Pool
+    argmax buffers and flatten shapes are likewise resolved at compile
+    time, keyed by the concrete batch shape.
 
 Live parameters, no stale views
     Ops read parameters through the owning engine's staleness-checked cast
@@ -54,16 +64,19 @@ Generation-checked gradient contexts
 Numerical parity is load-bearing and measured, not assumed, because BLAS
 picks its kernels by shape.  ``matmul(out=)`` + in-place bias add is
 bitwise ``x @ w + b``; avg-pool backward keeps the legacy fill-then-divide;
-max pooling is an exact selection.  The image-major ``W @ cols`` hands BLAS
-the legacy ``cols @ w_mat.T`` product with its operand roles swapped.  On
-the ``-fast`` zoo architectures (``cnn-fast``, ``cnn-fast-wide``) it rounds
-identically, so for ``n >= 2`` float32 and float64 logits are bitwise
-equal to the per-call reference and the float64 plan is bit-exact with the
-autograd forward.  Elsewhere the last bit can differ (``cnn-paper``'s
-14×14 conv in both dtypes, ``C·k·k = 27`` in float64; see
-``tests/nn/test_plan.py``).  A single-row Dense runs on a two-row buffer,
-since a one-row matmul takes BLAS's gemv path, so on the ``-fast``
-architectures a row's float32 logits do not depend on its batch.  Conv
+max pooling is an exact selection.  The row-padded ``W @ cols`` hands BLAS
+the legacy ``cols @ w_mat.T`` product with its operand roles swapped and,
+at stride 1, junk columns appended; junk never feeds a valid output, and
+the backward adds only zeros from it.  On the zoo architectures
+(``cnn-fast``, ``cnn-fast-wide``, ``cnn-paper``) it rounds identically, so
+for ``n >= 2`` float32 and float64 logits are bitwise equal to the
+per-call reference, and on the ``-fast`` ones the float64 plan is
+bit-exact with the autograd forward.  Float64 stride-2 convs with
+``C·k·k = 27`` can still differ in the last bit (measured with OpenBLAS's
+Haswell kernels; see ``tests/nn/test_plan.py``).  A single-row Dense runs
+on a two-row buffer, since a one-row matmul takes BLAS's gemv path, so on
+the ``-fast`` architectures a row's float32 logits do not depend on its
+batch.  Conv
 weight and bias gradients come from a different contraction order than the
 legacy ``grad_matᵀ @ cols`` and differ in the last bits; the differential
 verifier's budgets cover them.
@@ -74,7 +87,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..verify import guards
-from .kernels import bn_eval_scale_shift, col2im, conv_output_size
+from .kernels import bn_eval_scale_shift, col2im, conv_output_size, window_view
 from .layers import AvgPool2D, Conv2D, Dense, Dropout, Flatten, MaxPool2D, ReLU, Sigmoid, Tanh
 from .norm import _BatchNormBase
 from .ops import stable_sigmoid
@@ -121,7 +134,14 @@ def supports(network) -> bool:
 # wrapped in an _EltOp with a buffer of their own when fusion is unsafe.
 
 
-class _ReluStage:
+class _Stage:
+    # A fused stage runs over its producer's whole buffer, junk columns of a
+    # row-padded conv included, unless it must see exactly the layer's
+    # output (see _Op.step).
+    valid_only = False
+
+
+class _ReluStage(_Stage):
     def __init__(self, layer_index: int, shape: tuple[int, ...], track_grad: bool):
         self.layer_index = layer_index
         # The sign mask is bound once; computing it from the *input* keeps
@@ -133,12 +153,11 @@ class _ReluStage:
             np.greater(src, 0, out=self.mask)
         np.maximum(src, 0.0, out=dst)
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray) -> None:
         grad *= self.mask
-        return grad
 
 
-class _TanhStage:
+class _TanhStage(_Stage):
     protects_output = True  # backward reads the output values
 
     def __init__(self, layer_index: int, track_grad: bool):
@@ -151,13 +170,12 @@ class _TanhStage:
         if self.track_grad:
             self._out = dst
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray) -> None:
         out = self._out
         grad *= 1.0 - out * out
-        return grad
 
 
-class _SigmoidStage:
+class _SigmoidStage(_Stage):
     protects_output = True
 
     def __init__(self, layer_index: int, track_grad: bool):
@@ -170,14 +188,13 @@ class _SigmoidStage:
         if self.track_grad:
             self._out = dst
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray) -> None:
         out = self._out
         grad *= out
         grad *= 1.0 - out
-        return grad
 
 
-class _BnEvalStage:
+class _BnEvalStage(_Stage):
     """Eval-mode batch norm as an in-place affine; gradients flow through
     the scale only (running statistics are constants, as in autograd)."""
 
@@ -199,12 +216,15 @@ class _BnEvalStage:
         if self.track_grad:
             self._scale = scale
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray) -> None:
         grad *= self._scale
-        return grad
 
 
-class _DropoutTrainStage:
+class _DropoutTrainStage(_Stage):
+    # The mask draws exactly the layer's output shape, so the plan consumes
+    # the Bernoulli stream of the autograd path.
+    valid_only = True
+
     def __init__(self, layer_index: int, layer: Dropout):
         self.layer_index = layer_index
         self.layer = layer
@@ -218,20 +238,56 @@ class _DropoutTrainStage:
         np.multiply(src, mask, out=dst)
         self._mask = mask
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray) -> None:
         grad *= self._mask
-        return grad
 
 
 # -- base ops -------------------------------------------------------------------
 
 
 class _Op:
-    """One plan step: a base computation plus in-place fused post stages."""
+    """One plan step: a base computation plus in-place fused post stages.
+
+    ``forward`` returns the buffer its posts run over and ``valid`` cuts
+    the layer's output out of it; the two differ only for the row-padded
+    conv, whose buffer carries junk columns.  ``widen`` is the backward
+    mirror: it lays an output gradient into such a buffer.
+    """
 
     def __init__(self, layer_index: int):
         self.layer_index = layer_index
         self.posts: list = []
+
+    def valid(self, buf: np.ndarray) -> np.ndarray:
+        return buf
+
+    def widen(self, grad: np.ndarray) -> np.ndarray:
+        return grad
+
+    def step(self, x: np.ndarray, outs: list | None = None) -> np.ndarray:
+        """Forward plus fused posts; returns the layer output.
+
+        ``outs`` (for :meth:`CompiledPlan.layer_outputs`) collects a copy
+        of the output after the base op and after each post.
+        """
+        buf = self.forward(x)
+        out = self.valid(buf)
+        if outs is not None:
+            outs.append(out.copy())
+        for post in self.posts:
+            target = out if post.valid_only else buf
+            post.apply(target, target)
+            if outs is not None:
+                outs.append(out.copy())
+        return out
+
+    def back_step(self, grad: np.ndarray):
+        """Posts' backward in reverse, then the base op's; ``None`` when a
+        train-mode first layer has no input gradient to return."""
+        buf = self.widen(grad)
+        for post in reversed(self.posts):
+            post.backward(self.valid(buf) if post.valid_only else buf)
+        return self.backward(buf)
 
 
 class _PassOp(_Op):
@@ -272,7 +328,8 @@ class _EltOp(_Op):
         return self.out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        return self.stage.backward(grad)
+        self.stage.backward(grad)
+        return grad
 
 
 class _DenseOp(_Op):
@@ -324,12 +381,16 @@ class _DenseOp(_Op):
 
 
 class _ConvOp(_Op):
-    """Image-major conv lowering, shared by all three modes.
+    """Row-padded conv lowering, shared by all three modes.
 
-    Per image, the ``(C·k·k, oh·ow)`` column block is one strided window
-    copy out of the padded NCHW frame (inner runs are whole output rows),
-    and one batched ``W @ cols`` writes the NCHW output directly, so the
-    bias is a broadcast add over ``oh·ow`` and no layout transpose exists.
+    Each input channel lives in a flat frame: the zero-padded ``hp × wp``
+    image, row-major, plus a ``k − 1`` tail.  At stride 1, column positions
+    run over whole padded rows (``oh·wp``, the last ``wp − ow`` of each row
+    junk), so every ``(c, i, j)`` row of the ``(C·k·k, oh·wp)`` column
+    block is one contiguous run of the frame starting at ``i·wp + j``.  One
+    batched ``W @ cols`` writes a ``(n, c_out, oh, wp)`` buffer, the bias
+    is a broadcast add, and the layer's output is the ``[..., :ow]`` view.
+    At stride > 1 the same windows span ``ow`` columns and carry no junk.
     """
 
     def __init__(self, layer_index, layer, n, in_shape, dtype, mode, cast, accumulate, first):
@@ -341,43 +402,53 @@ class _ConvOp(_Op):
         self.mode = mode
         self.first = first
         k, s, p = layer.kernel_size, layer.stride, layer.padding
-        self.kernel, self.stride = k, s
         self.c_out = layer.out_channels
-        pad_shape = (n, c, h + 2 * p, w + 2 * p)
-        self.oh = conv_output_size(pad_shape[2], k, s)
-        self.ow = conv_output_size(pad_shape[3], k, s)
-        self.pad_shape = pad_shape
-        # The frame's zeroed border is written once, here; only the interior
-        # is refreshed per call.  Unpadded convs copy into a frame too, so
-        # the window view below is bound once whatever the caller passes.
-        self.frame = np.zeros(pad_shape, dtype=dtype)
-        self.interior = (slice(None), slice(None), slice(p, p + h), slice(p, p + w))
-        fs = self.frame.strides
-        self.windows = np.lib.stride_tricks.as_strided(
-            self.frame,
-            shape=(n, c, k, k, self.oh, self.ow),
-            strides=(fs[0], fs[1], fs[2], fs[3], fs[2] * s, fs[3] * s),
-            writeable=False,
-        )
-        positions = self.oh * self.ow
+        hp, wp = h + 2 * p, w + 2 * p
+        self.oh = conv_output_size(hp, k, s)
+        self.ow = conv_output_size(wp, k, s)
+        span = wp if s == 1 else self.ow
+
+        def interior(frame):
+            return frame[:, :, : hp * wp].reshape(n, c, hp, wp)[:, :, p : p + h, p : p + w]
+
+        # The frame's zeroed border and tail are written once, here; only
+        # the interior is refreshed per call.  The last junk column of the
+        # last (i, j) run reads k - 1 elements past the padded image.
+        frame_shape = (n, c, hp * wp + k - 1)
+        self.frame = np.zeros(frame_shape, dtype=dtype)
+        self.interior = interior(self.frame)
+        self.windows = window_view(self.frame, k, s, self.oh, span, wp)
+        positions = self.oh * span
         self.cols = np.empty((n, c * k * k, positions), dtype=dtype)
-        self.out = np.empty((n, self.c_out, self.oh, self.ow), dtype=dtype)
-        self.out3 = self.out.reshape(n, self.c_out, positions)
-        self.gcols = self.gframe = self.gin = None
-        if mode != "infer" and not (mode == "train" and first):
-            self.gcols = np.empty_like(self.cols)
-            self.gframe = np.empty(pad_shape, dtype=dtype)
-            self.gin = self.gframe[self.interior] if p else self.gframe
+        self.whole = np.empty((n, self.c_out, self.oh, span), dtype=dtype)
+        self.out3 = self.whole.reshape(n, self.c_out, positions)
+        self.gwhole = self.gcols = self.gframe = self.gwindows = self.gin = None
+        if mode != "infer":
+            # Only the [..., :ow] view is ever written, so the junk columns
+            # of the output gradient stay zero and add nothing below.
+            self.gwhole = np.zeros_like(self.whole)
+            if not (mode == "train" and first):
+                self.gcols = np.empty_like(self.cols)
+                self.gframe = np.empty(frame_shape, dtype=dtype)
+                self.gwindows = window_view(self.gframe, k, s, self.oh, span, wp, writeable=True)
+                self.gin = interior(self.gframe)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self.frame[self.interior] = x
+        np.copyto(self.interior, x)
         np.copyto(self.cols.reshape(self.windows.shape), self.windows)
         np.matmul(self.cast(self.weight).reshape(self.c_out, -1), self.cols, out=self.out3)
         self.out3 += self.cast(self.bias)[:, None]
-        return self.out
+        return self.whole
 
-    def backward(self, grad: np.ndarray):
-        g3 = grad.reshape(self.out3.shape)
+    def valid(self, buf: np.ndarray) -> np.ndarray:
+        return buf[..., : self.ow]
+
+    def widen(self, grad: np.ndarray) -> np.ndarray:
+        np.copyto(self.gwhole[..., : self.ow], grad)
+        return self.gwhole
+
+    def backward(self, gwhole: np.ndarray):
+        g3 = gwhole.reshape(self.out3.shape)
         if self.mode == "train":
             # Fresh arrays (see _DenseOp.backward).  The weight gradient
             # contracts over (images, positions): one batched per-image
@@ -389,7 +460,7 @@ class _ConvOp(_Op):
                 return None
         w_mat = self.cast(self.weight).reshape(self.c_out, -1)
         np.matmul(w_mat.T, g3, out=self.gcols)
-        col2im(self.gcols, self.pad_shape, self.kernel, self.stride, self.oh, self.ow, out=self.gframe)
+        col2im(self.gcols, self.gwindows, self.gframe)
         return self.gin
 
 
@@ -414,13 +485,14 @@ class _MaxPoolOp(_Op):
         ]
         self.blocks_shape = (n, c, oh, size, ow, size)  # fast path only
         self.out = np.empty((n, c, oh, ow), dtype=dtype)
-        self.flat = self.flat6 = self.arg = self.gflat = self.gin = None
+        self.flat = self.flat6 = self.arg = self.gflat = self.gin = self.gwindows = None
         if self.track_grad:
             self.flat = np.empty((n, c, oh, ow, size * size), dtype=dtype)
             self.flat6 = self.flat.reshape(n, c, oh, ow, size, size)
             self.arg = np.empty((n, c, oh, ow), dtype=np.intp)
             self.gflat = np.empty((n, c, oh, ow, size * size), dtype=dtype)
             self.gin = np.empty((n, c, h, w), dtype=dtype)
+            self.gwindows = window_view(self.gin, size, stride, oh, ow, w, writeable=True)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         # Unrolled strided maximum over window positions.  Max is an exact
@@ -451,8 +523,7 @@ class _MaxPoolOp(_Op):
             np.copyto(self.gin.reshape(self.blocks_shape), gsrc.transpose(0, 1, 2, 4, 3, 5))
             return self.gin
         # Overlapping windows: scatter-add, one (kh, kw) slab at a time.
-        cols = gsrc.transpose(0, 1, 4, 5, 2, 3)
-        return col2im(cols, self.in_full, size, self.stride, self.oh, self.ow, out=self.gin)
+        return col2im(gsrc.transpose(0, 1, 4, 5, 2, 3), self.gwindows, self.gin)
 
 
 class _AvgPoolOp(_Op):
@@ -564,9 +635,7 @@ class CompiledPlan:
     def _execute(self, x: np.ndarray) -> np.ndarray:
         buf = x
         for op in self.steps:
-            buf = op.forward(buf)
-            for post in op.posts:
-                post.apply(buf, buf)
+            buf = op.step(buf)
         return buf
 
     def run(self, x: np.ndarray) -> np.ndarray:
@@ -599,9 +668,7 @@ class CompiledPlan:
         np.copyto(self._seed, seed)
         grad = self._seed
         for op in reversed(self.steps):
-            for post in reversed(op.posts):
-                grad = post.backward(grad)
-            grad = op.backward(grad)
+            grad = op.back_step(grad)
             if grad is None:
                 return None
         return grad
@@ -618,11 +685,7 @@ class CompiledPlan:
         for op in self.steps:
             if self.mode != "infer":
                 self.generation += 1  # stashes are being overwritten
-            buf = op.forward(buf)
-            outs.append(buf.copy())
-            for post in op.posts:
-                post.apply(buf, buf)
-                outs.append(buf.copy())
+            buf = op.step(buf, outs)
         return outs
 
 
@@ -689,7 +752,10 @@ def _build(network, batch_shape, dtype, mode, cast, accumulate):
             # A view: ownership (and protection) of the underlying buffer
             # carries through unchanged.
         elif isinstance(layer, ReLU):
-            attach(_ReluStage(index, (n,) + shape, track_grad))
+            # Fused onto a conv, the mask covers its whole row-padded buffer.
+            onto_conv = owned and isinstance(steps[-1], _ConvOp)
+            mask_shape = steps[-1].whole.shape if onto_conv else (n,) + shape
+            attach(_ReluStage(index, mask_shape, track_grad))
         elif isinstance(layer, (Tanh, Sigmoid)):
             stage_cls = _TanhStage if isinstance(layer, Tanh) else _SigmoidStage
             stage = stage_cls(index, track_grad)

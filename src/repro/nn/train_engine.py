@@ -14,10 +14,11 @@ Training-mode plans
     norm computes batch statistics and updates the float64 running
     estimates in place.
 
-Image-major convolution with one weight contraction
-    Each image's ``(C·k·k, oh·ow)`` window columns stay stashed from the
-    forward, so the weight gradient is one contraction of the output
-    gradient with them over ``(images, positions)``.
+Row-padded convolution with one weight contraction
+    Each image's ``(C·k·k, positions)`` window columns stay stashed from
+    the forward, so the weight gradient is one contraction of the output
+    gradient with them over ``(images, positions)``; the gradient's junk
+    columns are zero, so the row-padded positions add nothing.
 
 Native losses
     A :class:`TrainLoss` bundles the float64 ``(value, ∂loss/∂logits)``

@@ -57,6 +57,21 @@ class TestRegionClassifier:
         network, _, _ = tiny_correct
         assert RegionClassifier(network, 0.1).name == "rc"
 
+    def test_engine_runs_at_kernel_batch_with_unchanged_labels(self, monkeypatch):
+        # The noise chunks hold 500 sample rows here; the engine must still
+        # run them in KERNEL_BATCH-row plans, and labels must not depend on
+        # it (float32 cnn-fast rows are independent of their batch).
+        from repro.defenses import region
+        from repro.zoo import MODEL_CONFIGS, build_network
+
+        network = build_network(MODEL_CONFIGS["cnn-fast"], (1, 16, 16), 10, seed=0)
+        x = np.random.default_rng(0).uniform(size=(12, 1, 16, 16))
+        rc = RegionClassifier(network, radius=0.3, samples=100)
+        labels = rc.classify(x)
+        assert max(key[0] for key in network.engine._plans) <= region.KERNEL_BATCH
+        monkeypatch.setattr(region, "KERNEL_BATCH", 512)
+        np.testing.assert_array_equal(rc.classify(x), labels)
+
 
 class TestRegionClassifierDeterminism:
     """Labels are a pure function of (seed, input) — never of call order."""

@@ -5,12 +5,12 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.nn import GradientEngine, InferenceEngine, SGD, Tensor, TrainingEngine, no_grad
+from repro.nn import BatchNorm2D, GradientEngine, InferenceEngine, SGD, Tensor, TrainingEngine, no_grad
 from repro.nn.kernels import build_percall_infer_kernels
-from repro.nn.layers import Conv2D, Dense, Flatten, Layer, MaxPool2D, ReLU
+from repro.nn.layers import Conv2D, Dense, Dropout, Flatten, Layer, MaxPool2D, ReLU, Sigmoid, Tanh
 from repro.nn.losses import cross_entropy
 from repro.nn.network import Network
-from repro.nn.plan import CompiledPlan, compile_plan, supports
+from repro.nn.plan import CompiledPlan, _ConvOp, compile_plan, supports
 from repro.nn.train import TrainConfig, fit
 from repro.verify.guards import GuardViolation
 from repro.zoo import MODEL_CONFIGS, build_network
@@ -355,3 +355,147 @@ class TestImageMajorConv:
         cross_entropy(network.forward(xt), np.arange(5) % 3).backward()
         # The engine's gradient is of the summed loss; cross_entropy is the mean.
         np.testing.assert_allclose(grad, 5 * xt.grad, rtol=1e-10, atol=1e-12)
+
+
+def _autograd(network, x, labels, training=False):
+    """Float64 autograd: logits, summed-loss input grad, mean-loss param grads."""
+    network.zero_grad()
+    xt = Tensor(np.asarray(x, dtype=np.float64), requires_grad=True)
+    logits = network.forward(xt, training=training)
+    cross_entropy(logits, labels).backward()
+    return logits.data, len(x) * xt.grad, [p.grad.copy() for p in network.parameters()]
+
+
+class TestRowPaddedConv:
+    """Stride-1 convs run over whole padded rows; the junk columns stay inert."""
+
+    def test_stride1_columns_are_padded_row_runs(self):
+        c, h, w, k = 2, 5, 6, 3
+        rng = np.random.default_rng(0)
+        network = Network([Conv2D(c, 3, k, rng, padding=1)], (c, h, w))
+        x = np.arange(2 * c * h * w, dtype=np.float64).reshape(2, c, h, w)
+        plan = compile_plan(network, x.shape, np.float64, "infer", network.engine._cast)
+        plan.run(x)
+        conv = plan.steps[0]
+        span = conv.whole.shape[-1]
+        assert span == w + 2  # positions run over whole padded rows
+        padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        for image in range(2):
+            for i in range(conv.oh):
+                for j in range(conv.ow):
+                    patch = padded[image, :, i : i + k, j : j + k].reshape(-1)
+                    np.testing.assert_array_equal(conv.cols[image, :, i * span + j], patch)
+
+    @pytest.mark.parametrize("mode", ["infer", "grad"])
+    def test_junk_columns_never_leak(self, mode):
+        # Poison every junk column a compiled conv owns (and the frame tail
+        # its last junk columns read) with NaN: logits and input gradients
+        # must not move, and the output gradient's junk must stay zero.
+        rng = np.random.default_rng(0)
+        bn = BatchNorm2D(4)
+        bn.running_mean = rng.normal(size=4)
+        bn.running_var = rng.uniform(0.5, 2.0, size=4)
+        network = Network(
+            [
+                Conv2D(1, 3, 3, rng, padding=1),
+                ReLU(),
+                Conv2D(3, 4, 3, rng),
+                bn,
+                Tanh(),
+                MaxPool2D(2),
+                Flatten(),
+                Dense(36, NUM_CLASSES, rng),
+            ],
+            (1, 8, 8),
+        )
+        x = np.random.default_rng(1).normal(size=(5, 1, 8, 8))
+        cast = InferenceEngine(network, dtype=np.float64)._cast
+        clean = compile_plan(network, x.shape, np.float64, mode, cast)
+        poisoned = compile_plan(network, x.shape, np.float64, mode, cast)
+        convs = [op for op in poisoned.steps if isinstance(op, _ConvOp)]
+        for op in convs:
+            n, span, k = len(x), op.whole.shape[-1], op.windows.shape[2]
+            assert span > op.ow
+            op.frame[..., op.frame.shape[-1] - k + 1 :] = np.nan
+            op.whole[..., op.ow :] = np.nan
+            for cols in (op.cols, op.gcols):
+                if cols is not None:
+                    cols.reshape(n, -1, op.oh, span)[..., op.ow :] = np.nan
+        if mode == "infer":
+            np.testing.assert_array_equal(poisoned.run(x), clean.run(x))
+            return
+        seed = np.random.default_rng(2).normal(size=(len(x), NUM_CLASSES))
+        for _ in range(2):  # the second call runs on the first's leftovers
+            logits, generation = poisoned.run_forward(x)
+            want, want_generation = clean.run_forward(x)
+            np.testing.assert_array_equal(logits, want)
+            np.testing.assert_array_equal(
+                poisoned.run_backward(seed, generation), clean.run_backward(seed, want_generation)
+            )
+            for op in convs:
+                assert not op.gwhole[..., op.ow :].any()
+
+    @pytest.mark.parametrize("mode", ["infer", "grad", "train"])
+    def test_conv_flatten_dense_without_pool(self, mode):
+        # Flatten reads the conv's strided [..., :ow] output view directly.
+        rng = np.random.default_rng(0)
+        network = Network(
+            [Conv2D(2, 3, 3, rng, padding=1), Flatten(), Dense(3 * 5 * 5, NUM_CLASSES, rng)],
+            (2, 5, 5),
+        )
+        x = np.random.default_rng(1).normal(size=(4, 2, 5, 5))
+        labels = np.arange(4) % NUM_CLASSES
+        logits, input_grad, param_grads = _autograd(network, x, labels)
+        if mode == "infer":
+            got = InferenceEngine(network, dtype=np.float64).logits(x, memo=False)
+            np.testing.assert_allclose(got, logits, rtol=1e-12, atol=1e-12)
+        elif mode == "grad":
+            got = GradientEngine(network, dtype=np.float64).cross_entropy_input_grad(x, labels)
+            np.testing.assert_allclose(got, input_grad, rtol=1e-10, atol=1e-12)
+        else:
+            network.zero_grad()
+            _, got = TrainingEngine(network, dtype=np.float64).train_batch(x, labels)
+            np.testing.assert_allclose(got, logits, rtol=1e-12, atol=1e-12)
+            for param, want in zip(network.parameters(), param_grads):
+                np.testing.assert_allclose(param.grad, want, rtol=1e-10, atol=1e-12)
+
+    def test_train_dropout_after_conv_draws_autograd_stream(self):
+        # The fused dropout mask must draw exactly the (n, c, oh, ow) output
+        # shape, junk excluded, or the Bernoulli stream would shift.
+        rng = np.random.default_rng(0)
+        dropout = Dropout(0.5, rng)
+        network = Network(
+            [Conv2D(1, 2, 3, rng, padding=1), dropout, Flatten(), Dense(2 * 6 * 6, NUM_CLASSES, rng)],
+            (1, 6, 6),
+        )
+        x = np.random.default_rng(1).normal(size=(3, 1, 6, 6))
+        labels = np.arange(3) % NUM_CLASSES
+        dropout._rng = np.random.default_rng(7)
+        logits, _, param_grads = _autograd(network, x, labels, training=True)
+        dropout._rng = np.random.default_rng(7)
+        network.zero_grad()
+        _, got = TrainingEngine(network, dtype=np.float64).train_batch(x, labels)
+        np.testing.assert_allclose(got, logits, rtol=1e-12, atol=1e-12)
+        for param, want in zip(network.parameters(), param_grads):
+            np.testing.assert_allclose(param.grad, want, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("activation", [Tanh, Sigmoid])
+    def test_protected_activation_after_conv_in_grad_mode(self, activation):
+        # In grad mode tanh/sigmoid get a buffer of their own; it is fed the
+        # conv's [..., :ow] view, and its backward widens back into the
+        # conv's row-padded gradient.
+        rng = np.random.default_rng(0)
+        network = Network(
+            [
+                Conv2D(1, 2, 3, rng, padding=1),
+                activation(),
+                Flatten(),
+                Dense(2 * 6 * 6, NUM_CLASSES, rng),
+            ],
+            (1, 6, 6),
+        )
+        x = np.random.default_rng(1).normal(size=(4, 1, 6, 6))
+        labels = np.arange(4) % NUM_CLASSES
+        _, input_grad, _ = _autograd(network, x, labels)
+        got = GradientEngine(network, dtype=np.float64).cross_entropy_input_grad(x, labels)
+        np.testing.assert_allclose(got, input_grad, rtol=1e-10, atol=1e-12)
