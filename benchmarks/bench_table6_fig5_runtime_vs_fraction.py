@@ -2,8 +2,10 @@
 
 Paper shape: DCN's time grows linearly with the adversarial percentage
 (only flagged inputs pay the corrector's m=50 votes) while RC's time is
-flat and far larger (every input pays m=1000 votes).  At 0% adversarial
-traffic the gap is largest — the paper's headline efficiency claim.
+flat and far larger (every input pays an m=1000 vote).  At 0% adversarial
+traffic the gap is largest — the paper's headline efficiency claim.  Both
+votes exit early once a row's majority is decided, so the measured
+forwards sit below the paper's model; the table prints both.
 """
 
 import numpy as np

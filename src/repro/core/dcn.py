@@ -73,7 +73,8 @@ class DCN:
         # labels are identical either way.
         x = np.asarray(x)
         # One engine pass classifies everything; only flagged inputs pay
-        # the corrector's extra m forward passes (the paper's Table 6 win).
+        # the corrector's extra forward passes — at most m each, fewer once
+        # a row's vote is decided (the paper's Table 6 win).
         logits = self.network.engine.logits(x)
         labels = logits.argmax(axis=-1)
         flagged = self.detector.is_adversarial(logits)

@@ -85,32 +85,36 @@ def format_table6(rows: list[dict[str, float]], dataset: str) -> str:
 
     Rows produced by the engine-instrumented harness additionally carry
     ``dcn_forward_examples`` / ``rc_forward_examples`` — host-independent
-    forward-pass counts — which get two extra columns when present.
+    measured forward-pass counts — and the paper's model counts
+    ``dcn_model_forwards`` (``n + flagged·m``) / ``rc_model_forwards``
+    (``n·m``), which get extra columns when present.
     """
-    with_forwards = bool(rows) and all(
-        "dcn_forward_examples" in row and "rc_forward_examples" in row for row in rows
-    )
+    columns = {"dcn_forward_examples": "DCN fwd", "dcn_model_forwards": "n+f·m",
+               "rc_forward_examples": "RC fwd", "rc_model_forwards": "n·m"}
+    forwards = [k for k in columns if rows and all(k in row for row in rows)]
     header = f"{'% adv':>8} {'DCN (s)':>10} {'RC (s)':>10} {'DCN acc':>9} {'RC acc':>9}"
-    if with_forwards:
-        header += f" {'DCN fwd':>9} {'RC fwd':>9}"
+    header += "".join(f" {columns[k]:>9}" for k in forwards)
     lines = [f"RUNNING TIME VS ADVERSARIAL PERCENTAGE ({dataset})", header]
     for row in rows:
         line = (
             f"{100 * row['fraction']:>7.0f}% {row['dcn_seconds']:>10.2f} {row['rc_seconds']:>10.2f}"
             f" {_pct(row['dcn_accuracy']):>9} {_pct(row['rc_accuracy']):>9}"
         )
-        if with_forwards:
-            line += f" {int(row['dcn_forward_examples']):>9} {int(row['rc_forward_examples']):>9}"
+        line += "".join(f" {int(row[k]):>9}" for k in forwards)
         lines.append(line)
     return "\n".join(lines)
 
 
 def format_fig4(rows: list[dict[str, float]], dataset: str) -> str:
-    """Fig. 4: corrector accuracy/runtime vs m."""
-    lines = [
-        f"CORRECTOR ACCURACY AND RUNTIME VS m ({dataset})",
-        f"{'m':>6} {'recovery':>10} {'seconds':>10}",
-    ]
+    """Fig. 4: corrector accuracy/runtime vs m, with measured forwards per row."""
+    with_forwards = bool(rows) and all("forwards_per_row" in row for row in rows)
+    header = f"{'m':>6} {'recovery':>10} {'seconds':>10}"
+    if with_forwards:
+        header += f" {'fwd/row':>9}"
+    lines = [f"CORRECTOR ACCURACY AND RUNTIME VS m ({dataset})", header]
     for row in rows:
-        lines.append(f"{row['m']:>6} {_pct(row['recovery_accuracy']):>10} {row['seconds']:>10.2f}")
+        line = f"{row['m']:>6} {_pct(row['recovery_accuracy']):>10} {row['seconds']:>10.2f}"
+        if with_forwards:
+            line += f" {row['forwards_per_row']:>9.1f}"
+        lines.append(line)
     return "\n".join(lines)

@@ -2,7 +2,8 @@
 
 The serving-shaped hot path of this reproduction is *repeated same-shape*
 work: the detector-gated fast path pays one forward per request, the
-corrector fans a flagged input into a fused ``(n_flagged × m)`` batch, and
+corrector fans flagged inputs into staged sample batches on the bucket
+ladder, and
 every attack inner loop pushes identically-shaped batches through the same
 network thousands of times.  Before this module, each of the three engines
 re-decided shapes, re-derived im2col geometry and re-allocated every
@@ -98,9 +99,10 @@ MODES = ("infer", "grad", "train")
 
 # Default capacity of the per-engine compiled-plan LRU (keyed by exact batch
 # shape).  An experiment run touches a handful of shapes per engine: the full
-# batch, the trailing remainder batch, single-example probes, and the
-# corrector's fused ``(n_flagged × m)`` fan-out.
-DEFAULT_PLAN_ENTRIES = 8
+# batch, the trailing remainder batch and single-example probes, plus the
+# region votes' seven ladder spans (1, 2, 4, … 64 rows).  Eight entries
+# thrashed once the votes used the whole ladder.
+DEFAULT_PLAN_ENTRIES = 16
 
 _PLANNABLE = (
     Dense,

@@ -374,6 +374,9 @@ def plan_table6(
             x, y = x[order], y[order]
             dcn = profile_defense(ctx.dcn, x, ctx.model.engine, grad_engine=ctx.model.grad_engine)
             rc = profile_defense(ctx.rc, x, ctx.model.engine, grad_engine=ctx.model.grad_engine)
+            # The paper's cost model, beside the measured early-exit counts
+            # (the logits are memoised by the DCN call above).
+            flagged = int(ctx.dcn.detector.is_adversarial(ctx.model.engine.logits(x)).sum())
             return {
                 "fraction": fraction,
                 "dcn_seconds": dcn.seconds,
@@ -382,6 +385,8 @@ def plan_table6(
                 "rc_accuracy": float((rc.labels == y).mean()),
                 "dcn_forward_examples": dcn.forward_examples,
                 "rc_forward_examples": rc.forward_examples,
+                "dcn_model_forwards": total + flagged * ctx.dcn.corrector.samples,
+                "rc_model_forwards": total * ctx.rc.samples,
                 "dcn_backward_examples": dcn.backward_examples,
                 "rc_backward_examples": rc.backward_examples,
             }
@@ -428,6 +433,7 @@ def plan_fig4(
             pool = ctx.pool("cw-l2")
             adv_images, adv_labels, _ = pool.successful()
             corrector = Corrector(ctx.model, radius=ctx.radius, samples=m, seed=seed)
+            before = ctx.model.engine.counters.examples
             start = monotonic()
             labels = corrector.correct(adv_images)
             seconds = monotonic() - start
@@ -435,6 +441,9 @@ def plan_fig4(
                 "m": m,
                 "recovery_accuracy": float((labels == adv_labels).mean()),
                 "seconds": seconds,
+                # Measured early-exit forwards; the paper's model charges m.
+                "forwards_per_row": (ctx.model.engine.counters.examples - before)
+                / max(1, len(adv_images)),
             }
 
         units.append(

@@ -4,7 +4,7 @@ The offline reproduction runs tables; this package serves live traffic.
 :class:`DCNService` coalesces concurrent classify requests into
 shape-bucketed engine dispatches, routes benign rows straight out through
 the detector gate, and fuses all flagged rows across the batch into one
-``(n_flagged × m)`` corrector vote — with admission control, backpressure
+early-exit corrector vote — with admission control, backpressure
 and per-request telemetry around the hot path.  See DESIGN.md ("Serving
 layer") for the full design and ``python -m repro serve`` for the CLI.
 """

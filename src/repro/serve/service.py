@@ -13,20 +13,22 @@ Shape-bucketed plan reuse
     Dispatch batches are padded onto the power-of-two bucket ladder
     (:mod:`repro.serve.bucketing`), bounding the distinct batch shapes the
     engines' compiled-plan LRUs ever see, and the service raises the
-    engines' plan budget (``plan_entries``) so the bucket ladder *and*
-    the corrector's bounded set of sample-chunk shapes stay resident
-    together.  After warm-up, effectively every dispatch — model forward,
-    detector forward and the corrector's sample chunks — is a plan hit.
+    engines' plan budget (``plan_entries``) so the whole ladder stays
+    resident.  The corrector's engine calls run ladder shapes too
+    (:func:`~repro.defenses.region.ladder_spans`), so after warm-up every
+    dispatch — model forward, detector forward and the corrector's sample
+    chunks — is a plan hit.
 
 Cross-request corrector fusion
     The detector gate routes benign rows straight out (one forward plus
     the ~400-parameter detector — the paper's Sec. 5 asymmetry).  All
     flagged rows across the coalesced batch are stacked into one
-    ``(n_flagged × m)`` region vote via ``Corrector.correct_fused`` — one
-    noise draw, one engine pass, one vectorised vote — instead of one
-    vote per originating request.  Because vote noise is a per-input
-    stream (:func:`~repro.defenses.region.input_rng`), served labels are
-    bitwise-identical to offline ``DCN.classify`` on the same inputs.
+    early-exit region vote via ``Corrector.correct_fused`` — at most
+    ``n_flagged × m`` sample forwards, fewer as rows' majorities are
+    decided — instead of one vote per originating request.  Because vote
+    noise is a per-input stream (:func:`~repro.defenses.region.input_rng`)
+    and a row's exit point depends only on its own votes, served labels
+    are bitwise-identical to offline ``DCN.classify`` on the same inputs.
 
 Around the hot path sits admission control, in one of two regimes:
 
@@ -39,7 +41,7 @@ Around the hot path sits admission control, in one of two regimes:
 * **SLO-governed** (``slo_target_s`` set): admission estimates the
   request's queued wait from the learned per-row dispatch costs
   (:mod:`repro.serve.slo` — benign and flagged rows priced separately,
-  since the corrector makes flagged rows ~m× pricier) and sheds/degrades
+  since the corrector makes flagged rows up to m× pricier) and sheds/degrades
   when the estimate exceeds the target, with the same ``2 × max_queue``
   depth bound kept as a hard backstop.
 
@@ -182,9 +184,9 @@ class DCNService:
     plan_entries:
         Floor for the model/detector engines' compiled-plan LRU capacity.
         Serving presents a known working set of shapes — the bucket
-        ladder plus the corrector's bounded set of sample-chunk flats —
-        and a budget that covers all of them makes every post-warm-up
-        dispatch a plan hit.  Never shrinks an engine's existing budget.
+        ladder, which the corrector's engine calls also run on — and a
+        budget that covers it makes every post-warm-up dispatch a plan
+        hit.  Never shrinks an engine's existing budget.
     """
 
     def __init__(
@@ -218,9 +220,10 @@ class DCNService:
             engine.plan_entries = max(engine.plan_entries, plan_entries)
         self.counters = ServeCounters()
         self.latencies = LatencySketch()
-        # A flagged row pays its share of the batch forward plus the
-        # corrector's m extra forwards — the prior the cost model splits
-        # mixed dispatches with until both costs are observed directly.
+        # A flagged row pays its share of the batch forward plus at most
+        # the corrector's m extra forwards (fewer once its vote exits
+        # early) — the prior the cost model splits mixed dispatches with
+        # until its EWMA has observed both costs directly.
         self.cost_model = DispatchCostModel(
             flagged_multiplier=1.0 + dcn.corrector.samples
         )

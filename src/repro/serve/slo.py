@@ -45,8 +45,9 @@ class DispatchCostModel:
         Prior ratio ``flagged_cost / benign_cost`` used to split a mixed
         dispatch before both costs have been observed in isolation.  The
         service passes ``1 + m`` (the corrector's vote count): a flagged
-        row pays its share of the batch forward plus ``m`` corrector
-        forwards.
+        row pays its share of the batch forward plus at most ``m``
+        corrector forwards.  Early-exit votes stop sooner, so the prior
+        overestimates; the EWMAs re-price it from observed dispatches.
     """
 
     def __init__(self, alpha: float = 0.25, flagged_multiplier: float = 50.0):

@@ -52,6 +52,35 @@ class TestCorrector:
         with pytest.raises(ValueError):
             Corrector(network, radius=0.1, samples=0)
 
+    def test_negative_radius_rejected_at_construction(self, tiny_correct):
+        network, _, _ = tiny_correct
+        with pytest.raises(ValueError, match="radius"):
+            Corrector(network, radius=-0.1)
+
+    def test_engine_calls_stay_on_the_bucket_ladder(self):
+        # Serving warms exactly the bucket ladder; a corrector call of any
+        # size must compile nothing else, and the engine must pay exactly
+        # each row's exit point in forwards.
+        from repro.defenses import region
+        from repro.serve.bucketing import bucket_sizes
+        from repro.zoo import MODEL_CONFIGS, build_network
+
+        network = build_network(MODEL_CONFIGS["cnn-fast"], (1, 16, 16), 10, seed=0)
+        x = np.random.default_rng(1).uniform(size=(12, 1, 16, 16))
+        corrector = Corrector(network, radius=0.3, samples=50, seed=0)
+        expected = sum(
+            int(region._staged_vote(network, x[:k], 0.3, 50, 0)[1].sum()) for k in range(1, 13)
+        )
+        network.engine.invalidate()
+        network.engine.reset_counters()
+        for k in range(1, 13):
+            corrector.correct(x[:k])
+        ladder = set(bucket_sizes(region.KERNEL_BATCH))
+        assert network.engine._plans
+        assert {key[0] for key in network.engine._plans} <= ladder
+        assert network.engine.counters.examples == expected
+        assert expected < 50 * sum(range(1, 13))
+
 
 class TestDCN:
     def test_flag_nothing_matches_standard(self, tiny_correct):

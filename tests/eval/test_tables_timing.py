@@ -55,6 +55,19 @@ class TestFormatting:
         text = format_fig4(rows, "mnist")
         assert "50" in text and "93.00%" in text
 
+    def test_table6_reports_measured_and_model_forwards(self):
+        rows = [{"fraction": 0.1, "dcn_seconds": 0.3, "rc_seconds": 40.0, "dcn_accuracy": 0.9,
+                 "rc_accuracy": 0.88, "dcn_forward_examples": 431, "dcn_model_forwards": 600,
+                 "rc_forward_examples": 50712, "rc_model_forwards": 100000}]
+        text = format_table6(rows, "mnist")
+        assert "n+f·m" in text and "n·m" in text
+        assert "431" in text and "600" in text and "50712" in text and "100000" in text
+
+    def test_fig4_reports_forwards_per_row(self):
+        rows = [{"m": 50, "recovery_accuracy": 0.93, "seconds": 0.4, "forwards_per_row": 33.3}]
+        text = format_fig4(rows, "mnist")
+        assert "fwd/row" in text and "33.3" in text
+
 
 class TestTiming:
     def test_stopwatch_measures(self):
@@ -129,7 +142,7 @@ class TestTable6Cost:
 
     def test_dcn_pays_n_plus_flagged_m_and_rc_pays_n_m(self, tiny_correct):
         from repro.core import DCN, Corrector
-        from repro.defenses.region import RegionClassifier
+        from repro.defenses.region import RegionClassifier, _staged_vote
         from repro.eval import profile_defense
 
         network, x, _ = tiny_correct
@@ -139,16 +152,25 @@ class TestTable6Cost:
         dcn = DCN(network, _RuleDetector(network, rule),
                   Corrector(network, radius=0.1, samples=m, seed=0))
         rc = RegionClassifier(network, radius=0.1, samples=m, seed=0)
-        flagged = int(rule(network.engine.logits(rows, memo=False)).sum())
+        mask = rule(network.engine.logits(rows, memo=False))
+        flagged = int(mask.sum())
         assert 0 < flagged < n
+        # Each row's exit point from the vote kernel itself: the early-exit
+        # vote pays decided_at forwards per row, m // 2 + 1 <= it <= m.
+        corrector_at = _staged_vote(network, rows[mask], 0.1, m, 0)[1]
+        rc_at = _staged_vote(network, rows, 0.1, m, 0)[1]
         # The fixture is shared: drop the memo so the DCN's one forward over
         # the batch is counted rather than served from an earlier call.
         network.engine.invalidate()
         engines = dict(engine=network.engine, grad_engine=network.grad_engine)
         dcn_cost = profile_defense(dcn, rows, **engines)
         rc_cost = profile_defense(rc, rows, **engines)
-        assert dcn_cost.forward_examples == n + flagged * m
-        assert rc_cost.forward_examples == n * m
+        assert dcn_cost.forward_examples == n + int(corrector_at.sum())
+        assert rc_cost.forward_examples == int(rc_at.sum())
+        # The paper's cost model (Table 6 / Fig. 5) is the upper bound.
+        assert dcn_cost.forward_examples <= n + flagged * m
+        assert rc_cost.forward_examples <= n * m
+        assert ((m // 2 + 1 <= rc_at) & (rc_at <= m)).all()
         for profile in (dcn_cost, rc_cost):
             assert profile.backward_examples == 0
             assert profile.backward_batches == 0
