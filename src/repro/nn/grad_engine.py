@@ -10,7 +10,7 @@ thousands of times.  :class:`GradientEngine` is the
 Compiled plans with stashed activations
     :meth:`GradientEngine.forward` executes a grad-mode
     :class:`~repro.nn.plan.CompiledPlan`, whose ops stash exactly what each
-    backward needs (ReLU masks, pool argmaxes, conv window columns), and
+    backward needs (ReLU masks, pool selection masks, tanh outputs), and
     returns ``(logits, ctx)``.  :meth:`GradientEngine.backward` seeds the
     logits with an arbitrary cotangent and replays the stack in reverse.
     Because the context is reusable, :meth:`GradientEngine.jacobian` does
@@ -22,10 +22,11 @@ Compiled plans with stashed activations
 
 Row-padded convolution
     Convolution copies each image's window columns out of a padded frame
-    bound at compile time, every row one contiguous run of the frame; the
-    input gradient is the per-image ``Wᵀ @ grad`` followed by a col2im of
-    ``k·k`` contiguous-run adds, so steady-state attack iterations spend
-    their time inside BLAS matmuls, not index arithmetic.
+    bound at compile time, every row one contiguous run of the frame, a
+    cache-sized block of images at a time; the input gradient is the
+    per-image ``Wᵀ @ grad`` followed by a col2im of ``k·k``
+    contiguous-run adds, so steady-state attack iterations spend their
+    time inside BLAS matmuls, not index arithmetic.
 
 ``engine.counters`` counts public gradient calls as ``requests`` and seeded
 backwards as ``batches``.  Dtype policy: attacks default to float32 through

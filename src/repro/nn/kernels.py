@@ -2,13 +2,13 @@
 
 Before the plan compiler (:mod:`repro.nn.plan`) existed, the inference,
 gradient and training engines each carried a private copy of the kernel
-plumbing: the col2im scatter-add, pool argmax handling, the per-layer
+plumbing: the col2im scatter-add, the pool window views, the per-layer
 closure kernels.  A conv fix had to land three times.  This module is the
 single home for that machinery:
 
 Window views and slab col2im
     :func:`window_view` is the one ``as_strided`` construction behind the
-    compiled conv lowering and the overlapping max-pool backward: a
+    compiled conv lowering: a
     ``(N, C, k, k, out_h, span)`` view of a frame whose channels are laid
     out row-major.  :func:`col2im` scatter-adds window columns back through
     a writeable such view, one ``(kh, kw)`` slab at a time, into a

@@ -37,16 +37,23 @@ Geometry bound once
     Each conv owns a flat per-channel padded frame (``hp·wp`` plus a
     ``k − 1`` tail) and a window view of it, both built at compile time.
     At stride 1 column positions run over whole padded rows, ``oh·wp`` of
-    them with ``wp − ow`` junk columns per row, so per call the conv
-    refreshes the frame interior and copies, per image, a ``(C·k·k,
-    oh·wp)`` column block in which every row is one contiguous run of the
-    frame.  One batched ``W @ cols`` then writes a ``(n, c_out, oh, wp)``
-    buffer whose ``[..., :ow]`` view is the layer's output: no index
-    gather, no layout transpose, and the bias is a broadcast add.  The
-    backward scatters the output gradient into a buffer whose junk columns
-    stay zero, so its ``col2im`` is ``k·k`` contiguous-run adds.  Pool
-    argmax buffers and flatten shapes are likewise resolved at compile
-    time, keyed by the concrete batch shape.
+    them with ``wp − ow`` junk columns per row, so per image the conv
+    copies a ``(C·k·k, oh·wp)`` column block in which every row is one
+    contiguous run of the frame.  ``W @ cols`` then writes a ``(n, c_out,
+    oh, wp)`` buffer whose ``[..., :ow]`` view is the layer's output: no
+    index gather, no layout transpose, and the bias is a broadcast add.
+    The backward scatters the output gradient into a buffer whose junk
+    columns stay zero, so its ``col2im`` is ``k·k`` contiguous-run adds.
+    Pool selection masks and flatten shapes are likewise resolved at
+    compile time, keyed by the concrete batch shape.
+
+Cache-sized blocks
+    A conv lowers a few images at a time: each block's columns fit
+    :data:`COL_BLOCK_BYTES`, so they are still in L2 when BLAS reads them,
+    and the column scratch does not grow with the batch.  The matmuls are
+    the same per-image calls a whole-batch lowering makes, and the train
+    weight gradient adds the per-image products in image order, so no
+    output changes by a bit with the block size.
 
 Live parameters, no stale views
     Ops read parameters through the owning engine's staleness-checked cast
@@ -65,22 +72,25 @@ Generation-checked gradient contexts
 Numerical parity is load-bearing and measured, not assumed, because BLAS
 picks its kernels by shape.  ``matmul(out=)`` + in-place bias add is
 bitwise ``x @ w + b``; avg-pool backward keeps the legacy fill-then-divide;
-max pooling is an exact selection.  The row-padded ``W @ cols`` hands BLAS
-the legacy ``cols @ w_mat.T`` product with its operand roles swapped and,
-at stride 1, junk columns appended; junk never feeds a valid output, and
-the backward adds only zeros from it.  On the zoo architectures
-(``cnn-fast``, ``cnn-fast-wide``, ``cnn-paper``) it rounds identically, so
-for ``n >= 2`` float32 and float64 logits are bitwise equal to the
-per-call reference, and on the ``-fast`` ones the float64 plan is
+max pooling is an exact selection, and its backward routes each window's
+gradient to the first maximal element, as ``argmax`` would.  The
+row-padded ``W @ cols`` hands BLAS the legacy ``cols @ w_mat.T`` product
+with its operand roles swapped and, at stride 1, junk columns appended;
+junk never feeds a valid output, and the backward adds only zeros from it.
+On the zoo architectures (``cnn-fast``, ``cnn-fast-wide``, ``cnn-paper``)
+it rounds identically, so float32 and float64 logits are bitwise equal to
+the per-call reference (for ``n >= 2``, and on ``cnn-paper`` for ``n >=
+DENSE_MIN_ROWS``), and on the ``-fast`` ones the float64 plan is
 bit-exact with the autograd forward.  Float64 stride-2 convs with
 ``C·k·k = 27`` can still differ in the last bit (measured with OpenBLAS's
 Haswell kernels; see ``tests/nn/test_plan.py``).  A single-row Dense runs
-on a two-row buffer, since a one-row matmul takes BLAS's gemv path, so on
-the ``-fast`` architectures a row's float32 logits do not depend on its
-batch.  Conv
-weight and bias gradients come from a different contraction order than the
-legacy ``grad_matᵀ @ cols`` and differ in the last bits; the differential
-verifier's budgets cover them.
+on a two-row buffer, since a one-row matmul takes BLAS's gemv path, and a
+few-row Dense wide enough to fall onto BLAS's small-matrix kernels runs on
+``DENSE_MIN_ROWS`` rows, so on every zoo architecture a row's float32
+logits do not depend on its batch.  Conv weight and bias gradients come
+from a different contraction order than the legacy ``grad_matᵀ @ cols``
+and differ in the last bits; the differential verifier's budgets cover
+them.
 """
 
 from __future__ import annotations
@@ -103,6 +113,22 @@ MODES = ("infer", "grad", "train")
 # region votes' seven ladder spans (1, 2, 4, … 64 rows).  Eight entries
 # thrashed once the votes used the whole ladder.
 DEFAULT_PLAN_ENTRIES = 16
+
+# Byte budget of one conv image block's window columns.  A whole 64-row
+# batch's columns run to megabytes, past L2, so BLAS would read them back
+# from memory; a block this size stays cache-resident between the copy and
+# the matmul.  Chosen by measurement among 256 KiB, 512 KiB and 1 MiB.
+COL_BLOCK_BYTES = 512 * 1024
+
+# Rows a few-row Dense matmul is padded to when that takes it off BLAS's
+# small-matrix kernels (see _DenseOp).
+DENSE_MIN_ROWS = 8
+
+# OpenBLAS runs a gemm of at most this many multiply-adds (M·N·K) on its
+# small-matrix kernels, whose sums round differently from the blocked
+# kernels' once K is a few hundred.  Measured: cnn-paper's 1568-input Dense
+# takes them at n <= 4 rows and its 2048-input one at n <= 3.
+SMALL_GEMM_MACS = 1_000_000
 
 _PLANNABLE = (
     Dense,
@@ -342,14 +368,23 @@ class _DenseOp(_Op):
         self.accumulate = accumulate
         self.mode = mode
         self.first = first
-        # A one-row matmul takes BLAS's gemv path, whose reduction order is
-        # not gemm's: a single-row plan runs its matmul on a two-row buffer
-        # so a row's logits never depend on the batch it arrives in.
-        self.pair = self.pair_out = None
-        if n == 1:
-            self.pair = np.zeros((2, in_features), dtype=dtype)
-            self.pair_out = np.empty((2, layer.out_features), dtype=dtype)
-            self.out = self.pair_out[:1]
+        # BLAS picks its kernel by shape, so a row's logits could depend on
+        # the batch it arrives in.  A one-row matmul takes the gemv path: it
+        # runs on two rows.  A few-row matmul of a wide layer takes the
+        # small-matrix kernels while full batches take the blocked ones: it
+        # runs on DENSE_MIN_ROWS rows when that many leave them.  Extra
+        # rows are zeros, and their outputs are never read.
+        rows = n
+        wide = DENSE_MIN_ROWS * in_features * layer.out_features > SMALL_GEMM_MACS
+        if 0 < n < DENSE_MIN_ROWS and wide:
+            rows = DENSE_MIN_ROWS
+        elif n == 1:
+            rows = 2
+        self.padded = self.padded_out = None
+        if rows > n:
+            self.padded = np.zeros((rows, in_features), dtype=dtype)
+            self.padded_out = np.empty((rows, layer.out_features), dtype=dtype)
+            self.out = self.padded_out[:n]
         else:
             self.out = np.empty((n, layer.out_features), dtype=dtype)
         skip_input_grad = mode == "train" and first
@@ -359,11 +394,11 @@ class _DenseOp(_Op):
         self._x = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if self.pair is None:
+        if self.padded is None:
             np.matmul(x, self.cast(self.weight), out=self.out)
         else:
-            self.pair[0] = x[0]
-            np.matmul(self.pair, self.cast(self.weight), out=self.pair_out)
+            self.padded[: len(x)] = x
+            np.matmul(self.padded, self.cast(self.weight), out=self.padded_out)
         self.out += self.cast(self.bias)
         if self.mode == "train":
             self._x = x
@@ -383,15 +418,18 @@ class _DenseOp(_Op):
 
 
 class _ConvOp(_Op):
-    """Row-padded conv lowering, shared by all three modes.
+    """Row-padded, image-blocked conv lowering, shared by all three modes.
 
     Each input channel lives in a flat frame: the zero-padded ``hp × wp``
     image, row-major, plus a ``k − 1`` tail.  At stride 1, column positions
     run over whole padded rows (``oh·wp``, the last ``wp − ow`` of each row
     junk), so every ``(c, i, j)`` row of the ``(C·k·k, oh·wp)`` column
-    block is one contiguous run of the frame starting at ``i·wp + j``.  One
-    batched ``W @ cols`` writes a ``(n, c_out, oh, wp)`` buffer, the bias
-    is a broadcast add, and the layer's output is the ``[..., :ow]`` view.
+    block is one contiguous run of the frame starting at ``i·wp + j``.
+    Per-call work runs over image blocks sized so the block's columns fit
+    :data:`COL_BLOCK_BYTES`: each block refreshes its frames, lowers into
+    one block-sized ``cols`` scratch and writes ``W @ cols`` into its slice
+    of a ``(n, c_out, oh, wp)`` buffer; the bias is a broadcast add over
+    the whole buffer, and the layer's output is the ``[..., :ow]`` view.
     At stride > 1 the same windows span ``ow`` columns and carry no junk.
     """
 
@@ -409,9 +447,13 @@ class _ConvOp(_Op):
         self.oh = conv_output_size(hp, k, s)
         self.ow = conv_output_size(wp, k, s)
         span = wp if s == 1 else self.ow
+        positions = self.oh * span
+        image_bytes = c * k * k * positions * np.dtype(dtype).itemsize
+        block = max(1, min(n, COL_BLOCK_BYTES // image_bytes))
+        spans = [slice(a, min(a + block, n)) for a in range(0, n, block)]
 
         def interior(frame):
-            return frame[:, :, : hp * wp].reshape(n, c, hp, wp)[:, :, p : p + h, p : p + w]
+            return frame[:, :, : hp * wp].reshape(len(frame), c, hp, wp)[:, :, p : p + h, p : p + w]
 
         # The frame's zeroed border and tail are written once, here; only
         # the interior is refreshed per call.  The last junk column of the
@@ -420,11 +462,19 @@ class _ConvOp(_Op):
         self.frame = np.zeros(frame_shape, dtype=dtype)
         self.interior = interior(self.frame)
         self.windows = window_view(self.frame, k, s, self.oh, span, wp)
-        positions = self.oh * span
-        self.cols = np.empty((n, c * k * k, positions), dtype=dtype)
+        self.cols = np.empty((min(n, block), c * k * k, positions), dtype=dtype)
         self.whole = np.empty((n, self.c_out, self.oh, span), dtype=dtype)
         self.out3 = self.whole.reshape(n, self.c_out, positions)
-        self.gwhole = self.gcols = self.gframe = self.gwindows = self.gin = None
+        # Per block, bound once: its rows, the frame interior it refreshes,
+        # its windows, and the column scratch prefix they are copied into
+        # (as a flat block and in the windows' shape).
+        self.blocks = []
+        for rows in spans:
+            cols = self.cols[: rows.stop - rows.start]
+            windows = self.windows[rows]
+            self.blocks.append((rows, self.interior[rows], windows, cols, cols.reshape(windows.shape)))
+        self.gwhole = self.gcols = self.gframe = self.gin = self.wprods = None
+        self.gblocks = []
         if mode != "infer":
             # Only the [..., :ow] view is ever written, so the junk columns
             # of the output gradient stay zero and add nothing below.
@@ -432,13 +482,23 @@ class _ConvOp(_Op):
             if not (mode == "train" and first):
                 self.gcols = np.empty_like(self.cols)
                 self.gframe = np.empty(frame_shape, dtype=dtype)
-                self.gwindows = window_view(self.gframe, k, s, self.oh, span, wp, writeable=True)
+                gwindows = window_view(self.gframe, k, s, self.oh, span, wp, writeable=True)
                 self.gin = interior(self.gframe)
+                self.gblocks = [
+                    (rows, self.gcols[: rows.stop - rows.start], gwindows[rows], self.gframe[rows])
+                    for rows in spans
+                ]
+        if mode == "train":
+            # A block's per-image weight-gradient products behind one
+            # leading slot that carries the running sum (see _weight_grad).
+            self.wprods = np.empty((len(self.cols) + 1, self.c_out, c * k * k), dtype=dtype)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        np.copyto(self.interior, x)
-        np.copyto(self.cols.reshape(self.windows.shape), self.windows)
-        np.matmul(self.cast(self.weight).reshape(self.c_out, -1), self.cols, out=self.out3)
+        w_mat = self.cast(self.weight).reshape(self.c_out, -1)
+        for rows, interior, windows, cols, cols6 in self.blocks:
+            np.copyto(interior, x[rows])
+            np.copyto(cols6, windows)
+            np.matmul(w_mat, cols, out=self.out3[rows])
         self.out3 += self.cast(self.bias)[:, None]
         return self.whole
 
@@ -449,35 +509,61 @@ class _ConvOp(_Op):
         np.copyto(self.gwhole[..., : self.ow], grad)
         return self.gwhole
 
+    def _weight_grad(self, g3: np.ndarray) -> np.ndarray:
+        """``Σ_i g3[i] @ cols[i]ᵀ`` over images, added in image order.
+
+        Each block's columns are lowered again from the frame, which the
+        generation check guarantees is still this context's.  Slot 0 of
+        ``wprods`` carries the running sum into the next block's reduction,
+        so the additions run in the order of one whole-batch
+        ``matmul(g3, colsᵀ).sum(axis=0)``.  Returns a fresh array (see
+        _DenseOp.backward).
+        """
+        dw = np.zeros(self.wprods.shape[1:], dtype=self.wprods.dtype)  # n = 0
+        for index, (rows, _, windows, cols, cols6) in enumerate(self.blocks):
+            np.copyto(cols6, windows)
+            prods = self.wprods[: len(cols) + 1]
+            np.matmul(g3[rows], cols.transpose(0, 2, 1), out=prods[1:])
+            if index:
+                prods[0] = dw
+                dw = prods.sum(axis=0)
+            else:
+                dw = prods[1:].sum(axis=0)
+        return dw
+
     def backward(self, gwhole: np.ndarray):
         g3 = gwhole.reshape(self.out3.shape)
         if self.mode == "train":
-            # Fresh arrays (see _DenseOp.backward).  The weight gradient
-            # contracts over (images, positions): one batched per-image
-            # product, then a sum over images — no copy of the columns.
-            dw = np.matmul(g3, self.cols.transpose(0, 2, 1)).sum(axis=0)
+            dw = self._weight_grad(g3)
             self.accumulate(self.weight, dw.reshape(self.weight.shape))
             self.accumulate(self.bias, g3.sum(axis=(0, 2)))
             if self.first:
                 return None
-        w_mat = self.cast(self.weight).reshape(self.c_out, -1)
-        np.matmul(w_mat.T, g3, out=self.gcols)
-        col2im(self.gcols, self.gwindows, self.gframe)
+        w_mat_t = self.cast(self.weight).reshape(self.c_out, -1).T
+        for rows, gcols, gwindows, gframe in self.gblocks:
+            np.matmul(w_mat_t, g3[rows], out=gcols)
+            col2im(gcols, gwindows, gframe)
         return self.gin
 
 
 class _MaxPoolOp(_Op):
+    """Max pool as an unrolled strided maximum over window positions.
+
+    In ``grad``/``train`` mode the forward also records one boolean
+    selection mask per window position, in ``(kh, kw)`` order: the
+    element equals the window's max and no earlier position was taken.
+    That is the first maximal element a reduction's ``argmax`` picks.  The
+    masks are built here, not in the backward, because fused posts (eval
+    batch norm, ReLU, training dropout) overwrite ``out`` in place.
+    """
+
     def __init__(self, layer_index, layer, n, in_shape, dtype, mode):
         super().__init__(layer_index)
         c, h, w = in_shape
         size, stride = layer.size, layer.stride
-        self.size, self.stride = size, stride
         self.fast = stride == size and h % size == 0 and w % size == 0
-        self.track_grad = mode != "infer"
         oh = conv_output_size(h, size, stride)
         ow = conv_output_size(w, size, stride)
-        self.oh, self.ow = oh, ow
-        self.in_full = (n, c, h, w)
         # One (rows, cols) slice per window position: each selects that
         # position of every window across the whole batch.
         self.slices = [
@@ -485,21 +571,17 @@ class _MaxPoolOp(_Op):
             for i in range(size)
             for j in range(size)
         ]
-        self.blocks_shape = (n, c, oh, size, ow, size)  # fast path only
         self.out = np.empty((n, c, oh, ow), dtype=dtype)
-        self.flat = self.flat6 = self.arg = self.gflat = self.gin = self.gwindows = None
-        if self.track_grad:
-            self.flat = np.empty((n, c, oh, ow, size * size), dtype=dtype)
-            self.flat6 = self.flat.reshape(n, c, oh, ow, size, size)
-            self.arg = np.empty((n, c, oh, ow), dtype=np.intp)
-            self.gflat = np.empty((n, c, oh, ow, size * size), dtype=dtype)
+        self.masks = self.free = self.gin = None
+        if mode != "infer":
+            self.masks = np.empty((size * size, n, c, oh, ow), dtype=bool)
+            self.free = np.empty((n, c, oh, ow), dtype=bool)
             self.gin = np.empty((n, c, h, w), dtype=dtype)
-            self.gwindows = window_view(self.gin, size, stride, oh, ow, w, writeable=True)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        # Unrolled strided maximum over window positions.  Max is an exact
-        # selection, so this is bitwise identical to the axis reduction —
-        # and an order of magnitude faster than np.max over split axes.
+        # Max is an exact selection, so this is bitwise identical to the
+        # axis reduction, and an order of magnitude faster than np.max
+        # over split axes.
         blocks = [x[:, :, rows, cols] for rows, cols in self.slices]
         if len(blocks) == 1:
             np.copyto(self.out, blocks[0])
@@ -507,25 +589,28 @@ class _MaxPoolOp(_Op):
             np.maximum(blocks[0], blocks[1], out=self.out)
             for block in blocks[2:]:
                 np.maximum(self.out, block, out=self.out)
-        if self.track_grad:
-            # Window positions in (kh, kw) order, so argmax picks the same
-            # first maximal element as a reduction over the window would.
-            for (i, j), block in zip(np.ndindex(self.size, self.size), blocks):
-                self.flat6[..., i, j] = block
-            np.argmax(self.flat, axis=-1, out=self.arg)
+        if self.masks is not None:
+            np.equal(blocks[0], self.out, out=self.masks[0])
+            np.logical_not(self.masks[0], out=self.free)
+            for block, mask in zip(blocks[1:], self.masks[1:]):
+                np.equal(block, self.out, out=mask)
+                mask &= self.free
+                self.free ^= mask  # mask ⊆ free: clears the taken windows
         return self.out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        n, c, h, w = self.in_full
-        size = self.size
-        self.gflat.fill(0.0)
-        np.put_along_axis(self.gflat, self.arg[..., None], grad[..., None], axis=-1)
-        gsrc = self.gflat.reshape(n, c, self.oh, self.ow, size, size)
-        if self.fast:
-            np.copyto(self.gin.reshape(self.blocks_shape), gsrc.transpose(0, 1, 2, 4, 3, 5))
-            return self.gin
-        # Overlapping windows: scatter-add, one (kh, kw) slab at a time.
-        return col2im(gsrc.transpose(0, 1, 4, 5, 2, 3), self.gwindows, self.gin)
+        # Every input element starts at zero and receives its windows'
+        # gradients only where selected.  Aligned windows tile the input,
+        # so each slice is one masked copy; overlapping ones are masked
+        # adds in (kh, kw) order, the order of a zero-filled slab col2im.
+        self.gin.fill(0.0)
+        for (rows, cols), mask in zip(self.slices, self.masks):
+            view = self.gin[:, :, rows, cols]
+            if self.fast:
+                np.copyto(view, grad, where=mask)
+            else:
+                np.add(view, grad, out=view, where=mask)
+        return self.gin
 
 
 class _AvgPoolOp(_Op):

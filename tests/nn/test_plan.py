@@ -10,6 +10,7 @@ from repro.nn.kernels import build_percall_infer_kernels
 from repro.nn.layers import Conv2D, Dense, Dropout, Flatten, Layer, MaxPool2D, ReLU, Sigmoid, Tanh
 from repro.nn.losses import cross_entropy
 from repro.nn.network import Network
+from repro.nn import plan as plan_module
 from repro.nn.plan import CompiledPlan, _ConvOp, compile_plan, supports
 from repro.nn.train import TrainConfig, fit
 from repro.verify.guards import GuardViolation
@@ -235,9 +236,17 @@ def _percall_logits(network, x):
     return out
 
 
+_ZOO_SHAPES = {
+    "cnn-fast": ("cnn-fast", (1, 16, 16)),
+    "cnn-fast-wide": ("cnn-fast-wide", (3, 16, 16)),
+    "cnn-paper-mnist": ("cnn-paper", (1, 28, 28)),
+    "cnn-paper-cifar": ("cnn-paper", (3, 32, 32)),
+}
+
+
 def _zoo_architecture(name, seed=0):
-    shape = {"cnn-fast": (1, 16, 16), "cnn-fast-wide": (3, 16, 16)}[name]
-    return build_network(MODEL_CONFIGS[name], shape, 10, seed=seed), shape
+    config, shape = _ZOO_SHAPES[name]
+    return build_network(MODEL_CONFIGS[config], shape, 10, seed=seed), shape
 
 
 class TestImageMajorConv:
@@ -293,15 +302,17 @@ class TestImageMajorConv:
                 engine.logits(x[:n], memo=False), _percall_logits(network, x[:n])
             )
 
-    @pytest.mark.parametrize("name", ["cnn-fast", "cnn-fast-wide"])
+    @pytest.mark.parametrize("name", ["cnn-fast", "cnn-fast-wide", "cnn-paper-mnist", "cnn-paper-cifar"])
     def test_float32_rows_independent_of_batch_size(self, name):
         # A row's float32 logits must not depend on the batch it arrives in:
         # a bucket-1 dispatch and a coalesced one must agree bit for bit.
+        # cnn-paper's 1568- and 2048-input Dense layers took BLAS's
+        # small-matrix kernels below 5 and 4 rows.
         network, shape = _zoo_architecture(name)
         x = np.random.default_rng(0).uniform(size=(64,) + shape).astype(np.float32)
         engine = InferenceEngine(network, memo_entries=0)
         full = engine.logits(x, memo=False)
-        for n in (1, 2, 7):
+        for n in range(1, 9):
             np.testing.assert_array_equal(engine.logits(x, batch_size=n, memo=False), full)
 
     @pytest.mark.parametrize(
@@ -499,3 +510,180 @@ class TestRowPaddedConv:
         _, input_grad, _ = _autograd(network, x, labels)
         got = GradientEngine(network, dtype=np.float64).cross_entropy_input_grad(x, labels)
         np.testing.assert_allclose(got, input_grad, rtol=1e-10, atol=1e-12)
+
+
+def _run_plan(network, x, mode, seed):
+    """Logits, input gradient and parameter gradients of one compiled plan.
+
+    Training dropout layers redraw from a fixed stream on every call.
+    """
+    for layer in network.layers:
+        if isinstance(layer, Dropout):
+            layer._rng = np.random.default_rng(7)
+    grads = {}
+    cast = InferenceEngine(network, dtype=x.dtype)._cast
+    plan = compile_plan(
+        network, x.shape, x.dtype, mode, cast, lambda p, g: grads.setdefault(id(p), np.array(g))
+    )
+    if mode == "infer":
+        return plan.run(x).copy(), None, []
+    logits, generation = plan.run_forward(x)
+    logits = logits.copy()
+    input_grad = plan.run_backward(seed, generation)
+    input_grad = None if input_grad is None else input_grad.copy()
+    return logits, input_grad, [grads[id(p)] for p in network.parameters() if id(p) in grads]
+
+
+class TestMaskRoutedMaxPool:
+    """The max-pool backward routes by selection masks built in the forward."""
+
+    @staticmethod
+    def _pool_bn_relu(pool):
+        rng = np.random.default_rng(0)
+        bn = BatchNorm2D(2)
+        bn.running_mean = rng.normal(size=2)
+        bn.running_var = rng.uniform(0.5, 2.0, size=2)
+        features = 2 * int(np.prod(pool.output_shape((2, 7, 7))[1:]))
+        return Network(
+            [Conv2D(1, 2, 3, rng, padding=1), pool, bn, ReLU(), Flatten(), Dense(features, NUM_CLASSES, rng)],
+            (1, 7, 7),
+        )
+
+    @pytest.mark.parametrize("mode", ["grad", "train"])
+    @pytest.mark.parametrize("pool", [(2, 2), (2, 1), (3, 2)], ids=str)
+    def test_fused_bn_and_relu_over_pool_output_match_autograd(self, mode, pool):
+        # Eval BN then ReLU fuse in place onto the pool's output buffer in
+        # grad mode; a backward that compared windows against that buffer
+        # would route nothing.  Train mode runs batch-statistics BN.
+        network = self._pool_bn_relu(MaxPool2D(*pool))
+        x = np.random.default_rng(1).normal(size=(5, 1, 7, 7))
+        labels = np.arange(5) % NUM_CLASSES
+        logits, input_grad, param_grads = _autograd(network, x, labels, training=mode == "train")
+        if mode == "grad":
+            got = GradientEngine(network, dtype=np.float64).cross_entropy_input_grad(x, labels)
+            np.testing.assert_allclose(got, input_grad, rtol=1e-10, atol=1e-12)
+            return
+        network.zero_grad()
+        _, got = TrainingEngine(network, dtype=np.float64).train_batch(x, labels)
+        np.testing.assert_allclose(got, logits, rtol=1e-12, atol=1e-12)
+        for param, want in zip(network.parameters(), param_grads):
+            np.testing.assert_allclose(param.grad, want, rtol=1e-10, atol=1e-12)
+
+    def test_fused_dropout_over_pool_output_in_train_mode(self):
+        # Training dropout rescales the pool's output in place.
+        rng = np.random.default_rng(0)
+        dropout = Dropout(0.5, rng)
+        network = Network(
+            [Conv2D(1, 2, 3, rng, padding=1), MaxPool2D(2), dropout, Flatten(), Dense(18, NUM_CLASSES, rng)],
+            (1, 6, 6),
+        )
+        x = np.random.default_rng(1).normal(size=(3, 1, 6, 6))
+        labels = np.arange(3) % NUM_CLASSES
+        dropout._rng = np.random.default_rng(7)
+        _, _, param_grads = _autograd(network, x, labels, training=True)
+        dropout._rng = np.random.default_rng(7)
+        network.zero_grad()
+        TrainingEngine(network, dtype=np.float64).train_batch(x, labels)
+        for param, want in zip(network.parameters(), param_grads):
+            np.testing.assert_allclose(param.grad, want, rtol=1e-10, atol=1e-12)
+
+    @staticmethod
+    def _first_max_reference(x, seed, size, stride):
+        """Route each window's gradient to its first maximal element."""
+        n, c, h, w = x.shape
+        oh, ow = (h - size) // stride + 1, (w - size) // stride + 1
+        out = np.zeros_like(x)
+        grad = seed.reshape(n, c, oh, ow)
+        for b, ch, r, q in np.ndindex(n, c, oh, ow):
+            window = x[b, ch, r * stride : r * stride + size, q * stride : q * stride + size]
+            i, j = np.unravel_index(np.argmax(window), window.shape)
+            out[b, ch, r * stride + i, q * stride + j] += grad[b, ch, r, q]
+        return out
+
+    @pytest.mark.parametrize("mode", ["grad", "train"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size,stride,hw", [(2, 2, 6), (3, 3, 6), (2, 1, 5), (3, 2, 7)])
+    @pytest.mark.parametrize("inputs", ["quantized", "all-equal"])
+    def test_ties_route_to_first_maximal_element(self, inputs, size, stride, hw, dtype, mode):
+        rng = np.random.default_rng(0)
+        shape = (4, 2, hw, hw)
+        if inputs == "quantized":
+            x = rng.integers(-1, 2, size=shape).astype(dtype)
+        else:
+            x = np.full(shape, -0.5, dtype=dtype)
+        network = Network([MaxPool2D(size, stride), Flatten()], shape[1:])
+        features = network.output_shape[0]
+        # Integer cotangents: overlapping windows' sums are exact.
+        seed = rng.integers(1, 9, size=(len(x), features)).astype(dtype)
+        logits, input_grad, _ = _run_plan(network, x, mode, seed)
+        np.testing.assert_array_equal(logits, _reference_logits(network, x).reshape(logits.shape))
+        np.testing.assert_array_equal(input_grad, self._first_max_reference(x, seed, size, stride))
+        # Each window routes exactly one gradient: totals are conserved.
+        assert input_grad.sum() == seed.sum()
+
+
+class TestBlockedConvLowering:
+    """Convs lower a few images at a time; the block size changes no bit."""
+
+    @pytest.mark.parametrize("n", [1, 5, 64, 100])
+    @pytest.mark.parametrize("mode", ["infer", "grad", "train"])
+    def test_block_budget_changes_no_output_bit(self, monkeypatch, mode, n):
+        network, shape = _zoo_architecture("cnn-fast")
+        x = np.random.default_rng(0).uniform(size=(n,) + shape).astype(np.float32)
+        seed = np.random.default_rng(1).normal(size=(n, 10)).astype(np.float32)
+        image = 9 * 16 * 18 * 4  # conv1's per-image column bytes
+        results = []
+        # One image per block, three (ragged at n = 5, 64, 100), the
+        # default, and the whole batch in one block.
+        for budget in (1, 3 * image, plan_module.COL_BLOCK_BYTES, 10**12):
+            monkeypatch.setattr(plan_module, "COL_BLOCK_BYTES", budget)
+            results.append(_run_plan(network, x, mode, seed))
+        logits, input_grad, param_grads = results[0]
+        assert len(param_grads) == (len(network.parameters()) if mode == "train" else 0)
+        for other_logits, other_grad, other_params in results[1:]:
+            np.testing.assert_array_equal(other_logits, logits)
+            np.testing.assert_array_equal(other_grad, input_grad)
+            for got, want in zip(other_params, param_grads):
+                np.testing.assert_array_equal(got, want)
+
+    def test_blocks_cover_the_batch_in_order(self, monkeypatch):
+        network, shape = _zoo_architecture("cnn-fast")
+        monkeypatch.setattr(plan_module, "COL_BLOCK_BYTES", 3 * 9 * 16 * 18 * 4)
+        plan = compile_plan(network, (10,) + shape, np.float32, "grad", network.engine._cast)
+        conv = plan.steps[0]
+        spans = [(rows.start, rows.stop) for rows, *_ in conv.blocks]
+        assert spans == [(0, 3), (3, 6), (6, 9), (9, 10)]
+        assert [(rows.start, rows.stop) for rows, *_ in conv.gblocks] == spans
+        assert conv.cols.shape[0] == conv.gcols.shape[0] == 3
+
+    @pytest.mark.parametrize("mode", ["infer", "grad", "train"])
+    def test_column_scratch_does_not_grow_with_batch(self, mode):
+        network, shape = _zoo_architecture("cnn-fast")
+        cast = network.engine._cast
+
+        def scratch(n):
+            plan = compile_plan(network, (n,) + shape, np.float32, mode, cast, lambda p, g: None)
+            convs = [op for op in plan.steps if isinstance(op, _ConvOp)]
+            return [
+                sum(a.nbytes for a in (op.cols, op.gcols, op.wprods) if a is not None) for op in convs
+            ]
+
+        small, large = scratch(64), scratch(256)
+        assert small == large
+        for op_bytes in small:
+            assert 0 < op_bytes <= 3 * plan_module.COL_BLOCK_BYTES
+
+
+class TestDenseRowPadding:
+    def test_padding_rule(self):
+        rng = np.random.default_rng(0)
+        wide = Network([Flatten(), Dense(1568, 128, rng), ReLU(), Dense(128, 10, rng)], (1568,))
+        cast = wide.engine._cast
+
+        def rows(n):
+            plan = compile_plan(wide, (n, 1568), np.float32, "infer", cast)
+            return [len(op.padded) if op.padded is not None else n for op in plan.steps if hasattr(op, "padded")]
+
+        assert rows(1) == [plan_module.DENSE_MIN_ROWS, 2]  # wide: off small-matrix kernels; gemv
+        assert rows(4) == [plan_module.DENSE_MIN_ROWS, 4]
+        assert rows(8) == [8, 8] and rows(0) == [0, 0]
