@@ -20,7 +20,10 @@ Run as a script::
 The acceptance bar from the training-engine refactor: the engine must beat
 legacy by >= 2x epochs/sec on ``cnn-fast``.  ``--smoke`` runs a tiny
 configuration for CI wiring (skipping the paper-scale CNN) and does not
-enforce the bar.
+enforce the bar.  Both modes exit non-zero when a workload's engine and
+legacy final losses differ by more than ``MAX_FINAL_LOSS_DELTA``: a
+reference loop that trains something else would otherwise silently
+rescale the speedup.
 
 Full (non-smoke) runs persist ``BENCH_train_throughput.json`` with the
 provenance context (git SHA, NumPy, dataset fingerprint) the
@@ -32,6 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -41,8 +45,43 @@ import numpy as np
 from bench_common import bench_context, dataset_fingerprint, write_payload
 from repro.core.detector import build_detector_network
 from repro.datasets import load_dataset
-from repro.nn import Adam, TrainConfig, fit
+from repro.nn import Adam, Tensor, TrainConfig, fit
+from repro.nn.losses import cross_entropy
 from repro.zoo import MODEL_CONFIGS, build_network
+
+# Engine and legacy optimise the same objective from the same seeds; their
+# final losses agree to float32 training noise (~1e-8 measured).
+MAX_FINAL_LOSS_DELTA = 1e-4
+
+
+def legacy_fit(network, optimizer, x, y, config, rng) -> tuple[float, float]:
+    """The pre-engine float64 autograd training loop; ``(seconds, final loss)``.
+
+    Shuffles, batches and steps exactly like :func:`repro.nn.fit` at a
+    constant learning rate, with the full Tensor graph per batch.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    indices = np.arange(len(x))
+    start = time.perf_counter()
+    for _ in range(config.epochs):
+        rng.shuffle(indices)
+        epoch_loss = 0.0
+        for begin in range(0, len(x), config.batch_size):
+            batch = indices[begin : begin + config.batch_size]
+            optimizer.zero_grad()
+            loss = cross_entropy(network.forward(Tensor(x[batch]), training=True), y[batch])
+            loss.backward()
+            optimizer.step()
+            epoch_loss += float(loss.data) * len(batch)
+    return time.perf_counter() - start, epoch_loss / len(x)
+
+
+def _train(engine: bool, network, optimizer, x, y, config) -> tuple[float, float]:
+    rng = np.random.default_rng(1)
+    if not engine:
+        return legacy_fit(network, optimizer, x, y, config, rng)
+    history = fit(network, optimizer, x, y, config, rng)
+    return history.seconds, history.loss[-1]
 
 
 def _cnn_workload(dataset_name: str, model_name: str, examples: int, epochs: int):
@@ -54,12 +93,9 @@ def _cnn_workload(dataset_name: str, model_name: str, examples: int, epochs: int
     def run_once(engine: bool) -> tuple[float, float]:
         network = build_network(config, dataset.input_shape, 10)
         optimizer = Adam(network.parameters(), lr=config.learning_rate)
-        history = fit(
-            network, optimizer, x, y,
-            TrainConfig(epochs=epochs, batch_size=config.batch_size, engine=engine),
-            np.random.default_rng(1),
+        return _train(
+            engine, network, optimizer, x, y, TrainConfig(epochs=epochs, batch_size=config.batch_size)
         )
-        return history.seconds, history.loss[-1]
 
     return run_once, len(x), epochs
 
@@ -75,12 +111,9 @@ def _detector_workload(examples: int, epochs: int):
     def run_once(engine: bool) -> tuple[float, float]:
         network = build_detector_network()
         optimizer = Adam(network.parameters(), lr=1e-2)
-        history = fit(
-            network, optimizer, features, labels,
-            TrainConfig(epochs=epochs, batch_size=64, engine=engine),
-            np.random.default_rng(1),
+        return _train(
+            engine, network, optimizer, features, labels, TrainConfig(epochs=epochs, batch_size=64)
         )
-        return history.seconds, history.loss[-1]
 
     return run_once, len(features), epochs
 
@@ -105,8 +138,6 @@ def run(examples: int, epochs: int, detector_epochs: int, repeats: int, smoke: b
                 losses[variant] = final_loss
             entry[variant] = {"seconds": best, "epochs_per_sec": n_epochs / best}
         entry["speedup"] = entry["legacy"]["seconds"] / entry["engine"]["seconds"]
-        # The two paths optimise the same objective from the same seeds;
-        # their final losses must agree to float32 training noise.
         entry["final_loss_delta"] = abs(losses["engine"] - losses["legacy"])
         results[name] = entry
 
@@ -125,6 +156,9 @@ def run(examples: int, epochs: int, detector_epochs: int, repeats: int, smoke: b
         "repeats": repeats,
         "results": results,
         "meets_2x_bar": bool(results["cnn-fast"]["speedup"] >= 2.0),
+        "final_losses_agree": all(
+            entry["final_loss_delta"] <= MAX_FINAL_LOSS_DELTA for entry in results.values()
+        ),
     }
 
 
@@ -154,6 +188,9 @@ def main(argv=None) -> int:
     elif not args.smoke:
         path = write_payload("train_throughput", payload)
         print(f"wrote {path}", file=sys.stderr)
+    if not payload["final_losses_agree"]:
+        print(f"final_loss_delta above {MAX_FINAL_LOSS_DELTA:g}", file=sys.stderr)
+        return 1
     if args.smoke:
         return 0
     return 0 if payload["meets_2x_bar"] else 1

@@ -1,13 +1,13 @@
 """Input-gradient helpers shared by the gradient-based attacks.
 
-Since PR 2 these are thin wrappers over the network's lazily attached
-:class:`~repro.nn.grad_engine.GradientEngine`: fused raw-NumPy
-forward+backward kernels (float32 by default) with an automatic float64
-autograd fallback for unknown layer types.  All three helpers return
-arrays in the engine's compute dtype — ``float32`` unless a custom engine
-was attached via ``Network.attach_grad_engine``.  Callers doing float64
-accumulation (optimiser state, distance bookkeeping) get the usual NumPy
-promotion when they combine these with float64 operands.
+These are thin wrappers over the network's lazily attached
+:class:`~repro.nn.grad_engine.GradientEngine`: compiled-plan raw-NumPy
+forward+backward kernels (float32 by default); a network with a layer
+that has no plan op is rejected when the engine is built.  All three
+helpers return arrays in the engine's compute dtype — ``float32`` unless
+a custom engine was attached via ``Network.attach_grad_engine``.  Callers
+doing float64 accumulation (optimiser state, distance bookkeeping) get
+the usual NumPy promotion when they combine these with float64 operands.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ This package replaces the Keras/TensorFlow stack the paper used; see
 DESIGN.md §2 for the substitution rationale.
 """
 
-from . import gradcheck, init, losses, metrics, ops, optim, schedules
+from . import gradcheck, init, losses, metrics, ops, optim
 from .engine import EngineCounters, InferenceEngine, PlanEngine
 from .grad_engine import GradientEngine
 from .layers import AvgPool2D, Conv2D, Dense, Dropout, Flatten, MaxPool2D, ReLU, Sigmoid, Tanh
@@ -60,6 +60,5 @@ __all__ = [
     "optim",
     "init",
     "metrics",
-    "schedules",
     "gradcheck",
 ]

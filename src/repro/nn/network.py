@@ -177,26 +177,3 @@ class Network:
     def load(self, path) -> None:
         with np.load(path) as archive:
             self.load_state({key: archive[key] for key in archive.files})
-
-    # -- gradients wrt inputs (used by every gradient-based attack) ----------------
-
-    def input_gradient(self, x: np.ndarray, loss_fn) -> tuple[np.ndarray, float]:
-        """Gradient of ``loss_fn(logits)`` with respect to the input batch.
-
-        Parameters
-        ----------
-        x:
-            Input batch, shape ``(N, *input_shape)``.
-        loss_fn:
-            Callable mapping the logits tensor to a scalar loss tensor.
-
-        Returns
-        -------
-        (gradient, loss_value)
-        """
-        inp = Tensor(np.asarray(x, dtype=np.float64), requires_grad=True)
-        logits = self.forward(inp)
-        loss = loss_fn(logits)
-        loss.backward()
-        assert inp.grad is not None
-        return inp.grad, float(loss.data)

@@ -14,16 +14,16 @@ Training-mode plans
     norm computes batch statistics and updates the float64 running
     estimates in place.
 
-Row-padded convolution with one weight contraction
-    Each image's ``(C·k·k, positions)`` window columns stay stashed from
-    the forward, so the weight gradient is one contraction of the output
-    gradient with them over ``(images, positions)``; the gradient's junk
-    columns are zero, so the row-padded positions add nothing.
+Image-blocked weight gradients
+    A convolution's weight gradient lowers each image block's
+    ``(C·k·k, positions)`` window columns again from the frame the forward
+    left intact and adds the per-image products in image order; the
+    gradient's junk columns are zero, so the row-padded positions add
+    nothing.
 
 Native losses
-    A :class:`TrainLoss` bundles the float64 ``(value, ∂loss/∂logits)``
-    seed computation with its autograd twin, which the
-    ``TrainConfig(engine=False)`` loop uses.  :data:`CROSS_ENTROPY`,
+    A :class:`TrainLoss` names the float64 ``(value, ∂loss/∂logits)``
+    seed computation the engine backpropagates.  :data:`CROSS_ENTROPY`,
     :func:`soft_cross_entropy_loss` (defensive distillation's
     temperature-scaled soft targets) and :data:`MSE` (the MagNet
     autoencoder) cover every loss the repo trains with.
@@ -52,7 +52,6 @@ import numpy as np
 
 from ..verify import guards
 from .engine import PlanEngine
-from .losses import cross_entropy, mse, one_hot, soft_cross_entropy
 from .plan import DEFAULT_PLAN_ENTRIES
 from .tensor import Tensor
 
@@ -74,14 +73,11 @@ class TrainLoss:
     """A loss the engine can seed natively.
 
     ``value_and_seed`` maps float64 ``(logits, targets)`` to the scalar
-    loss value and the float64 cotangent ``∂loss/∂logits``; ``tensor_fn``
-    is the equivalent autograd loss used by the legacy loop when the
-    engine is disabled.
+    loss value and the float64 cotangent ``∂loss/∂logits``.
     """
 
     name: str
     value_and_seed: Callable[[np.ndarray, np.ndarray], tuple[float, np.ndarray]]
-    tensor_fn: Callable[[Tensor, np.ndarray], Tensor]
 
 
 def _cross_entropy_seed(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -99,7 +95,7 @@ def _cross_entropy_seed(logits: np.ndarray, labels: np.ndarray) -> tuple[float, 
     return value, seed
 
 
-CROSS_ENTROPY = TrainLoss("cross_entropy", _cross_entropy_seed, cross_entropy)
+CROSS_ENTROPY = TrainLoss("cross_entropy", _cross_entropy_seed)
 
 
 def soft_cross_entropy_loss(temperature: float = 1.0) -> TrainLoss:
@@ -117,10 +113,7 @@ def soft_cross_entropy_loss(temperature: float = 1.0) -> TrainLoss:
         seed = (exps / total * mass - targets) / (n * temperature)
         return value, seed
 
-    def tensor_fn(logits: Tensor, targets: np.ndarray) -> Tensor:
-        return soft_cross_entropy(logits, targets, temperature=temperature)
-
-    return TrainLoss(f"soft_cross_entropy@T={temperature}", value_and_seed, tensor_fn)
+    return TrainLoss(f"soft_cross_entropy@T={temperature}", value_and_seed)
 
 
 def _mse_seed(predictions: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
@@ -130,7 +123,7 @@ def _mse_seed(predictions: np.ndarray, targets: np.ndarray) -> tuple[float, np.n
     return value, diff * (2.0 / diff.size)
 
 
-MSE = TrainLoss("mse", _mse_seed, mse)
+MSE = TrainLoss("mse", _mse_seed)
 
 
 class TrainingEngine(PlanEngine):

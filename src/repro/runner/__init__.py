@@ -3,8 +3,8 @@
 Every table/figure decomposes into addressable :class:`WorkUnit`\\ s
 (per dataset x defense x attack x seed-chunk).  The :class:`Runner`
 executes them under a :class:`FailurePolicy` — bounded retries, wall-clock
-budgets, and a degradation ladder that re-runs guard-tripped units on the
-float64 autograd fallback — journaling each terminal outcome to an
+budgets, and a degradation ladder that re-runs guard-tripped units on
+fresh float64 plan engines — journaling each terminal outcome to an
 append-only crash-safe :class:`Ledger`.  A killed run resumes by replaying
 the ledger: completed units are never re-executed, and finished tables
 report per-cell coverage instead of dying on the first bad unit.

@@ -56,7 +56,7 @@ class FailurePolicy:
     max_attempts: int = 3  # total attempts, including the first
     backoff_base: float = 0.0  # seconds; attempt k sleeps base * 2**(k-1)
     unit_budget_seconds: float | None = None  # wall-clock budget across attempts
-    degrade_on_numerical: bool = True  # guard trip -> float64 autograd retry
+    degrade_on_numerical: bool = True  # guard trip -> float64 engine retry
     # Guard enforcement while a unit runs: "enforce" traps NaN/Inf at the
     # engine boundary (so the ladder can catch it), "inherit" respects
     # $REPRO_VERIFY, "off" disables guards for the duration.

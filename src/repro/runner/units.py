@@ -30,8 +30,8 @@ class WorkUnit:
     apply.  ``fn`` computes the unit's JSON-able payload.  ``networks``
     (a tuple, or a zero-argument callable returning one, for networks that
     are themselves expensive to build) names the networks whose engines the
-    degradation ladder swaps for the float64 autograd fallback when a
-    numerical guard trips.  ``digest`` carries an input/RNG fingerprint
+    degradation ladder swaps for fresh float64 engines when a numerical
+    guard trips.  ``digest`` carries an input/RNG fingerprint
     that failure records preserve for post-mortems.
     """
 

@@ -29,7 +29,10 @@ Deadline propagation
     work — and bounds its wait on the backend ticket by the same budget.
     Either way the caller gets a ``shed`` response with
     ``reason="deadline"`` and the ``deadline_shed`` counter increments:
-    client and server agree on the outcome.
+    client and server agree on the outcome.  A ``deadline_s`` that is not
+    a finite number (a string, a bool, ``NaN``, ``Infinity``, ``1e400``)
+    is answered with a ``bad-payload`` error frame and the connection
+    closes.
 
 Server
     :class:`DCNServer` accepts any backend with ``submit(x) -> ticket``
@@ -49,6 +52,7 @@ import json
 import math
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -277,6 +281,21 @@ def write_frame(sock: socket.socket, kind: int, meta: dict, body: bytes = b"") -
 # ---------------------------------------------------------------------------
 
 
+def _budget(deadline_s) -> float:
+    """A request's ``deadline_s`` as seconds: finite JSON numbers only.
+
+    ``Infinity``, ``NaN``, ``1e400`` (which parses to ``inf``), strings,
+    lists and booleans are ``bad-payload``.
+    """
+    if (
+        isinstance(deadline_s, bool)
+        or not isinstance(deadline_s, (int, float))
+        or not abs(deadline_s) <= sys.float_info.max
+    ):
+        raise FrameError("bad-payload", f"deadline_s must be a finite number, got {deadline_s!r}")
+    return float(deadline_s)
+
+
 class DCNServer:
     """Serve a started :class:`DCNService`/:class:`ServePool` over TCP.
 
@@ -481,17 +500,17 @@ class DCNServer:
         with self._lock:
             ordinal = self._ordinal
             self._ordinal += 1
+        deadline_s = meta.get("deadline_s")
         try:
             arrays = decode_body(meta, body)
             x = arrays["x"]
+            budget = self.default_deadline_s if deadline_s is None else _budget(deadline_s)
         except (FrameError, KeyError) as exc:
             with self._lock:
                 self.frame_errors += 1
-            self._send_error(conn, "bad-payload", f"request body: {exc}", request_id)
+            self._send_error(conn, "bad-payload", f"request: {exc}", request_id)
             return False
 
-        deadline_s = meta.get("deadline_s")
-        budget = float(deadline_s) if deadline_s is not None else self.default_deadline_s
         # Deadline-aware admission: refuse dead work.  A request whose
         # budget is spent, or whose estimated queued wait (the SLO cost
         # model) already exceeds it, sheds *before* touching the backend.
@@ -520,7 +539,8 @@ class DCNServer:
                 ServeResult(status="shed", reason=f"unavailable: {exc}"),
                 retryable=True,
             )
-        wait_budget = max(0.0, budget - (time.monotonic() - received))
+        # A finite budget can still exceed what a lock wait accepts.
+        wait_budget = min(max(0.0, budget - (time.monotonic() - received)), threading.TIMEOUT_MAX)
         try:
             result = ticket.wait(wait_budget)
         except TimeoutError:

@@ -88,7 +88,6 @@ def train_network(
     network: Network,
     dataset: Dataset,
     config: ModelConfig,
-    verbose: bool = False,
     train_dtype: str = "float32",
 ) -> float:
     """Train ``network`` on the dataset's training split; returns test accuracy.
@@ -100,11 +99,7 @@ def train_network(
     rng = np.random.default_rng(config.seed + 1)
     optimizer = Adam(network.parameters(), lr=config.learning_rate)
     train_config = TrainConfig(
-        epochs=config.epochs,
-        batch_size=config.batch_size,
-        verbose=verbose,
-        lr_decay=0.92,
-        dtype=train_dtype,
+        epochs=config.epochs, batch_size=config.batch_size, lr_decay=0.92, dtype=train_dtype
     )
     fit(network, optimizer, dataset.x_train, dataset.y_train, train_config, rng)
     return network.accuracy(dataset.x_test, dataset.y_test)
@@ -126,7 +121,6 @@ def load_model(
     dataset: Dataset,
     model_name: str | None = None,
     cache: bool = True,
-    verbose: bool = False,
     train_dtype: str = "float32",
 ) -> Network:
     """Return a trained standard classifier for ``dataset`` (cached on disk)."""
@@ -135,7 +129,7 @@ def load_model(
     network = build_network(config, dataset.input_shape, 10)
 
     def build() -> dict[str, np.ndarray]:
-        train_network(network, dataset, config, verbose=verbose, train_dtype=train_dtype)
+        train_network(network, dataset, config, train_dtype=train_dtype)
         return network.state()
 
     if cache:
@@ -146,7 +140,7 @@ def load_model(
     return network
 
 
-def model_for_dataset(name: str, verbose: bool = False) -> tuple[Dataset, Network]:
+def model_for_dataset(name: str) -> tuple[Dataset, Network]:
     """Convenience: load the named dataset and its trained standard model."""
     dataset = load_dataset(name)
-    return dataset, load_model(dataset, verbose=verbose)
+    return dataset, load_model(dataset)

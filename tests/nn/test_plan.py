@@ -106,7 +106,7 @@ class TestParameterInvalidation:
             SGD(network.parameters(), lr=0.1),
             x,
             y,
-            TrainConfig(epochs=2, batch_size=8, verbose=False),
+            TrainConfig(epochs=2, batch_size=8),
             np.random.default_rng(0),
         )
         assert network.parameters()[0].data.dtype == np.float64

@@ -1,56 +1,12 @@
-"""Tests for LR schedules, classification metrics and gradcheck utility."""
+"""Tests for classification metrics and the gradcheck utility."""
 
 import numpy as np
 import pytest
 
-from repro.nn import Dense, Network, SGD, ops
-from repro.nn.gradcheck import GradientCheckError, check_gradients
+from repro.nn import AvgPool2D, Conv2D, Dense, Flatten, Network, Tanh, ops
+from repro.nn.gradcheck import GradientCheckError, check_gradients, check_network_input_gradients
 from repro.nn.metrics import confusion_matrix, expected_calibration_error, per_class_accuracy
-from repro.nn.schedules import ConstantSchedule, CosineSchedule, StepSchedule, WarmupSchedule
 from repro.nn.tensor import Tensor
-
-
-class TestSchedules:
-    def test_constant(self):
-        assert ConstantSchedule(0.1).rate(99) == 0.1
-
-    def test_step(self):
-        schedule = StepSchedule(1.0, step=10, gamma=0.5)
-        assert schedule.rate(0) == 1.0
-        assert schedule.rate(10) == 0.5
-        assert schedule.rate(25) == 0.25
-
-    def test_cosine_endpoints(self):
-        schedule = CosineSchedule(1.0, epochs=100, min_lr=0.1)
-        assert schedule.rate(0) == pytest.approx(1.0)
-        assert schedule.rate(100) == pytest.approx(0.1)
-        assert schedule.rate(50) == pytest.approx(0.55)
-
-    def test_cosine_monotone_decreasing(self):
-        schedule = CosineSchedule(1.0, epochs=50)
-        rates = [schedule.rate(e) for e in range(51)]
-        assert all(a >= b for a, b in zip(rates, rates[1:]))
-
-    def test_warmup_ramps_then_delegates(self):
-        schedule = WarmupSchedule(ConstantSchedule(1.0), warmup=4)
-        assert schedule.rate(0) == pytest.approx(0.25)
-        assert schedule.rate(3) == pytest.approx(1.0)
-        assert schedule.rate(10) == 1.0
-
-    def test_apply_sets_optimizer_lr(self):
-        rng = np.random.default_rng(0)
-        net = Network([Dense(2, 2, rng)], (2,))
-        opt = SGD(net.parameters(), lr=123.0)
-        StepSchedule(1.0, step=5).apply(opt, epoch=7)
-        assert opt.lr == pytest.approx(0.1)
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            ConstantSchedule(0.0)
-        with pytest.raises(ValueError):
-            StepSchedule(1.0, step=0)
-        with pytest.raises(ValueError):
-            WarmupSchedule(ConstantSchedule(1.0), warmup=0)
 
 
 class TestMetrics:
@@ -105,3 +61,33 @@ class TestGradcheckUtility:
 
     def test_positive_option(self):
         check_gradients(ops.log, [(5,)], positive=True)
+
+    @staticmethod
+    def _conv_tanh_pool_dense():
+        rng = np.random.default_rng(0)
+        return Network(
+            [Conv2D(1, 2, 3, rng, padding=1), Tanh(), AvgPool2D(2), Flatten(), Dense(8, 3, rng)],
+            (1, 4, 4),
+        )
+
+    def test_network_input_gradients_pass_on_float64_stack(self):
+        x = np.random.default_rng(1).normal(size=(2, 1, 4, 4))
+        seed = np.random.default_rng(2).normal(size=(2, 3))
+        check_network_input_gradients(self._conv_tanh_pool_dense(), x)
+        check_network_input_gradients(self._conv_tanh_pool_dense(), x, seed=seed)
+
+    def test_network_input_gradients_catch_wrong_layer_backward(self, monkeypatch):
+        network = self._conv_tanh_pool_dense()
+
+        def broken(x, training):
+            out = ops.tanh(x)
+
+            def bad_backward(grad):
+                x._accumulate(grad * (1.0 - out.data**2) * 0.5)  # half the true gradient
+
+            return Tensor._from_op(out.data, (x,), bad_backward)
+
+        monkeypatch.setattr(network.layers[1], "forward", broken)
+        x = np.random.default_rng(1).normal(size=(2, 1, 4, 4))
+        with pytest.raises(GradientCheckError):
+            check_network_input_gradients(network, x)

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.nn import CROSS_ENTROPY, Adam, Dense, Network, ReLU, TrainConfig, fit
-from repro.nn.losses import one_hot, soft_cross_entropy
-from repro.nn.schedules import CosineSchedule, StepSchedule
+from repro.nn import Adam, Dense, Network, ReLU, TrainConfig, fit, soft_cross_entropy_loss
+from repro.nn.losses import one_hot
+
+from .test_train_engine import autograd_fit
 
 
 def _two_blob_data(n=200, seed=0):
@@ -38,11 +39,9 @@ class TestFit:
         history = fit(
             net, Adam(net.parameters()), x, y,
             TrainConfig(epochs=5, batch_size=16), np.random.default_rng(0),
-            x_val=x, y_val=y,
         )
         assert len(history.loss) == 5
         assert len(history.accuracy) == 5
-        assert len(history.val_accuracy) == 5
         assert history.seconds > 0
 
     def test_length_mismatch_rejected(self):
@@ -60,7 +59,7 @@ class TestFit:
         fit(
             net, Adam(net.parameters(), lr=0.01), x, soft,
             TrainConfig(epochs=20, batch_size=32), np.random.default_rng(0),
-            loss_fn=lambda logits, targets: soft_cross_entropy(logits, targets),
+            loss=soft_cross_entropy_loss(),
         )
         assert net.accuracy(x, y) > 0.9
 
@@ -92,14 +91,14 @@ class TestFit:
         assert net.train_engine.counters.batches > 0
 
     def test_engine_and_autograd_agree_seed_for_seed(self):
-        """float64 engine fit reproduces the legacy autograd fit exactly."""
+        """float64 engine fit reproduces the float64 autograd fit exactly."""
         x, y = _two_blob_data(60)
         outputs = []
-        for engine in (True, False):
+        for train in (fit, autograd_fit):
             net = _make_net(seed=3)
-            fit(
+            train(
                 net, Adam(net.parameters(), lr=0.01), x, y,
-                TrainConfig(epochs=3, batch_size=16, dtype="float64", engine=engine),
+                TrainConfig(epochs=3, batch_size=16, dtype="float64"),
                 np.random.default_rng(5),
             )
             outputs.append(net.logits(x[:5]))
@@ -108,27 +107,16 @@ class TestFit:
     def test_float32_engine_matches_autograd_accuracy(self):
         x, y = _two_blob_data()
         accuracies = []
-        for engine in (True, False):
+        for train in (fit, autograd_fit):
             net = _make_net(seed=1)
-            fit(
+            train(
                 net, Adam(net.parameters(), lr=0.01), x, y,
-                TrainConfig(epochs=30, batch_size=32, engine=engine),
+                TrainConfig(epochs=30, batch_size=32),
                 np.random.default_rng(1),
             )
             accuracies.append(net.accuracy(x, y))
         assert accuracies[0] > 0.95
         assert abs(accuracies[0] - accuracies[1]) <= 0.02
-
-    def test_explicit_train_loss_without_engine(self):
-        """A TrainLoss passed with engine=False must use its autograd form."""
-        x, y = _two_blob_data(50)
-        net = _make_net(seed=2)
-        history = fit(
-            net, Adam(net.parameters(), lr=0.01), x, y,
-            TrainConfig(epochs=5, batch_size=16, engine=False), np.random.default_rng(0),
-            loss=CROSS_ENTROPY,
-        )
-        assert history.loss[-1] < history.loss[0]
 
 
 class TestSchedules:
@@ -142,33 +130,3 @@ class TestSchedules:
         assert len(history.epoch_seconds) == 4
         assert all(s > 0 for s in history.epoch_seconds)
         assert sum(history.epoch_seconds) <= history.seconds
-
-    def test_step_schedule_drives_lr(self):
-        x, y = _two_blob_data(40)
-        net = _make_net()
-        opt = Adam(net.parameters(), lr=0.01)
-        schedule = StepSchedule(0.01, step=2, gamma=0.1)
-        fit(net, opt, x, y, TrainConfig(epochs=4, schedule=schedule), np.random.default_rng(0))
-        assert opt.lr == pytest.approx(schedule.rate(4))
-
-    def test_callable_schedule_drives_lr(self):
-        x, y = _two_blob_data(40)
-        net = _make_net()
-        opt = Adam(net.parameters(), lr=0.01)
-        fit(
-            net, opt, x, y,
-            TrainConfig(epochs=3, schedule=lambda epoch: 0.01 / (1 + epoch)),
-            np.random.default_rng(0),
-        )
-        assert opt.lr == pytest.approx(0.01 / 4)
-
-    def test_cosine_schedule_converges(self):
-        x, y = _two_blob_data()
-        net = _make_net()
-        opt = Adam(net.parameters(), lr=0.01)
-        fit(
-            net, opt, x, y,
-            TrainConfig(epochs=30, batch_size=32, schedule=CosineSchedule(0.01, epochs=30, min_lr=1e-4)),
-            np.random.default_rng(1),
-        )
-        assert net.accuracy(x, y) > 0.95

@@ -53,6 +53,28 @@ def autograd_step(network, x, targets, loss_fn):
     return float(loss.data), [np.array(p.grad, dtype=np.float64) for p in network.parameters()]
 
 
+def autograd_fit(network, optimizer, x, y, config, rng, loss_fn=losses.cross_entropy):
+    """:func:`repro.nn.fit` run through the float64 autograd graph.
+
+    The same shuffle, batching and optimiser steps as ``fit`` at a
+    constant learning rate, one :func:`autograd_step` per batch; returns
+    the per-epoch mean losses.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    indices = np.arange(len(x))
+    epoch_losses = []
+    for _ in range(config.epochs):
+        rng.shuffle(indices)
+        total = 0.0
+        for begin in range(0, len(x), config.batch_size):
+            batch = indices[begin : begin + config.batch_size]
+            value, _ = autograd_step(network, x[batch], y[batch], loss_fn)
+            optimizer.step()
+            total += value * len(batch)
+        epoch_losses.append(total / len(x))
+    return epoch_losses
+
+
 def relative_error(a, b):
     scale = max(1.0, float(np.abs(b).max()))
     return float(np.abs(np.asarray(a, dtype=np.float64) - b).max()) / scale

@@ -7,8 +7,8 @@ Three properties anchor the fault-injection harness:
 (b) **No re-execution** — resume after a crash/interrupt never re-executes
     a ledgered unit.
 (c) **Degradation ladder** — a guard trip (NaN gradient) retries the unit
-    on the float64 autograd fallback, whose result agrees with the healthy
-    fused path within the cross-engine verifier's budget.
+    on fresh float64 plan engines, whose result agrees with the healthy
+    float32 path within the cross-engine verifier's budget.
 """
 
 import numpy as np
@@ -110,9 +110,9 @@ def _grad_network():
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(0, 1_000))
 def test_guard_trip_degrades_to_float64_fallback(seed):
-    """Property (c): a NaN gradient trips the guard, the unit retries on the
-    autograd fallback, and the fallback agrees with the healthy fused path
-    within the verifier's float32 budget."""
+    """Property (c): a NaN gradient trips the guard, the unit retries on
+    the float64 engines, and their result agrees with the healthy float32
+    path within the verifier's float32 budget."""
     network = _grad_network()
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(5, 1, 4, 4))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Adam, Dense, Flatten, Network, TrainConfig, fit
+from repro.nn import Adam, Dense, Flatten, Network, TrainConfig, TrainingEngine, fit
 
 
 def _problem():
@@ -14,25 +14,33 @@ def _problem():
     return network, x, y
 
 
-@pytest.mark.parametrize("engine", [True, False])
-def test_interrupt_mid_fit_flushes_partial_history(engine):
+@pytest.mark.parametrize("mid_epoch", [True, False])
+def test_interrupt_mid_fit_flushes_partial_history(monkeypatch, mid_epoch):
     network, x, y = _problem()
     interrupt_at = 2
+    batches_per_epoch = 2
+    calls = []
+    train_batch = TrainingEngine.train_batch
 
-    def schedule(epoch):
-        if epoch == interrupt_at:
+    def interrupting(self, *args, **kwargs):
+        # Interrupt at epoch `interrupt_at`'s first batch, or its second.
+        if len(calls) == interrupt_at * batches_per_epoch + int(mid_epoch):
             raise KeyboardInterrupt("simulated SIGINT")
-        return 1e-3
+        calls.append(None)
+        return train_batch(self, *args, **kwargs)
 
-    config = TrainConfig(epochs=10, batch_size=32, schedule=schedule, engine=engine)
+    monkeypatch.setattr(TrainingEngine, "train_batch", interrupting)
+    config = TrainConfig(epochs=10, batch_size=len(x) // batches_per_epoch)
     with pytest.raises(KeyboardInterrupt) as excinfo:
         fit(network, Adam(network.parameters(), lr=1e-3), x, y, config, np.random.default_rng(1))
 
     history = excinfo.value.partial_history
     assert history.interrupted is True
-    assert len(history.loss) == interrupt_at  # completed epochs flushed
+    assert len(history.loss) == interrupt_at  # completed epochs only
     assert len(history.epoch_seconds) == interrupt_at
     assert history.seconds > 0.0
+    # The float32 parameter binding unwound with the interrupt.
+    assert all(p.data.dtype == np.float64 for p in network.parameters())
 
 
 def test_uninterrupted_fit_is_not_marked():

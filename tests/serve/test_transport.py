@@ -5,6 +5,7 @@ labels, a shed/degraded result, or a structured error — never a hang —
 under every deterministic transport fault the chaos harness can fire.
 """
 
+import json
 import socket
 import threading
 import time
@@ -336,6 +337,46 @@ class TestDeadlinePropagation:
                 sock.close()
                 assert server.counters.deadline_shed == 1
                 assert service.counters.requests == 0
+
+    @pytest.mark.parametrize(
+        "raw", ['"abc"', "[1]", "true", "Infinity", "-Infinity", "1e400", "NaN"]
+    )
+    def test_malformed_deadline_is_bad_payload(self, tiny_correct, tiny_dcn, raw):
+        _, x, _ = tiny_correct
+        # Spliced in as raw JSON text: json.dumps cannot write 1e400.
+        meta = {"id": 1, "deadline_s": "<deadline>"}
+        body = encode_body(meta, x=x[:1])
+        meta_bytes = json.dumps(meta).replace('"<deadline>"', raw).encode()
+        header = _HEADER.pack(
+            PROTOCOL_MAGIC, PROTOCOL_VERSION, KIND_REQUEST, len(meta_bytes), len(body)
+        )
+        with DCNService(tiny_dcn, max_batch=8) as service:
+            with DCNServer(service) as server:
+                sock = socket.create_connection(server.address, timeout=5.0)
+                sock.settimeout(5.0)
+                sock.sendall(header + meta_bytes + body)
+                kind, reply, _ = read_frame(sock)
+                assert kind == KIND_ERROR
+                assert reply["code"] == "bad-payload"
+                assert reply["id"] == 1
+                assert read_frame(sock) is None  # then the server closes
+                sock.close()
+                assert server.frame_errors == 1
+                assert service.counters.requests == 0
+
+    def test_huge_finite_deadline_is_served(self, tiny_correct, tiny_dcn):
+        _, x, _ = tiny_correct
+        with DCNService(tiny_dcn, max_batch=8, max_delay=0.0) as service:
+            with DCNServer(service) as server:
+                sock = socket.create_connection(server.address, timeout=5.0)
+                sock.settimeout(5.0)
+                meta = {"id": 2, "deadline_s": 1e300}
+                write_frame(sock, KIND_REQUEST, meta, encode_body(meta, x=x[:2]))
+                kind, reply, body = read_frame(sock)
+                sock.close()
+        assert kind == KIND_RESPONSE
+        assert reply["status"] == "ok"
+        np.testing.assert_array_equal(decode_body(reply, body)["labels"], tiny_dcn.classify(x[:2]))
 
 
 class TestTransportChaos:

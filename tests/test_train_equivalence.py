@@ -4,7 +4,8 @@ PR 3 moved every training loop onto the fused float32 TrainingEngine.
 These tests pin the two guarantees that made that switch safe:
 
 * **equivalence** — models trained on the float32 engine reach the same
-  final accuracy as the float64 autograd path (seeds held fixed);
+  final accuracy as float64 training — the float64 engine, and float64
+  autograd for the detector MLP (seeds held fixed);
 * **cache compatibility** — float64-trained artifacts keep their
   pre-engine cache keys, so weights cached before the switch still load
   byte-identically, while the float32 default forks new entries.
@@ -21,6 +22,7 @@ from repro.datasets import load_dataset
 from repro.defenses.distillation import train_distilled
 from repro.nn import Adam, TrainConfig, fit
 from repro.zoo import MODEL_CONFIGS, _dtype_key, build_network, load_model, train_network
+from tests.nn.test_train_engine import autograd_fit
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +66,7 @@ class TestDistillationEquivalence:
 
 class TestDetectorEquivalence:
     def test_detector_mlp_trains_identically_under_engine(self):
-        """The detector's 2-layer MLP path: float32 engine vs autograd."""
+        """The detector's 2-layer MLP path: float32 engine vs float64 autograd."""
         rng = np.random.default_rng(0)
         benign = rng.normal(0.0, 1.0, size=(300, 10))
         benign[np.arange(300), rng.integers(0, 10, 300)] += 10.0
@@ -72,19 +74,19 @@ class TestDetectorEquivalence:
         features = np.sort(np.concatenate([benign, adversarial]), axis=-1)
         labels = np.concatenate([np.full(300, BENIGN), np.full(300, ADVERSARIAL)])
         accuracies = {}
-        for engine in (True, False):
+        for train in (fit, autograd_fit):
             network = build_detector_network()
-            fit(
+            train(
                 network,
                 Adam(network.parameters(), lr=1e-2),
                 features,
                 labels,
-                TrainConfig(epochs=60, batch_size=64, engine=engine),
+                TrainConfig(epochs=60, batch_size=64),
                 np.random.default_rng(1),
             )
-            accuracies[engine] = network.accuracy(features, labels)
-        assert accuracies[True] > 0.95
-        assert abs(accuracies[True] - accuracies[False]) <= 0.02
+            accuracies[train] = network.accuracy(features, labels)
+        assert accuracies[fit] > 0.95
+        assert abs(accuracies[fit] - accuracies[autograd_fit]) <= 0.02
 
 
 class TestCacheCompatibility:
