@@ -18,6 +18,11 @@ Run as a script::
     PYTHONPATH=src python benchmarks/bench_grad_throughput.py --out bench.json
     PYTHONPATH=src python benchmarks/bench_grad_throughput.py --smoke
 
+``per_op_ms`` breaks the ``cnn-fast`` margin-gradient plan (the CW-L2
+inner loop's forward + backward) down by plan step, at the attack's 3-row
+batch and a 64-row one: forward and backward milliseconds per step, timed
+in one loop so the steps sum to ``per_op_total_ms``.
+
 The acceptance bar from the gradient-engine refactor: the engine must beat
 legacy by >= 1.5x on ``cw-l2-inner`` and ``jacobian``.  ``--smoke`` runs a
 tiny configuration for CI wiring and does not enforce the bar.
@@ -40,9 +45,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np
 
 from bench_common import bench_context, dataset_fingerprint, write_payload
+from bench_plan_throughput import step_name
 from repro.attacks.cw import _margin_loss, _to_w
 from repro.nn import GradientEngine, Tensor, losses, ops
+from repro.nn.grad_engine import margin_seed
 from repro.zoo import model_for_dataset
+
+
+# 64-row plan walks per per-op repeat; the 3-row batch takes ten times as many.
+OP_CALLS = 40
 
 
 def timeit(fn, repeats):
@@ -111,10 +122,44 @@ def engine_cw_inner(engine, x, target_labels, c, iterations):
     return w
 
 
+def per_op_ms(engine, x, target_labels, calls: int, repeats: int) -> dict:
+    """Forward and backward milliseconds per step of one margin-gradient plan.
+
+    Best of ``repeats`` means over ``calls``.  Each call walks the plan as
+    ``run_forward`` and ``run_backward`` do: every step's ``step`` in
+    order, the margin seed, then every ``back_step`` in reverse, so each
+    step reads what its neighbour just wrote.
+    """
+    x = np.ascontiguousarray(x, dtype=engine.dtype)
+    plan = engine._plan_for(x.shape)
+    steps = plan.steps
+    best = {"forward": [float("inf")] * len(steps), "backward": [float("inf")] * len(steps)}
+    for _ in range(repeats):
+        totals = {"forward": [0.0] * len(steps), "backward": [0.0] * len(steps)}
+        for _ in range(calls):
+            buf = x
+            for index, op in enumerate(steps):
+                start = time.perf_counter()
+                buf = op.step(buf)
+                totals["forward"][index] += time.perf_counter() - start
+            np.copyto(plan._seed, margin_seed(buf, target_labels)[0])
+            grad = plan._seed
+            for index in reversed(range(len(steps))):
+                start = time.perf_counter()
+                grad = steps[index].back_step(grad)
+                totals["backward"][index] += time.perf_counter() - start
+        for phase, times in totals.items():
+            best[phase] = [min(b, t / calls * 1e3) for b, t in zip(best[phase], times)]
+    return {
+        phase: {step_name(i, op): ms for i, (op, ms) in enumerate(zip(steps, times))}
+        for phase, times in best.items()
+    }
+
+
 # -- benchmark ------------------------------------------------------------------
 
 
-def run(n_examples: int, cw_examples: int, cw_iterations: int, repeats: int) -> dict:
+def run(n_examples: int, cw_examples: int, cw_iterations: int, repeats: int, op_calls: int) -> dict:
     dataset, model = model_for_dataset("mnist-fast")
     rng = np.random.default_rng(0)
     x = dataset.x_test[:n_examples]
@@ -163,6 +208,14 @@ def run(n_examples: int, cw_examples: int, cw_iterations: int, repeats: int) -> 
         entry["speedup"] = entry["legacy"]["seconds"] / entry["engine"]["seconds"]
         results[name] = entry
 
+    # A CW-L2 attack on one image and three targets runs 3 rows; 64 is a
+    # full bucket.
+    ops_ms = {}
+    for rows, calls in ((3, 10 * op_calls), (64, op_calls)):
+        x_ops = dataset.x_test[:rows]
+        targets_ops = (dataset.y_test[:rows] + 1) % num_classes
+        ops_ms[f"rows_{rows}"] = per_op_ms(engine, x_ops, targets_ops, calls, repeats)
+
     # Numerical sanity alongside the throughput claim.
     reference = legacy_cross_entropy_grad(model, x, labels)
     f32 = engine.cross_entropy_input_grad(x, labels)
@@ -178,6 +231,7 @@ def run(n_examples: int, cw_examples: int, cw_iterations: int, repeats: int) -> 
             cw_examples=len(x_cw),
             cw_iterations=cw_iterations,
             repeats=repeats,
+            op_calls=op_calls,
         ),
         "dataset": dataset.name,
         "examples": len(x),
@@ -185,6 +239,11 @@ def run(n_examples: int, cw_examples: int, cw_iterations: int, repeats: int) -> 
         "cw_iterations": cw_iterations,
         "repeats": repeats,
         "results": results,
+        "per_op_ms": ops_ms,
+        "per_op_total_ms": {
+            rows: {phase: sum(steps.values()) for phase, steps in phases.items()}
+            for rows, phases in ops_ms.items()
+        },
         "f32_max_rel_error": float(np.abs(f32.astype(np.float64) - reference).max() / scale),
         "grad_counters": engine.counters.as_dict(),
         "meets_1p5x_bar": bool(bar),
@@ -209,7 +268,8 @@ def main(argv=None) -> int:
     if min(args.examples, args.cw_examples, args.cw_iterations, args.repeats) < 1:
         parser.error("--examples/--cw-examples/--cw-iterations/--repeats must be >= 1")
 
-    payload = run(args.examples, args.cw_examples, args.cw_iterations, args.repeats)
+    op_calls = 2 if args.smoke else OP_CALLS
+    payload = run(args.examples, args.cw_examples, args.cw_iterations, args.repeats, op_calls)
     text = json.dumps(payload, indent=2)
     print(text)
     if args.out:

@@ -24,8 +24,9 @@ Row-padded convolution
     Convolution copies each image's window columns out of a padded frame
     bound at compile time, every row one contiguous run of the frame, a
     cache-sized block of images at a time; the input gradient is the
-    per-image ``Wᵀ @ grad`` followed by a col2im of ``k·k``
-    contiguous-run adds, so steady-state attack iterations spend their
+    per-image ``Wᵀ @ grad`` on ``(kh, kw, c)``-ordered weight rows
+    followed by a col2im of ``k·k`` adds per block, each one long run
+    over every channel, so steady-state attack iterations spend their
     time inside BLAS matmuls, not index arithmetic.
 
 ``engine.counters`` counts public gradient calls as ``requests`` and seeded

@@ -4,16 +4,16 @@ Before the plan compiler (:mod:`repro.nn.plan`) existed, the inference,
 gradient and training engines each carried a private copy of the kernel
 plumbing: the col2im scatter-add, the pool window views, the per-layer
 closure kernels.  A conv fix had to land three times.  This module is the
-single home for that machinery:
+single home for the stateless part of that machinery:
 
-Window views and slab col2im
+Window views
     :func:`window_view` is the one ``as_strided`` construction behind the
-    compiled conv lowering: a
-    ``(N, C, k, k, out_h, span)`` view of a frame whose channels are laid
-    out row-major.  :func:`col2im` scatter-adds window columns back through
-    a writeable such view, one ``(kh, kw)`` slab at a time, into a
-    preallocated buffer, so the plans run their backward without
-    allocating per call.
+    compiled conv lowering: a ``(N, C, k, k, out_h, span)`` view of a
+    frame whose channels are laid out row-major.  The conv's forward
+    copies its columns out through such a view; at stride > 1 its
+    backward scatter-adds the input gradient back through a writeable one
+    (the col2im itself lives in :class:`repro.nn.plan._ConvOp`, whose add
+    pairs are bound at compile time).
 
 Per-call reference kernels
     :func:`build_percall_infer_kernels` reproduces the pre-plan
@@ -39,7 +39,6 @@ from .norm import _BatchNormBase
 from .ops import im2col, stable_sigmoid
 
 __all__ = [
-    "col2im",
     "window_view",
     "conv_output_size",
     "bn_eval_scale_shift",
@@ -80,23 +79,6 @@ def window_view(
         strides=frame.strides[:2] + (row * item, item, stride * row * item, stride * item),
         writeable=writeable,
     )
-
-
-def col2im(cols: np.ndarray, windows: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Scatter-add window columns back into ``out`` through its window view.
-
-    ``windows`` is a writeable :func:`window_view` of ``out`` and ``cols``
-    any array reshapable to its shape (per image, the ``(C·k·k,
-    positions)`` column block).  ``out`` is zeroed, then each ``(kh, kw)``
-    slab is one add, in ``(kh, kw)`` order.
-    """
-    out.fill(0.0)
-    cols6 = cols.reshape(windows.shape)
-    kernel = windows.shape[2]
-    for i in range(kernel):
-        for j in range(kernel):
-            windows[:, :, i, j] += cols6[:, :, i, j]
-    return out
 
 
 def bn_eval_scale_shift(layer: _BatchNormBase) -> tuple[np.ndarray, np.ndarray]:

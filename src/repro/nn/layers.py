@@ -151,7 +151,11 @@ class AvgPool2D(Layer):
         return ops.avg_pool2d(x, self.size)
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
+        # Raised here, not only in the autograd op, so every shape walk (a
+        # plan compile, Network.output_shape) rejects a floor-dividing pool.
         c, h, w = input_shape
+        if h % self.size or w % self.size:
+            raise ValueError(f"spatial dims {(h, w)} not divisible by pool size {self.size}")
         return (c, h // self.size, w // self.size)
 
 

@@ -42,10 +42,12 @@ Geometry bound once
     contiguous run of the frame.  ``W @ cols`` then writes a ``(n, c_out,
     oh, wp)`` buffer whose ``[..., :ow]`` view is the layer's output: no
     index gather, no layout transpose, and the bias is a broadcast add.
-    The backward scatters the output gradient into a buffer whose junk
-    columns stay zero, so its ``col2im`` is ``k·k`` contiguous-run adds.
-    Pool selection masks and flatten shapes are likewise resolved at
-    compile time, keyed by the concrete batch shape.
+    The backward lays the output gradient into a buffer whose junk
+    columns stay zero and runs ``Wᵀ @ g`` on weight rows permuted to
+    ``(kh, kw, c)`` order, so its col2im is ``k·k`` adds per image block,
+    each one long run covering every channel; the ``(dst, src)`` pairs
+    are bound here.  Pool selection masks and flatten shapes are likewise
+    resolved at compile time, keyed by the concrete batch shape.
 
 Cache-sized blocks
     A conv lowers a few images at a time: each block's columns fit
@@ -73,10 +75,14 @@ Numerical parity is load-bearing and measured, not assumed, because BLAS
 picks its kernels by shape.  ``matmul(out=)`` + in-place bias add is
 bitwise ``x @ w + b``; avg-pool backward keeps the legacy fill-then-divide;
 max pooling is an exact selection, and its backward routes each window's
-gradient to the first maximal element, as ``argmax`` would.  The
-row-padded ``W @ cols`` hands BLAS the legacy ``cols @ w_mat.T`` product
-with its operand roles swapped and, at stride 1, junk columns appended;
-junk never feeds a valid output, and the backward adds only zeros from it.
+gradient to the first maximal element, as ``argmax`` would, bits and all
+(``-0.0`` and NaN included).  The row-padded ``W @ cols`` hands BLAS the
+legacy ``cols @ w_mat.T`` product with its operand roles swapped and, at
+stride 1, junk columns appended; junk never feeds a valid output.  The
+input-gradient scatter adds each frame element's terms in ``(kh, kw)``
+order, as a zero-filled slab col2im would, plus only ``±0.0`` terms from
+junk columns and zero tails: a sum that starts at ``+0.0`` never holds
+``-0.0``, so they change no bit.
 On the zoo architectures (``cnn-fast``, ``cnn-fast-wide``, ``cnn-paper``)
 it rounds identically, so float32 and float64 logits are bitwise equal to
 the per-call reference (for ``n >= 2``, and on ``cnn-paper`` for ``n >=
@@ -98,7 +104,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..verify import guards
-from .kernels import bn_eval_scale_shift, col2im, conv_output_size, window_view
+from .kernels import bn_eval_scale_shift, conv_output_size, window_view
 from .layers import AvgPool2D, Conv2D, Dense, Dropout, Flatten, MaxPool2D, ReLU, Sigmoid, Tanh
 from .norm import _BatchNormBase
 from .ops import stable_sigmoid
@@ -473,21 +479,49 @@ class _ConvOp(_Op):
             cols = self.cols[: rows.stop - rows.start]
             windows = self.windows[rows]
             self.blocks.append((rows, self.interior[rows], windows, cols, cols.reshape(windows.shape)))
-        self.gwhole = self.gcols = self.gframe = self.gin = self.wprods = None
+        self.gwhole = self.gcols = self.gframe = self.gin = self.wperm = self.wprods = None
         self.gblocks = []
         if mode != "infer":
             # Only the [..., :ow] view is ever written, so the junk columns
             # of the output gradient stay zero and add nothing below.
             self.gwhole = np.zeros_like(self.whole)
-            if not (mode == "train" and first):
-                self.gcols = np.empty_like(self.cols)
-                self.gframe = np.empty(frame_shape, dtype=dtype)
-                gwindows = window_view(self.gframe, k, s, self.oh, span, wp, writeable=True)
-                self.gin = interior(self.gframe)
-                self.gblocks = [
-                    (rows, self.gcols[: rows.stop - rows.start], gwindows[rows], self.gframe[rows])
-                    for rows in spans
-                ]
+        if mode != "infer" and not (mode == "train" and first):
+            # The input-gradient scatter.  Wᵀ @ g runs on weight rows
+            # permuted to (kh, kw, c) order, so one (kh, kw) slab of all
+            # channels is one stretch of gcols.  At stride 1 each channel's
+            # row is a whole frame long: the matmul writes its first oh·wp
+            # positions and the tail stays zero, so slab (i, j) adds onto a
+            # block's frames, flat, as one run per image starting at
+            # i·wp + j.  A tail lands on the next image's first elements,
+            # or on `slack` past the last, as +0.0 terms.  The next block
+            # zeroes its frames before its own adds, and gframe starts at
+            # zero, so no tail ever meets uninitialised memory.  At
+            # stride > 1 a slab adds through the frames' window view.
+            image = c * frame_shape[-1]  # one image's frames, flat
+            row = frame_shape[-1] if s == 1 else positions
+            slack = row - positions
+            self.wperm = np.empty((self.c_out, k, k, c), dtype=dtype)
+            self.gcols = np.zeros((len(self.cols), k * k * c, row), dtype=dtype)
+            self.gframe = np.zeros(n * image + slack, dtype=dtype)
+            frames = self.gframe[: n * image].reshape(frame_shape)
+            self.gin = interior(frames)
+            gwindows = window_view(frames, k, s, self.oh, span, wp, writeable=True)
+            # Per block, bound once: its rows, the matmul's target, the
+            # frames it zeroes and its (dst, src) slab adds in (kh, kw) order.
+            for rows in spans:
+                gcols = self.gcols[: rows.stop - rows.start]
+                slabs = gcols.reshape(len(gcols), k * k, c * row)
+                first_image = rows.start * image
+                pairs = []
+                for index, (i, j) in enumerate(np.ndindex(k, k)):
+                    if s == 1:
+                        start = first_image + i * wp + j
+                        dst = self.gframe[start : start + len(gcols) * image].reshape(len(gcols), image)
+                    else:
+                        dst = gwindows[rows, :, i, j]
+                    pairs.append((dst, slabs[:, index].reshape(dst.shape)))
+                zeroed = self.gframe[first_image : rows.stop * image]
+                self.gblocks.append((rows, gcols[..., :positions], zeroed, pairs))
         if mode == "train":
             # A block's per-image weight-gradient products behind one
             # leading slot that carries the running sum (see _weight_grad).
@@ -539,10 +573,13 @@ class _ConvOp(_Op):
             self.accumulate(self.bias, g3.sum(axis=(0, 2)))
             if self.first:
                 return None
-        w_mat_t = self.cast(self.weight).reshape(self.c_out, -1).T
-        for rows, gcols, gwindows, gframe in self.gblocks:
-            np.matmul(w_mat_t, g3[rows], out=gcols)
-            col2im(gcols, gwindows, gframe)
+        np.copyto(self.wperm, self.cast(self.weight).transpose(0, 2, 3, 1))
+        w_perm_t = self.wperm.reshape(self.c_out, -1).T
+        for rows, gcols, gframe, pairs in self.gblocks:
+            np.matmul(w_perm_t, g3[rows], out=gcols)
+            gframe.fill(0.0)
+            for dst, src in pairs:
+                dst += src
         return self.gin
 
 
@@ -554,14 +591,17 @@ class _MaxPoolOp(_Op):
     element equals the window's max and no earlier position was taken.
     That is the first maximal element a reduction's ``argmax`` picks.  The
     masks are built here, not in the backward, because fused posts (eval
-    batch norm, ReLU, training dropout) overwrite ``out`` in place.
+    batch norm, ReLU, training dropout) overwrite ``out`` in place.  When
+    the windows tile the input, the backward writes each window position's
+    view of the input gradient once, as the cotangent's bits times the
+    mask in unsigned integers.
     """
 
     def __init__(self, layer_index, layer, n, in_shape, dtype, mode):
         super().__init__(layer_index)
         c, h, w = in_shape
         size, stride = layer.size, layer.stride
-        self.fast = stride == size and h % size == 0 and w % size == 0
+        aligned = stride == size and h % size == 0 and w % size == 0
         oh = conv_output_size(h, size, stride)
         ow = conv_output_size(w, size, stride)
         # One (rows, cols) slice per window position: each selects that
@@ -572,11 +612,18 @@ class _MaxPoolOp(_Op):
             for j in range(size)
         ]
         self.out = np.empty((n, c, oh, ow), dtype=dtype)
-        self.masks = self.free = self.gin = None
+        self.masks = self.free = self.gin = self.gin_bits = None
         if mode != "infer":
             self.masks = np.empty((size * size, n, c, oh, ow), dtype=bool)
             self.free = np.empty((n, c, oh, ow), dtype=bool)
             self.gin = np.empty((n, c, h, w), dtype=dtype)
+            if aligned:
+                # Aligned windows tile the input, so the backward writes each
+                # window position's view of the input gradient exactly once,
+                # through an unsigned-integer view of its bits.
+                self.bits = np.dtype(f"u{np.dtype(dtype).itemsize}")
+                gin_bits = self.gin.view(self.bits)
+                self.gin_bits = [gin_bits[:, :, rows, cols] for rows, cols in self.slices]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         # Max is an exact selection, so this is bitwise identical to the
@@ -599,17 +646,21 @@ class _MaxPoolOp(_Op):
         return self.out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        # Every input element starts at zero and receives its windows'
-        # gradients only where selected.  Aligned windows tile the input,
-        # so each slice is one masked copy; overlapping ones are masked
-        # adds in (kh, kw) order, the order of a zero-filled slab col2im.
+        if self.gin_bits is not None:
+            # The cotangent's bits times the 0/1 mask, in integers: exact
+            # for every value, so a selected element carries its cotangent
+            # (-0.0 and NaN included) and every other one is +0.0.  A float
+            # multiply would turn NaN · 0 into NaN.
+            grad_bits = grad.view(self.bits)
+            for view, mask in zip(self.gin_bits, self.masks):
+                np.multiply(grad_bits, mask, out=view)
+            return self.gin
+        # Overlapping windows: every input element starts at zero and adds
+        # its windows' gradients where selected, in (kh, kw) order.
         self.gin.fill(0.0)
         for (rows, cols), mask in zip(self.slices, self.masks):
             view = self.gin[:, :, rows, cols]
-            if self.fast:
-                np.copyto(view, grad, where=mask)
-            else:
-                np.add(view, grad, out=view, where=mask)
+            np.add(view, grad, out=view, where=mask)
         return self.gin
 
 

@@ -3,7 +3,21 @@
 import numpy as np
 import pytest
 
-from repro.nn import Adam, AvgPool2D, BatchNorm1D, BatchNorm2D, Dense, Flatten, Network, ReLU, TrainConfig, fit, ops
+from repro.nn import (
+    Adam,
+    AvgPool2D,
+    BatchNorm1D,
+    BatchNorm2D,
+    Dense,
+    Flatten,
+    GradientEngine,
+    InferenceEngine,
+    Network,
+    ReLU,
+    TrainConfig,
+    fit,
+    ops,
+)
 from repro.nn.gradcheck import check_gradients
 from repro.nn.tensor import Tensor
 
@@ -26,6 +40,22 @@ class TestAvgPool:
         assert layer.output_shape((3, 8, 8)) == (3, 4, 4)
         out = layer(Tensor(np.zeros((2, 3, 8, 8))))
         assert out.shape == (2, 3, 4, 4)
+
+    def test_indivisible_input_rejected_by_every_path(self):
+        # The shape walk used to floor 7 // 2 and fail later, inside a
+        # plan's reshape, with no hint of the cause.
+        rng = np.random.default_rng(0)
+        network = Network([AvgPool2D(2), Flatten(), Dense(9, 3, rng)], (1, 7, 7))
+        x = np.zeros((2, 1, 7, 7))
+        message = r"spatial dims \(7, 7\) not divisible by pool size 2"
+        with pytest.raises(ValueError, match=message):
+            network.output_shape
+        with pytest.raises(ValueError, match=message):
+            InferenceEngine(network).logits(x)
+        with pytest.raises(ValueError, match=message):
+            GradientEngine(network).cross_entropy_input_grad(x, np.zeros(2, dtype=int))
+        with pytest.raises(ValueError, match=message):
+            network.forward(Tensor(x))
 
 
 class TestBatchNorm2D:

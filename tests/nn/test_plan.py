@@ -324,16 +324,42 @@ class TestImageMajorConv:
             ("cnn-fast", "float64", 7, "3a0ab9e5910f02b5"),
             ("cnn-fast-wide", "float32", 2, "af5c9517da036bb1"),
             ("cnn-fast-wide", "float32", 7, "3d248b19b0786de1"),
+            ("cnn-paper-mnist", "float32", 2, "5ccaaeba117dcced"),
+            ("cnn-paper-mnist", "float32", 7, "238bcbd133e77c13"),
+            ("cnn-paper-cifar", "float32", 2, "30113fb576dc40b4"),
+            ("cnn-paper-cifar", "float32", 7, "2f8153a859cbabc5"),
         ],
     )
     def test_grad_input_gradients_pinned(self, name, dtype, n, digest):
         # Digests of the input gradients the row-major (gather + cols @ W.T)
-        # conv produced; the per-image W.T @ grad columns reproduce them.
+        # conv produced on the -fast nets, and the slab col2im on cnn-paper;
+        # the conv backward must round identically on every zoo shape.
         network, shape = _zoo_architecture(name)
         x = np.random.default_rng(0).uniform(size=(n,) + shape)
         engine = GradientEngine(network, dtype=np.dtype(dtype))
         grad = engine.cross_entropy_input_grad(x, np.arange(n) % 10)
         assert hashlib.sha256(np.ascontiguousarray(grad).tobytes()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize(
+        "name,n,digest",
+        [
+            ("cnn-fast", 7, "ff15bff0c4fcaffb"),
+            ("cnn-fast", 64, "03aab248a3dfd704"),
+            ("cnn-paper-mnist", 7, "d4fdb2c3b134bf97"),
+            ("cnn-paper-mnist", 64, "4b864571fa78aa15"),
+        ],
+    )
+    def test_train_parameter_gradients_pinned(self, name, n, digest):
+        # Every conv but the first backpropagates an input gradient through
+        # the scatter, so its producers' parameter gradients pin it too.
+        network, shape = _zoo_architecture(name)
+        x = np.random.default_rng(0).uniform(size=(n,) + shape)
+        network.zero_grad()
+        TrainingEngine(network, dtype=np.float32).train_batch(x, np.arange(n) % 10)
+        digest_of = hashlib.sha256()
+        for param in network.parameters():
+            digest_of.update(np.ascontiguousarray(param.grad).tobytes())
+        assert digest_of.hexdigest()[:16] == digest
 
     @pytest.mark.parametrize("mode", ["infer", "grad", "train"])
     def test_zero_rows_in_every_mode(self, mode):
@@ -400,8 +426,11 @@ class TestRowPaddedConv:
     @pytest.mark.parametrize("mode", ["infer", "grad"])
     def test_junk_columns_never_leak(self, mode):
         # Poison every junk column a compiled conv owns (and the frame tail
-        # its last junk columns read) with NaN: logits and input gradients
-        # must not move, and the output gradient's junk must stay zero.
+        # its last junk columns read) with NaN, and every gradient column
+        # the backward's matmul overwrites: logits and input gradients must
+        # not move, the output gradient's junk must stay zero, and so must
+        # the never-written zero tails of the gradient columns and the
+        # frame border.
         rng = np.random.default_rng(0)
         bn = BatchNorm2D(4)
         bn.running_mean = rng.normal(size=4)
@@ -425,13 +454,13 @@ class TestRowPaddedConv:
         poisoned = compile_plan(network, x.shape, np.float64, mode, cast)
         convs = [op for op in poisoned.steps if isinstance(op, _ConvOp)]
         for op in convs:
-            n, span, k = len(x), op.whole.shape[-1], op.windows.shape[2]
+            span, k = op.whole.shape[-1], op.windows.shape[2]
             assert span > op.ow
             op.frame[..., op.frame.shape[-1] - k + 1 :] = np.nan
             op.whole[..., op.ow :] = np.nan
-            for cols in (op.cols, op.gcols):
-                if cols is not None:
-                    cols.reshape(n, -1, op.oh, span)[..., op.ow :] = np.nan
+            op.cols.reshape(len(op.cols), -1, op.oh, span)[..., op.ow :] = np.nan
+            if op.gcols is not None:
+                op.gcols[..., : op.oh * span] = np.nan
         if mode == "infer":
             np.testing.assert_array_equal(poisoned.run(x), clean.run(x))
             return
@@ -444,7 +473,11 @@ class TestRowPaddedConv:
                 poisoned.run_backward(seed, generation), clean.run_backward(seed, want_generation)
             )
             for op in convs:
+                span, k = op.whole.shape[-1], op.windows.shape[2]
                 assert not op.gwhole[..., op.ow :].any()
+                assert not op.gcols[..., op.oh * span :].any()
+                op.interior[...] = 0.0  # the next forward refreshes it
+                assert not op.frame[..., : op.frame.shape[-1] - k + 1].any()
 
     @pytest.mark.parametrize("mode", ["infer", "grad", "train"])
     def test_conv_flatten_dense_without_pool(self, mode):
@@ -620,6 +653,26 @@ class TestMaskRoutedMaxPool:
         np.testing.assert_array_equal(input_grad, self._first_max_reference(x, seed, size, stride))
         # Each window routes exactly one gradient: totals are conserved.
         assert input_grad.sum() == seed.sum()
+
+    @pytest.mark.parametrize("mode", ["grad", "train"])
+    @pytest.mark.parametrize("dtype,bits", [(np.float32, np.uint32), (np.float64, np.uint64)])
+    def test_routing_carries_exact_cotangent_bits(self, dtype, bits, mode):
+        # The selected element of each window carries its cotangent's bits,
+        # -0.0 and NaN included, and every other element is +0.0.  Compared
+        # through an integer view: assert_array_equal treats -0.0 as 0.0.
+        shape = (3, 2, 6, 6)
+        x = np.random.default_rng(0).normal(size=shape).astype(dtype)
+        network = Network([MaxPool2D(2), Flatten()], shape[1:])
+        specials = np.array([-0.0, np.nan, np.inf, -np.inf, 0.0, 1.5, -2.25], dtype=dtype)
+        seed = np.resize(specials, (len(x), network.output_shape[0]))
+        _, input_grad, _ = _run_plan(network, x, mode, seed)
+        want = np.zeros_like(x)
+        cotangent = seed.reshape(len(x), 2, 3, 3)
+        for b, ch, r, q in np.ndindex(cotangent.shape):
+            window = x[b, ch, 2 * r : 2 * r + 2, 2 * q : 2 * q + 2]
+            i, j = np.unravel_index(np.argmax(window), window.shape)
+            want[b, ch, 2 * r + i, 2 * q + j] = cotangent[b, ch, r, q]
+        np.testing.assert_array_equal(input_grad.view(bits), want.view(bits))
 
 
 class TestBlockedConvLowering:
