@@ -122,13 +122,15 @@ def engine_cw_inner(engine, x, target_labels, c, iterations):
     return w
 
 
-def per_op_ms(engine, x, target_labels, calls: int, repeats: int) -> dict:
-    """Forward and backward milliseconds per step of one margin-gradient plan.
+def per_op_ms(engine, x, seed_of, calls: int, repeats: int) -> dict:
+    """Forward and backward milliseconds per step of one engine's plan.
 
     Best of ``repeats`` means over ``calls``.  Each call walks the plan as
     ``run_forward`` and ``run_backward`` do: every step's ``step`` in
-    order, the margin seed, then every ``back_step`` in reverse, so each
-    step reads what its neighbour just wrote.
+    order, the cotangent ``seed_of(logits)``, then every ``back_step`` in
+    reverse, so each step reads what its neighbour just wrote.  Shared
+    with ``bench_train_throughput.py``, whose train-mode plan's first
+    conv returns no input gradient.
     """
     x = np.ascontiguousarray(x, dtype=engine.dtype)
     plan = engine._plan_for(x.shape)
@@ -142,7 +144,7 @@ def per_op_ms(engine, x, target_labels, calls: int, repeats: int) -> dict:
                 start = time.perf_counter()
                 buf = op.step(buf)
                 totals["forward"][index] += time.perf_counter() - start
-            np.copyto(plan._seed, margin_seed(buf, target_labels)[0])
+            np.copyto(plan._seed, seed_of(buf))
             grad = plan._seed
             for index in reversed(range(len(steps))):
                 start = time.perf_counter()
@@ -214,7 +216,9 @@ def run(n_examples: int, cw_examples: int, cw_iterations: int, repeats: int, op_
     for rows, calls in ((3, 10 * op_calls), (64, op_calls)):
         x_ops = dataset.x_test[:rows]
         targets_ops = (dataset.y_test[:rows] + 1) % num_classes
-        ops_ms[f"rows_{rows}"] = per_op_ms(engine, x_ops, targets_ops, calls, repeats)
+        ops_ms[f"rows_{rows}"] = per_op_ms(
+            engine, x_ops, lambda logits: margin_seed(logits, targets_ops)[0], calls, repeats
+        )
 
     # Numerical sanity alongside the throughput claim.
     reference = legacy_cross_entropy_grad(model, x, labels)

@@ -17,6 +17,11 @@ Run as a script::
     PYTHONPATH=src python benchmarks/bench_train_throughput.py --out bench.json
     PYTHONPATH=src python benchmarks/bench_train_throughput.py --smoke
 
+``per_op_ms`` breaks one 64-row ``cnn-fast`` training step (the train-mode
+plan's forward + cross-entropy backward) down by plan step: forward and
+backward milliseconds per step, timed in one loop so the steps sum to
+``per_op_total_ms``.
+
 The acceptance bar from the training-engine refactor: the engine must beat
 legacy by >= 2x epochs/sec on ``cnn-fast``.  ``--smoke`` runs a tiny
 configuration for CI wiring (skipping the paper-scale CNN) and does not
@@ -43,15 +48,21 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np
 
 from bench_common import bench_context, dataset_fingerprint, write_payload
+from bench_grad_throughput import per_op_ms
 from repro.core.detector import build_detector_network
 from repro.datasets import load_dataset
-from repro.nn import Adam, Tensor, TrainConfig, fit
+from repro.nn import Adam, Tensor, TrainConfig, TrainingEngine, fit
 from repro.nn.losses import cross_entropy
+from repro.nn.train_engine import CROSS_ENTROPY
 from repro.zoo import MODEL_CONFIGS, build_network
 
 # Engine and legacy optimise the same objective from the same seeds; their
 # final losses agree to float32 training noise (~1e-8 measured).
 MAX_FINAL_LOSS_DELTA = 1e-4
+
+# 64-row training-step walks per per-op repeat.
+OP_CALLS = 40
+OP_ROWS = 64
 
 
 def legacy_fit(network, optimizer, x, y, config, rng) -> tuple[float, float]:
@@ -118,7 +129,24 @@ def _detector_workload(examples: int, epochs: int):
     return run_once, len(features), epochs
 
 
-def run(examples: int, epochs: int, detector_epochs: int, repeats: int, smoke: bool) -> dict:
+def train_per_op_ms(calls: int, repeats: int) -> dict:
+    """``per_op_ms`` of one ``OP_ROWS``-row ``cnn-fast`` training step.
+
+    The step's parameter gradients accumulate into a throwaway network.
+    """
+    dataset = load_dataset("mnist-fast")
+    network = build_network(MODEL_CONFIGS["cnn-fast"], dataset.input_shape, 10)
+    x, y = dataset.x_train[:OP_ROWS], dataset.y_train[:OP_ROWS]
+    engine = TrainingEngine(network)
+
+    def seed_of(logits):
+        return CROSS_ENTROPY.value_and_seed(logits.astype(np.float64), y)[1]
+
+    with engine.parameters_bound():
+        return per_op_ms(engine, x, seed_of, calls, repeats)
+
+
+def run(examples: int, epochs: int, detector_epochs: int, repeats: int, smoke: bool, op_calls: int) -> dict:
     workloads = {
         "cnn-fast": _cnn_workload("mnist-fast", "cnn-fast", examples, epochs),
         "detector-mlp": _detector_workload(600, detector_epochs),
@@ -141,6 +169,7 @@ def run(examples: int, epochs: int, detector_epochs: int, repeats: int, smoke: b
         entry["final_loss_delta"] = abs(losses["engine"] - losses["legacy"])
         results[name] = entry
 
+    ops_ms = {f"rows_{OP_ROWS}": train_per_op_ms(op_calls, repeats)}
     train_x = load_dataset("mnist-fast").x_train[:examples]
     return {
         "context": bench_context(
@@ -151,10 +180,16 @@ def run(examples: int, epochs: int, detector_epochs: int, repeats: int, smoke: b
             detector_epochs=detector_epochs,
             repeats=repeats,
             smoke=smoke,
+            op_calls=op_calls,
         ),
         "examples": examples,
         "repeats": repeats,
         "results": results,
+        "per_op_ms": ops_ms,
+        "per_op_total_ms": {
+            rows: {phase: sum(steps.values()) for phase, steps in phases.items()}
+            for rows, phases in ops_ms.items()
+        },
         "meets_2x_bar": bool(results["cnn-fast"]["speedup"] >= 2.0),
         "final_losses_agree": all(
             entry["final_loss_delta"] <= MAX_FINAL_LOSS_DELTA for entry in results.values()
@@ -180,7 +215,8 @@ def main(argv=None) -> int:
     if min(args.examples, args.epochs, args.detector_epochs, args.repeats) < 1:
         parser.error("--examples/--epochs/--detector-epochs/--repeats must be >= 1")
 
-    payload = run(args.examples, args.epochs, args.detector_epochs, args.repeats, args.smoke)
+    op_calls = 2 if args.smoke else OP_CALLS
+    payload = run(args.examples, args.epochs, args.detector_epochs, args.repeats, args.smoke, op_calls)
     text = json.dumps(payload, indent=2)
     print(text)
     if args.out:

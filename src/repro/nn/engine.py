@@ -178,6 +178,12 @@ class PlanEngine:
         step = batch_size or self.batch_size
         return ((begin, min(begin + step, n)) for begin in range(0, n, step))
 
+    @staticmethod
+    def _join(chunks: list[np.ndarray]) -> np.ndarray:
+        """Per-chunk results as one array.  A lone chunk is returned as is:
+        callers collect fresh copies, so it needs no staging copy."""
+        return chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=0)
+
     def _run_forward(self, x: np.ndarray) -> tuple[np.ndarray, _PlanContext]:
         """Grad/train plan forward: ``(logits, context)`` for a later backward."""
         x = np.ascontiguousarray(np.asarray(x), dtype=self.dtype)
@@ -352,6 +358,6 @@ class InferenceEngine(PlanEngine):
             # The plan hands back its own reused buffer; copy at the boundary
             # so callers (and the memo) own their bytes.
             outputs.append(self._plan_for(batch.shape).run(batch).copy())
-        result = outputs[0] if len(outputs) == 1 else np.concatenate(outputs, axis=0)
+        result = self._join(outputs)
         self.counters.seconds += time.perf_counter() - start
         return result

@@ -25,9 +25,12 @@ Row-padded convolution
     bound at compile time, every row one contiguous run of the frame, a
     cache-sized block of images at a time; the input gradient is the
     per-image ``Wᵀ @ grad`` on ``(kh, kw, c)``-ordered weight rows
-    followed by a col2im of ``k·k`` adds per block, each one long run
-    over every channel, so steady-state attack iterations spend their
-    time inside BLAS matmuls, not index arithmetic.
+    followed by a col2im that is, at stride 1, one reduction per block
+    over a strided view holding every frame element's ``k·k`` terms, and
+    the bias rides the forward matmul as its last term, so steady-state
+    attack iterations spend their time inside BLAS matmuls, not index
+    arithmetic or per-slab NumPy calls.  A one-chunk gradient call hands
+    back its chunk's arrays with no staging copy.
 
 ``engine.counters`` counts public gradient calls as ``requests`` and seeded
 backwards as ``batches``.  Dtype policy: attacks default to float32 through
@@ -135,7 +138,7 @@ class GradientEngine(PlanEngine):
         """
         self.counters.requests += 1
         x, labels = np.asarray(x), np.asarray(labels)
-        out = np.empty(x.shape, dtype=self.dtype)
+        grads = []
         for begin, end in self._chunks(len(x), batch_size):
             logits, ctx = self.forward(x[begin:end])
             z = logits.astype(np.float64)
@@ -143,8 +146,8 @@ class GradientEngine(PlanEngine):
             exps = np.exp(shifted)
             seed = exps / exps.sum(axis=-1, keepdims=True)
             seed[np.arange(end - begin), labels[begin:end]] -= 1.0
-            out[begin:end] = self.backward(ctx, seed)
-        return out
+            grads.append(self.backward(ctx, seed))
+        return self._join(grads) if grads else np.empty(x.shape, dtype=self.dtype)
 
     def logit_input_grad(
         self, x: np.ndarray, class_index: np.ndarray, batch_size: int | None = None
@@ -152,14 +155,13 @@ class GradientEngine(PlanEngine):
         """``∂ H(x)_{class_index} / ∂x`` for a per-example class index."""
         self.counters.requests += 1
         x, class_index = np.asarray(x), np.asarray(class_index)
-        num_classes = self.network.num_classes
-        out = np.empty(x.shape, dtype=self.dtype)
+        grads = []
         for begin, end in self._chunks(len(x), batch_size):
             logits, ctx = self.forward(x[begin:end])
-            seed = np.zeros((end - begin, num_classes), dtype=self.dtype)
+            seed = np.zeros(logits.shape, dtype=self.dtype)
             seed[np.arange(end - begin), class_index[begin:end]] = 1.0
-            out[begin:end] = self.backward(ctx, seed)
-        return out
+            grads.append(self.backward(ctx, seed))
+        return self._join(grads) if grads else np.empty(x.shape, dtype=self.dtype)
 
     def margin_input_grad(
         self,
@@ -177,17 +179,17 @@ class GradientEngine(PlanEngine):
         """
         self.counters.requests += 1
         x, target_labels = np.asarray(x), np.asarray(target_labels)
-        num_classes = self.network.num_classes
-        grad = np.empty(x.shape, dtype=self.dtype)
-        logits_out = np.empty((len(x), num_classes), dtype=self.dtype)
-        margin_out = np.empty(len(x), dtype=np.float64)
+        grads, logits_out, margins = [], [], []
         for begin, end in self._chunks(len(x), batch_size):
             logits, ctx = self.forward(x[begin:end])
             seed, margin = margin_seed(logits, target_labels[begin:end], confidence)
-            grad[begin:end] = self.backward(ctx, seed)
-            logits_out[begin:end] = logits
-            margin_out[begin:end] = margin
-        return grad, logits_out, margin_out
+            grads.append(self.backward(ctx, seed))
+            logits_out.append(logits)
+            margins.append(margin)
+        if not grads:  # 0 rows: no chunk, and no plan compiled
+            empty_logits = np.empty((0, self.network.num_classes), dtype=self.dtype)
+            return np.empty(x.shape, dtype=self.dtype), empty_logits, np.empty(0)
+        return self._join(grads), self._join(logits_out), self._join(margins)
 
     def jacobian(
         self, x: np.ndarray, batch_size: int | None = None, with_logits: bool = False

@@ -39,15 +39,17 @@ Geometry bound once
     At stride 1 column positions run over whole padded rows, ``oh·wp`` of
     them with ``wp − ow`` junk columns per row, so per image the conv
     copies a ``(C·k·k, oh·wp)`` column block in which every row is one
-    contiguous run of the frame.  ``W @ cols`` then writes a ``(n, c_out,
-    oh, wp)`` buffer whose ``[..., :ow]`` view is the layer's output: no
-    index gather, no layout transpose, and the bias is a broadcast add.
-    The backward lays the output gradient into a buffer whose junk
-    columns stay zero and runs ``Wᵀ @ g`` on weight rows permuted to
-    ``(kh, kw, c)`` order, so its col2im is ``k·k`` adds per image block,
-    each one long run covering every channel; the ``(dst, src)`` pairs
-    are bound here.  Pool selection masks and flatten shapes are likewise
-    resolved at compile time, keyed by the concrete batch shape.
+    contiguous run of the frame.  The column block carries one more row,
+    of ones, written here once, so ``[W | b] @ [cols; 1]`` writes a ``(n,
+    c_out, oh, wp)`` buffer whose ``[..., :ow]`` view is the layer's
+    output: no index gather, no layout transpose, no bias pass.  The
+    backward lays the output gradient into a buffer whose junk columns
+    stay zero and runs ``Wᵀ @ g`` on weight rows permuted to ``(kh, kw,
+    c)`` order, so at stride 1 one strided view of those columns holds
+    every frame element's ``k·k`` terms and the col2im is one reduction
+    per image block; the views are bound here.  Pool selection masks and
+    flatten shapes are likewise resolved at compile time, keyed by the
+    concrete batch shape.
 
 Cache-sized blocks
     A conv lowers a few images at a time: each block's columns fit
@@ -73,7 +75,13 @@ Generation-checked gradient contexts
 
 Numerical parity is load-bearing and measured, not assumed, because BLAS
 picks its kernels by shape.  ``matmul(out=)`` + in-place bias add is
-bitwise ``x @ w + b``; avg-pool backward keeps the legacy fill-then-divide;
+bitwise ``x @ w + b``.  A conv's bias is instead the last of the matmul's
+``C·k·k + 1`` terms; OpenBLAS sums the terms of one K block in order into
+one accumulator, so ``+ b·1.0`` rounds exactly as the separate add.  That
+is measured on every zoo conv shape; a K split into blocks, or an edge
+kernel with split accumulators, would round it elsewhere (DESIGN.md,
+"Bias as the last GEMM term").  Avg-pool backward keeps the legacy
+fill-then-divide;
 max pooling is an exact selection, and its backward routes each window's
 gradient to the first maximal element, as ``argmax`` would, bits and all
 (``-0.0`` and NaN included).  The row-padded ``W @ cols`` hands BLAS the
@@ -82,7 +90,10 @@ stride 1, junk columns appended; junk never feeds a valid output.  The
 input-gradient scatter adds each frame element's terms in ``(kh, kw)``
 order, as a zero-filled slab col2im would, plus only ``±0.0`` terms from
 junk columns and zero tails: a sum that starts at ``+0.0`` never holds
-``-0.0``, so they change no bit.
+``-0.0``, so they change no bit.  At stride 1 that sum is one
+``np.add.reduce`` from ``initial=+0.0``; where NaNs of both signs meet in
+one element, its SIMD loop may keep a different NaN's sign than the slab
+adds did.  Every non-NaN bit is unchanged.
 On the zoo architectures (``cnn-fast``, ``cnn-fast-wide``, ``cnn-paper``)
 it rounds identically, so float32 and float64 logits are bitwise equal to
 the per-call reference (for ``n >= 2``, and on ``cnn-paper`` for ``n >=
@@ -433,9 +444,10 @@ class _ConvOp(_Op):
     block is one contiguous run of the frame starting at ``i·wp + j``.
     Per-call work runs over image blocks sized so the block's columns fit
     :data:`COL_BLOCK_BYTES`: each block refreshes its frames, lowers into
-    one block-sized ``cols`` scratch and writes ``W @ cols`` into its slice
-    of a ``(n, c_out, oh, wp)`` buffer; the bias is a broadcast add over
-    the whole buffer, and the layer's output is the ``[..., :ow]`` view.
+    one block-sized ``cols`` scratch whose extra last row is ones and
+    writes ``[W | b] @ cols`` into its slice of a ``(n, c_out, oh, wp)``
+    buffer, so the bias is the matmul's last term; the layer's output is
+    the ``[..., :ow]`` view.
     At stride > 1 the same windows span ``ow`` columns and carry no junk.
     """
 
@@ -448,7 +460,7 @@ class _ConvOp(_Op):
         self.mode = mode
         self.first = first
         k, s, p = layer.kernel_size, layer.stride, layer.padding
-        self.c_out = layer.out_channels
+        self.c_out, self.stride = layer.out_channels, s
         hp, wp = h + 2 * p, w + 2 * p
         self.oh = conv_output_size(hp, k, s)
         self.ow = conv_output_size(wp, k, s)
@@ -468,17 +480,27 @@ class _ConvOp(_Op):
         self.frame = np.zeros(frame_shape, dtype=dtype)
         self.interior = interior(self.frame)
         self.windows = window_view(self.frame, k, s, self.oh, span, wp)
-        self.cols = np.empty((min(n, block), c * k * k, positions), dtype=dtype)
+        # The column scratch carries one extra row of ones, written here and
+        # never overwritten (the window copy targets the first C·k·k rows):
+        # the bias rides the matmul as [W | b] @ [cols; 1], its last term.
+        depth = c * k * k
+        self.gemm_cols = np.empty((min(n, block), depth + 1, positions), dtype=dtype)
+        self.gemm_cols[:, depth] = 1.0
+        self.cols = self.gemm_cols[:, :depth]
+        self.wb = np.empty((self.c_out, depth + 1), dtype=dtype)
         self.whole = np.empty((n, self.c_out, self.oh, span), dtype=dtype)
         self.out3 = self.whole.reshape(n, self.c_out, positions)
         # Per block, bound once: its rows, the frame interior it refreshes,
-        # its windows, and the column scratch prefix they are copied into
-        # (as a flat block and in the windows' shape).
+        # its windows, the column rows they are copied into (in the windows'
+        # shape, and flat), and the matmul's operand (ones row included).
         self.blocks = []
         for rows in spans:
-            cols = self.cols[: rows.stop - rows.start]
+            b = rows.stop - rows.start
             windows = self.windows[rows]
-            self.blocks.append((rows, self.interior[rows], windows, cols, cols.reshape(windows.shape)))
+            cols = self.cols[:b]
+            self.blocks.append(
+                (rows, self.interior[rows], windows, cols.reshape(windows.shape), cols, self.gemm_cols[:b])
+            )
         self.gwhole = self.gcols = self.gframe = self.gin = self.wperm = self.wprods = None
         self.gblocks = []
         if mode != "infer":
@@ -490,50 +512,57 @@ class _ConvOp(_Op):
             # permuted to (kh, kw, c) order, so one (kh, kw) slab of all
             # channels is one stretch of gcols.  At stride 1 each channel's
             # row is a whole frame long: the matmul writes its first oh·wp
-            # positions and the tail stays zero, so slab (i, j) adds onto a
-            # block's frames, flat, as one run per image starting at
-            # i·wp + j.  A tail lands on the next image's first elements,
-            # or on `slack` past the last, as +0.0 terms.  The next block
-            # zeroes its frames before its own adds, and gframe starts at
-            # zero, so no tail ever meets uninitialised memory.  At
-            # stride > 1 a slab adds through the frames' window view.
+            # positions and the tail stays zero from here on.  Frame
+            # element q of an image (its frames flat) is then the sum over
+            # (i, j) of its slab's element q − (i·wp + j), so one strided
+            # view of the block's gcols holds every term, and one reduction
+            # adds them in (kh, kw) order from +0.0.  A term before its
+            # slab's start is one of the previous slab's zero tails (a tail
+            # is (k − 1)·wp + k − 1 long, the largest offset).  At stride > 1
+            # the block's frames are zeroed and each slab adds through the
+            # frames' window view.
             image = c * frame_shape[-1]  # one image's frames, flat
             row = frame_shape[-1] if s == 1 else positions
-            slack = row - positions
+            item = np.dtype(dtype).itemsize
             self.wperm = np.empty((self.c_out, k, k, c), dtype=dtype)
             self.gcols = np.zeros((len(self.cols), k * k * c, row), dtype=dtype)
-            self.gframe = np.zeros(n * image + slack, dtype=dtype)
-            frames = self.gframe[: n * image].reshape(frame_shape)
+            self.gframe = np.empty(n * image, dtype=dtype)
+            frames = self.gframe.reshape(frame_shape)
             self.gin = interior(frames)
             gwindows = window_view(frames, k, s, self.oh, span, wp, writeable=True)
-            # Per block, bound once: its rows, the matmul's target, the
-            # frames it zeroes and its (dst, src) slab adds in (kh, kw) order.
+            # Per block, bound once: its rows, the matmul's target, its
+            # frames, and at stride 1 the gather view of every term, at
+            # stride > 1 the (dst, src) slab adds in (kh, kw) order.
             for rows in spans:
                 gcols = self.gcols[: rows.stop - rows.start]
-                slabs = gcols.reshape(len(gcols), k * k, c * row)
-                first_image = rows.start * image
-                pairs = []
-                for index, (i, j) in enumerate(np.ndindex(k, k)):
-                    if s == 1:
-                        start = first_image + i * wp + j
-                        dst = self.gframe[start : start + len(gcols) * image].reshape(len(gcols), image)
-                    else:
+                block_frames = self.gframe[rows.start * image : rows.stop * image].reshape(len(gcols), image)
+                if s == 1:
+                    terms = np.lib.stride_tricks.as_strided(
+                        gcols,
+                        shape=(len(gcols), k, k, image),
+                        strides=(k * k * image * item, (k * image - wp) * item, (image - 1) * item, item),
+                        writeable=False,
+                    )
+                else:
+                    slabs = gcols.reshape(len(gcols), k * k, c * row)
+                    terms = []
+                    for index, (i, j) in enumerate(np.ndindex(k, k)):
                         dst = gwindows[rows, :, i, j]
-                    pairs.append((dst, slabs[:, index].reshape(dst.shape)))
-                zeroed = self.gframe[first_image : rows.stop * image]
-                self.gblocks.append((rows, gcols[..., :positions], zeroed, pairs))
+                        terms.append((dst, slabs[:, index].reshape(dst.shape)))
+                self.gblocks.append((rows, gcols[..., :positions], block_frames, terms))
         if mode == "train":
             # A block's per-image weight-gradient products behind one
             # leading slot that carries the running sum (see _weight_grad).
-            self.wprods = np.empty((len(self.cols) + 1, self.c_out, c * k * k), dtype=dtype)
+            self.wprods = np.empty((len(self.cols) + 1, self.c_out, depth), dtype=dtype)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        w_mat = self.cast(self.weight).reshape(self.c_out, -1)
-        for rows, interior, windows, cols, cols6 in self.blocks:
+        # [W | b], refreshed from the live parameters on every call.
+        np.copyto(self.wb[:, :-1], self.cast(self.weight).reshape(self.c_out, -1))
+        np.copyto(self.wb[:, -1], self.cast(self.bias))
+        for rows, interior, windows, cols6, _, gemm_cols in self.blocks:
             np.copyto(interior, x[rows])
             np.copyto(cols6, windows)
-            np.matmul(w_mat, cols, out=self.out3[rows])
-        self.out3 += self.cast(self.bias)[:, None]
+            np.matmul(self.wb, gemm_cols, out=self.out3[rows])
         return self.whole
 
     def valid(self, buf: np.ndarray) -> np.ndarray:
@@ -554,7 +583,7 @@ class _ConvOp(_Op):
         _DenseOp.backward).
         """
         dw = np.zeros(self.wprods.shape[1:], dtype=self.wprods.dtype)  # n = 0
-        for index, (rows, _, windows, cols, cols6) in enumerate(self.blocks):
+        for index, (rows, _, windows, cols6, cols, _) in enumerate(self.blocks):
             np.copyto(cols6, windows)
             prods = self.wprods[: len(cols) + 1]
             np.matmul(g3[rows], cols.transpose(0, 2, 1), out=prods[1:])
@@ -575,11 +604,14 @@ class _ConvOp(_Op):
                 return None
         np.copyto(self.wperm, self.cast(self.weight).transpose(0, 2, 3, 1))
         w_perm_t = self.wperm.reshape(self.c_out, -1).T
-        for rows, gcols, gframe, pairs in self.gblocks:
+        for rows, gcols, frames, terms in self.gblocks:
             np.matmul(w_perm_t, g3[rows], out=gcols)
-            gframe.fill(0.0)
-            for dst, src in pairs:
-                dst += src
+            if self.stride == 1:
+                np.add.reduce(terms, axis=(1, 2), initial=0.0, out=frames)
+            else:
+                frames.fill(0.0)
+                for dst, src in terms:
+                    dst += src
         return self.gin
 
 

@@ -69,6 +69,10 @@ def fit(
     y = np.asarray(y)
     if len(x) != len(y):
         raise ValueError(f"x and y lengths differ: {len(x)} vs {len(y)}")
+    if len(x) == 0:
+        raise ValueError("cannot fit on an empty training set (0 rows)")
+    if config.batch_size < 1:
+        raise ValueError(f"TrainConfig.batch_size must be >= 1, got {config.batch_size}")
     engine = train_engine_for(network, config.dtype)
     base_lr = optimizer.lr
 

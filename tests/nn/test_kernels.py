@@ -1,9 +1,11 @@
 """Tests for the conv's window views and its col2im scatter.
 
 The col2im half of a convolution's input gradient is no standalone kernel:
-``_ConvOp.backward`` scatters its ``Wᵀ @ g`` columns back into the frames
-through add pairs bound at compile time.  These cases drive it through a
-one-conv grad plan over kernel 1/3, stride 1/2 and padding 0/1.
+``_ConvOp.backward`` reduces its ``Wᵀ @ g`` columns back into the frames,
+at stride 1 through one gather view per image block and at stride > 1
+through add pairs, both bound at compile time.  These cases drive it
+through a one-conv grad plan over kernel 1/2/3, stride 1/2 and padding
+0/1.
 """
 
 import itertools
@@ -15,21 +17,40 @@ from repro.nn import InferenceEngine, ops
 from repro.nn.kernels import conv_output_size, window_view
 from repro.nn.layers import Conv2D
 from repro.nn.network import Network
+from repro.nn import plan as plan_module
 from repro.nn.plan import compile_plan
 
 GRID = list(itertools.product((1, 3), (1, 2), (0, 1)))  # kernel, stride, padding
 
 
-def _conv_plan(c, c_out, hw, k, s, p, n=2, seed=0):
-    """A float64 grad plan of one conv, and its network."""
+def _conv_plan(c, c_out, hw, k, s, p, n=2, seed=0, dtype=np.float64):
+    """A grad plan of one conv (float64 unless given), and its network."""
     network = Network([Conv2D(c, c_out, k, np.random.default_rng(seed), stride=s, padding=p)], (c, hw, hw))
-    cast = InferenceEngine(network, dtype=np.float64)._cast
-    return compile_plan(network, (n, c, hw, hw), np.float64, "grad", cast), network
+    cast = InferenceEngine(network, dtype=dtype)._cast
+    return compile_plan(network, (n, c, hw, hw), dtype, "grad", cast), network
 
 
 def _input_grad(plan, seed):
-    _, generation = plan.run_forward(np.zeros(plan.batch_shape))
+    _, generation = plan.run_forward(np.zeros(plan.batch_shape, dtype=plan.dtype))
     return plan.run_backward(seed, generation).copy()
+
+
+def _slab_order_col2im(weight, g, hw, k, p):
+    """Scalar col2im of a one-output-channel stride-1 conv: each frame
+    element adds its ``weight · g`` terms slab by slab, in ``(kh, kw)``
+    order, starting from ``+0.0``."""
+    n, c = len(g), weight.shape[1]
+    hp = hw + 2 * p
+    out = g.shape[-1]
+    frames = np.zeros((n, c, hp, hp), dtype=g.dtype)
+    for m, ch, y, x in np.ndindex(n, c, hp, hp):
+        total = g.dtype.type(0.0)
+        for i, j in np.ndindex(k, k):
+            r, q = y - i, x - j
+            if 0 <= r < out and 0 <= q < out:
+                total = total + weight[0, ch, i, j] * g[m, 0, r, q]
+        frames[m, ch, y, x] = total
+    return frames[:, :, p : p + hw, p : p + hw]
 
 
 class TestCol2im:
@@ -74,12 +95,44 @@ class TestCol2im:
             _input_grad(reused, stale)
             np.testing.assert_array_equal(_input_grad(reused, g), _input_grad(fresh, g))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_stride1_scatter_adds_slabs_in_kernel_order(self, monkeypatch, k, dtype):
+        # Terms that do not associate (big + 1 - big is 0 in one order, 1 in
+        # another) pin the order of each frame element's sum: slab by slab
+        # in (kh, kw) order from +0.0.  One output channel makes every
+        # gradient column a single exact product, so the reference needs no
+        # BLAS.  Blocks of two images put the -0.0 cotangent of images 2-3
+        # into a block of its own: its frames must come out +0.0.
+        monkeypatch.setattr(plan_module, "COL_BLOCK_BYTES", 1)
+        big = 1e8 if dtype == np.float32 else 1e17
+        rng = np.random.default_rng(k)
+        c, hw = 3, 6
+        for p, n in itertools.product((0, 1), (1, 3, 7)):
+            plan, network = _conv_plan(c, 1, hw, k, 1, p, n=n, dtype=dtype)
+            weight = network.layers[0].params["weight"]
+            weight.data = rng.choice([big, -big, 1.0, -1.0, 3.0, 0.5], size=weight.data.shape)
+            out = conv_output_size(hw + 2 * p, k, 1)
+            g = rng.choice([1.0, -1.0, 2.0, 0.5, -0.0], size=(n, 1, out, out)).astype(dtype)
+            g[2:4] = -0.0
+            if n == 7:
+                g[6, 0, 0, 0] = np.inf  # inf - inf: NaN in the frames
+            got = _input_grad(plan, g)
+            want = _slab_order_col2im(weight.data.astype(dtype), g, hw, k, p)
+            nan = np.isnan(want)
+            np.testing.assert_array_equal(np.isnan(got), nan)
+            bits = np.dtype(f"u{np.dtype(dtype).itemsize}")
+            np.testing.assert_array_equal(got.view(bits)[~nan], want.view(bits)[~nan])
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_row_padded_windows_are_runs_of_the_flat_frame(self, k):
         # Stride 1, span = row: slab (c, i, j) is the flat channel's run
-        # starting at i*row + j, and the scatter adds slab (i, j) of all
-        # channels as one run per image of the flat gradient frames,
-        # starting at that offset into the image's frames.
+        # starting at i*row + j.  The scatter gathers, per block, every
+        # term of every frame element through one view of the block's
+        # gradient columns: element [m, i, j, q] is column element
+        # (i*k + j)*image + q - (i*row + j) of image m, so its strides are
+        # (k*k*image, k*image - row, image - 1, 1) elements, it starts at
+        # the column scratch, and it reduces into the block's own frames.
         rng = np.random.default_rng(0)
         n, c, h, w = 2, 3, 6, 5
         out_h = conv_output_size(h, k, 1)
@@ -91,11 +144,13 @@ class TestCol2im:
                 np.testing.assert_array_equal(windows[:, :, i, j].reshape(run.shape), run)
         plan, _ = _conv_plan(c, 4, 6, k, 1, 1)
         conv = plan.steps[0]
-        wp, image = 8, c * conv.frame.shape[-1]
-        for rows, _, _, pairs in conv.gblocks:
-            assert len(pairs) == k * k
-            for (i, j), (dst, src) in zip(np.ndindex(k, k), pairs):
-                assert dst.shape == src.shape == (rows.stop - rows.start, image)
-                assert dst.strides[0] == image * dst.itemsize
-                start = conv.gframe[rows.start * image + i * wp + j :]
-                assert dst.__array_interface__["data"][0] == start.__array_interface__["data"][0]
+        wp, image, item = 8, c * conv.frame.shape[-1], conv.gcols.itemsize
+        for rows, _, frames, terms in conv.gblocks:
+            b = rows.stop - rows.start
+            assert terms.shape == (b, k, k, image)
+            assert terms.strides == (k * k * image * item, (k * image - wp) * item, (image - 1) * item, item)
+            assert not terms.flags.writeable
+            assert terms.__array_interface__["data"][0] == conv.gcols.__array_interface__["data"][0]
+            assert frames.shape == (b, image)
+            start = conv.gframe[rows.start * image :]
+            assert frames.__array_interface__["data"][0] == start.__array_interface__["data"][0]

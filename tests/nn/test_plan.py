@@ -146,6 +146,19 @@ class TestEmptyBatch:
         value, logits = trainer.train_batch(empty, labels)
         assert value == 0.0 and logits.shape == (0, NUM_CLASSES)
 
+    def test_zero_row_gradient_calls_compile_no_plan(self):
+        network = _network()
+        grad = GradientEngine(network)
+        empty = np.zeros((0,) + INPUT_SHAPE)
+        labels = np.zeros((0,), dtype=int)
+        g, logits, margin = grad.margin_input_grad(empty, labels)
+        assert g.shape == empty.shape and g.dtype == grad.dtype
+        assert logits.shape == (0, NUM_CLASSES) and logits.dtype == grad.dtype
+        assert margin.shape == (0,) and margin.dtype == np.float64
+        assert grad.cross_entropy_input_grad(empty, labels).shape == empty.shape
+        assert grad.logit_input_grad(empty, labels).shape == empty.shape
+        assert grad.counters.plan_misses == 0 and not grad._plans
+
     def test_grad_plan_forward_backward_with_zero_examples(self):
         network = _network()
         grad = GradientEngine(network)
@@ -708,6 +721,10 @@ class TestBlockedConvLowering:
         assert spans == [(0, 3), (3, 6), (6, 9), (9, 10)]
         assert [(rows.start, rows.stop) for rows, *_ in conv.gblocks] == spans
         assert conv.cols.shape[0] == conv.gcols.shape[0] == 3
+        # Each block's matmul operand and gradient frames are its own rows.
+        assert [len(gemm_cols) for *_, gemm_cols in conv.blocks] == [3, 3, 3, 1]
+        image = conv.gframe.size // 10
+        assert [frames.shape for _, _, frames, _ in conv.gblocks] == [(3, image)] * 3 + [(1, image)]
 
     @pytest.mark.parametrize("mode", ["infer", "grad", "train"])
     def test_column_scratch_does_not_grow_with_batch(self, mode):
@@ -725,6 +742,96 @@ class TestBlockedConvLowering:
         assert small == large
         for op_bytes in small:
             assert 0 < op_bytes <= 3 * plan_module.COL_BLOCK_BYTES
+
+
+def _with_random_biases(network, seed=0):
+    rng = np.random.default_rng(seed)
+    for layer in network.layers:
+        if isinstance(layer, Conv2D):
+            layer.params["bias"].data = rng.normal(size=layer.params["bias"].data.shape)
+    return network
+
+
+def _bits(a):
+    return a.view(f"u{a.itemsize}")
+
+
+class TestBiasInGemm:
+    """The conv bias is the matmul's last reduction term, ``[W | b] @ [cols; 1]``."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", list(_ZOO_SHAPES))
+    def test_bitwise_the_separate_bias_add(self, name, dtype, n):
+        network, shape = _zoo_architecture(name)
+        _with_random_biases(network)
+        x = np.random.default_rng(1).uniform(size=(n,) + shape).astype(dtype)
+        cast = InferenceEngine(network, dtype=dtype)._cast
+        plan = compile_plan(network, x.shape, dtype, "infer", cast)
+        outs = plan.layer_outputs(x)
+        convs = [op for op in plan.steps if isinstance(op, _ConvOp)]
+        assert len(convs) == 4
+        for op in convs:
+            index = op.layer_index
+            op.forward(x if index == 0 else outs[index - 1])  # no fused posts
+            # The pre-change forward: W @ cols per image, then += b.
+            cols = np.ascontiguousarray(op.windows).reshape(n, -1, op.out3.shape[-1])
+            want = np.matmul(cast(op.weight).reshape(op.c_out, -1), cols)
+            want += cast(op.bias)[:, None]
+            np.testing.assert_array_equal(_bits(op.out3), _bits(want))
+
+    @pytest.mark.parametrize("mode", ["infer", "grad", "train"])
+    def test_ones_row_survives_every_mode(self, mode):
+        network, shape = _with_random_biases(_zoo_architecture("cnn-fast")[0]), (1, 16, 16)
+        x = np.random.default_rng(1).uniform(size=(5,) + shape).astype(np.float32)
+        seed = np.random.default_rng(2).normal(size=(5, 10)).astype(np.float32)
+        plan = compile_plan(network, x.shape, np.float32, mode, network.engine._cast, lambda p, g: None)
+        for _ in range(2):
+            if mode == "infer":
+                plan.run(x)
+            else:
+                plan.run_backward(seed, plan.run_forward(x)[1])
+            for op in plan.steps:
+                if isinstance(op, _ConvOp):
+                    ones = op.gemm_cols[:, -1]
+                    np.testing.assert_array_equal(_bits(ones), _bits(np.ones_like(ones)))
+
+    @pytest.mark.parametrize("mode", ["infer", "grad", "train"])
+    def test_poisoned_columns_change_no_bit(self, mode):
+        # NaN in every copied column row before each call (and, in train
+        # mode, again before the backward, which lowers the columns anew):
+        # each call rewrites all of them, so the plan matches a clean one.
+        network, shape = _with_random_biases(_zoo_architecture("cnn-fast")[0]), (1, 16, 16)
+        x = np.random.default_rng(1).uniform(size=(7,) + shape).astype(np.float32)
+        seed = np.random.default_rng(2).normal(size=(7, 10)).astype(np.float32)
+        results = []
+        for poison in (False, True):
+            for layer in network.layers:
+                if isinstance(layer, Dropout):
+                    layer._rng = np.random.default_rng(7)
+            grads = []
+            plan = compile_plan(
+                network, x.shape, np.float32, mode, network.engine._cast, lambda p, g: grads.append(np.array(g))
+            )
+            convs = [op for op in plan.steps if isinstance(op, _ConvOp)]
+            outputs = []
+            for _ in range(2):
+                for op in convs if poison else ():
+                    op.cols[...] = np.nan
+                if mode == "infer":
+                    outputs.append(plan.run(x).copy())
+                    continue
+                logits, generation = plan.run_forward(x)
+                outputs.append(logits.copy())
+                for op in convs if poison else ():
+                    op.cols[...] = np.nan
+                gin = plan.run_backward(seed, generation)
+                outputs.append(None if gin is None else gin.copy())
+            results.append((outputs, grads))
+        (clean, clean_grads), (poisoned, poisoned_grads) = results
+        for got, want in zip(poisoned + poisoned_grads, clean + clean_grads, strict=True):
+            if want is not None:
+                np.testing.assert_array_equal(_bits(got), _bits(want))
 
 
 class TestDenseRowPadding:

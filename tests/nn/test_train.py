@@ -52,6 +52,23 @@ class TestFit:
                 TrainConfig(epochs=1), np.random.default_rng(0),
             )
 
+    def test_empty_training_set_rejected(self):
+        net = _make_net()
+        with pytest.raises(ValueError, match="empty training set"):
+            fit(
+                net, Adam(net.parameters()), np.zeros((0, 2)), np.zeros(0, dtype=int),
+                TrainConfig(epochs=1), np.random.default_rng(0),
+            )
+
+    def test_zero_batch_size_rejected(self):
+        x, y = _two_blob_data(10)
+        net = _make_net()
+        with pytest.raises(ValueError, match="batch_size must be >= 1, got 0"):
+            fit(
+                net, Adam(net.parameters()), x, y,
+                TrainConfig(epochs=1, batch_size=0), np.random.default_rng(0),
+            )
+
     def test_soft_targets_supported(self):
         x, y = _two_blob_data(100)
         soft = one_hot(y, 2) * 0.9 + 0.05
