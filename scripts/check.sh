@@ -49,6 +49,10 @@ echo "== pool-scaling benchmark (smoke) =="
 python benchmarks/bench_pool_scaling.py --smoke > /dev/null
 echo "ok"
 
+echo "== cold-start benchmark (smoke: fresh interpreters, per-stage set-up timings) =="
+python benchmarks/bench_cold_start.py --smoke > /dev/null
+echo "ok"
+
 echo "== serve smoke (threaded coalescing, backpressure, bitwise equivalence) =="
 python scripts/serve_smoke.py
 

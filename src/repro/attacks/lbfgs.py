@@ -9,7 +9,6 @@ adversarial solution appears.
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from ..datasets.dataset import PIXEL_MAX, PIXEL_MIN
 from ..nn.network import Network
@@ -53,6 +52,8 @@ class LBFGSAttack:
         return AttackResult(x, adversarial, success, source_labels, target_labels)
 
     def _attack_one(self, network: Network, image: np.ndarray, target: int) -> np.ndarray:
+        from scipy import optimize  # deferred: SciPy costs ~0.5 s of process start-up
+
         shape = image.shape
         bounds = [(PIXEL_MIN, PIXEL_MAX)] * image.size
         c = self.initial_c

@@ -13,7 +13,10 @@ rot — is treated as a cache *miss*: the damaged file is **quarantined**
 the event is reported to any registered corruption listeners (the resilient
 runner journals it to its failure ledger), and the artifact is rebuilt.
 Entries written before checksums existed carry no ``__checksum__`` key and
-load unchanged.  Writes go through a per-process temporary file followed by
+load unchanged.  Entries are written stored, not deflated: the float
+payloads compress by ~1.1x, and inflating them was most of the time an
+evaluation process spent loading its entries.  Deflated entries from older
+caches still load.  Writes go through a per-process temporary file followed by
 an atomic ``os.replace``, so concurrent runs sharing a cache directory
 cannot clobber each other's partial writes.
 """
@@ -25,6 +28,7 @@ import json
 import os
 import uuid
 import zipfile
+import zlib
 from pathlib import Path
 from typing import Callable
 
@@ -174,6 +178,8 @@ def _load_arrays(path: Path) -> dict[str, np.ndarray] | None:
 
     Entries written before checksums existed carry no ``__checksum__`` key
     and are served as-is; checksummed entries are re-digested on every load.
+    A flipped byte in a deflated entry can fail inside zlib (``zlib.error``)
+    before any checksum is compared, so that error quarantines too.
     """
     try:
         # Own the handle: np.load(path) opens the file itself, and when the
@@ -182,7 +188,7 @@ def _load_arrays(path: Path) -> dict[str, np.ndarray] | None:
         with open(path, "rb") as handle:
             with np.load(handle) as archive:
                 arrays = {key: archive[key] for key in archive.files}
-    except (zipfile.BadZipFile, OSError, KeyError, ValueError, EOFError) as exc:
+    except (zipfile.BadZipFile, zlib.error, OSError, KeyError, ValueError, EOFError) as exc:
         _quarantine(path, f"unreadable archive: {type(exc).__name__}: {exc}")
         return None
     recorded = arrays.pop(CHECKSUM_KEY, None)
@@ -213,7 +219,7 @@ def memoize_arrays(spec: dict, build: Callable[[], dict[str, np.ndarray]]) -> di
     # either os.replace lands.  A uuid suffix gives every writer its own.
     tmp = path.with_suffix(f".tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}.npz")
     try:
-        np.savez_compressed(tmp, **arrays, **{CHECKSUM_KEY: _content_checksum(arrays)})
+        np.savez(tmp, **arrays, **{CHECKSUM_KEY: _content_checksum(arrays)})
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

@@ -15,7 +15,6 @@ before the caller shifts them to the paper's ``[-0.5, 0.5]`` range.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 __all__ = ["render_digit", "generate_digits", "DIGIT_STROKES"]
 
@@ -125,6 +124,8 @@ def render_digit(
     noise:
         Standard deviation of additive Gaussian pixel noise.
     """
+    from scipy import ndimage  # deferred: only a cache miss renders digits
+
     if digit not in DIGIT_STROKES:
         raise ValueError(f"digit must be 0-9, got {digit}")
     matrix, offset = _random_affine(rng)

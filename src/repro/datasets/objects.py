@@ -15,7 +15,6 @@ Images are 3-channel, ``size``×``size`` (32 by default), in ``[0, 1]``.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 __all__ = ["render_object", "generate_objects", "CLASS_NAMES"]
 
@@ -35,6 +34,8 @@ CLASS_NAMES = (
 
 def _low_freq_field(rng: np.random.Generator, size: int, channels: int, cells: int = 4) -> np.ndarray:
     """Smooth random field: coarse noise upsampled to ``size``."""
+    from scipy import ndimage  # deferred: only a cache miss renders objects
+
     coarse = rng.random((channels, cells, cells))
     zoom = size / cells
     return np.stack([ndimage.zoom(c, zoom, order=1, mode="nearest") for c in coarse])

@@ -10,7 +10,6 @@ benches; like the paper notes, it cannot recover the right label by itself.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from ..datasets.dataset import PIXEL_MIN
 from ..nn.network import Network
@@ -30,6 +29,8 @@ def reduce_bit_depth(x: np.ndarray, bits: int) -> np.ndarray:
 
 def median_smooth(x: np.ndarray, size: int = 2) -> np.ndarray:
     """Median filter over the spatial axes of an NCHW batch."""
+    from scipy import ndimage  # deferred: SciPy costs ~0.5 s of process start-up
+
     x = np.asarray(x)
     return ndimage.median_filter(x, size=(1, 1, size, size))
 

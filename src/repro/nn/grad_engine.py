@@ -115,18 +115,23 @@ class GradientEngine(PlanEngine):
         guards.check_output("GradientEngine.forward", out, self.dtype)
         return out, ctx
 
-    def backward(self, ctx: object, seed: np.ndarray) -> np.ndarray:
+    def backward(self, ctx: object, seed: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Input gradient for the cotangent ``seed`` (``∂Σ(seed·Z)/∂x``).
 
-        ``seed`` has the logits' shape; the result is in the engine dtype.
+        ``seed`` has the logits' shape; the result is in the engine dtype,
+        written into ``out`` (any input-shaped view) when one is given.
         """
         self.counters.batches += 1
         self.counters.examples += ctx.batch_len
         # The plan copies the seed before any in-place transform and hands
         # back its own gradient buffer; copy at the boundary.
-        grad = self._run_backward(ctx, seed).copy()
-        guards.check_output("GradientEngine.backward", grad, self.dtype)
-        return grad
+        grad = self._run_backward(ctx, seed)
+        if out is None:
+            out = grad.copy()
+        else:
+            np.copyto(out, grad)
+        guards.check_output("GradientEngine.backward", out, self.dtype)
+        return out
 
     def cross_entropy_input_grad(
         self, x: np.ndarray, labels: np.ndarray, batch_size: int | None = None
@@ -197,7 +202,8 @@ class GradientEngine(PlanEngine):
         """Full logits Jacobian ``∂H(x)_c / ∂x``, shape ``(N, C, *input_shape)``.
 
         This is one forward followed by ``C`` seeded backwards against the
-        *same* stashed activations.  The result (and, with
+        *same* stashed activations, each copying the plan's gradient buffer
+        straight into its slot of the result.  The result (and, with
         ``with_logits=True``, the accompanying logits) is in the engine
         dtype.
         """
@@ -212,6 +218,6 @@ class GradientEngine(PlanEngine):
             seed = np.zeros((end - begin, num_classes), dtype=self.dtype)
             for c in range(num_classes):
                 seed[:, c] = 1.0
-                rows[begin:end, c] = self.backward(ctx, seed)
+                self.backward(ctx, seed, out=rows[begin:end, c])
                 seed[:, c] = 0.0
         return (rows, logits_out) if with_logits else rows

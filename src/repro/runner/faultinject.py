@@ -182,11 +182,11 @@ class _NaNGradientEngine(GradientEngine):
     trip happens exactly where a genuine kernel NaN would be trapped.
     """
 
-    def backward(self, ctx: object, seed: np.ndarray) -> np.ndarray:
-        grad = super().backward(ctx, seed)
-        bad = np.full_like(grad, np.nan)
-        guards.check_finite("faultinject.nan_gradient", bad)
-        return bad
+    def backward(self, ctx: object, seed: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        grad = super().backward(ctx, seed, out)
+        grad.fill(np.nan)  # in place, so jacobian's ``out`` slots are poisoned too
+        guards.check_finite("faultinject.nan_gradient", grad)
+        return grad
 
 
 class FaultInjector:

@@ -231,6 +231,61 @@ class TestCounters:
         assert engine.counters.batches == 0
 
 
+class TestJacobianOneCopy:
+    """``jacobian`` writes each seeded backward straight into its result slot."""
+
+    @staticmethod
+    def _conv_network():
+        rng = np.random.default_rng(11)
+        layers = [
+            Conv2D(1, 2, 3, rng, stride=1, padding=1),
+            ReLU(),
+            MaxPool2D(2),
+            Flatten(),
+            Dense(2 * 3 * 3, NUM_CLASSES, rng),
+        ]
+        return Network(layers, (1, 6, 6))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_per_class_logit_grads(self, dtype):
+        network = self._conv_network()
+        engine = GradientEngine(network, dtype=dtype, batch_size=3)
+        x = np.random.default_rng(12).normal(size=(7, 1, 6, 6))
+        jac, logits = engine.jacobian(x, with_logits=True)
+        assert jac.dtype == dtype and jac.shape == (7, NUM_CLASSES, 1, 6, 6)
+        for c in range(NUM_CLASSES):
+            column = engine.logit_input_grad(x, np.full(len(x), c))
+            assert np.array_equal(jac[:, c], column)
+        chunk_logits = [engine.forward(x[begin:begin + 3])[0] for begin in range(0, 7, 3)]
+        assert np.array_equal(logits, np.concatenate(chunk_logits))
+
+    def test_result_owns_its_memory(self):
+        network = self._conv_network()
+        engine = GradientEngine(network)
+        rng = np.random.default_rng(13)
+        first = engine.jacobian(rng.normal(size=(2, 1, 6, 6)))
+        kept = first.copy()
+        engine.jacobian(rng.normal(size=(2, 1, 6, 6)))  # same plan, new buffers' contents
+        assert np.array_equal(first, kept)
+
+    def test_counter_deltas(self):
+        network = self._conv_network()
+        engine = GradientEngine(network, batch_size=3)
+        x = np.random.default_rng(14).normal(size=(7, 1, 6, 6))
+        before = engine.counters.snapshot()
+        engine.jacobian(x)
+        assert engine.counters.requests == before.requests + 1
+        assert engine.counters.batches == before.batches + 3 * NUM_CLASSES  # 3 chunks
+        assert engine.counters.examples == before.examples + 7 * NUM_CLASSES
+
+    def test_zero_rows_compile_no_plan(self):
+        engine = GradientEngine(self._conv_network())
+        jac, logits = engine.jacobian(np.zeros((0, 1, 6, 6)), with_logits=True)
+        assert jac.shape == (0, NUM_CLASSES, 1, 6, 6) and jac.dtype == engine.dtype
+        assert logits.shape == (0, NUM_CLASSES) and logits.dtype == engine.dtype
+        assert engine.counters.plan_misses == 0 and not engine._plans
+
+
 class TestNetworkAttachment:
     def test_lazy_property_and_attach(self):
         rng = np.random.default_rng(6)

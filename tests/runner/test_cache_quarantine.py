@@ -1,5 +1,9 @@
 """Cache content checksums and corruption quarantine."""
 
+import io
+import zipfile
+import zlib
+
 import numpy as np
 import pytest
 
@@ -97,6 +101,85 @@ def test_legacy_entry_without_checksum_loads_unchanged(cache_env):
     loaded = memoize_arrays(spec, lambda: pytest.fail("legacy entry must be served"))
     np.testing.assert_array_equal(loaded["x"], np.arange(9.0))
     assert not list(cache_env.glob("*.corrupt"))
+
+
+def _flip(data: bytes, offset: int) -> bytes:
+    flipped = bytearray(data)
+    flipped[offset] ^= 0xFF
+    return bytes(flipped)
+
+
+def _raw_load(data: bytes) -> None:
+    with np.load(io.BytesIO(data)) as archive:
+        for key in archive.files:
+            archive[key]
+
+
+def test_fresh_entries_are_stored_not_deflated(cache_env):
+    _, _, path = _entry(cache_env)
+    with zipfile.ZipFile(path) as archive:
+        infos = archive.infolist()
+    assert {info.filename for info in infos} == {"x.npy", "y.npy", f"{CHECKSUM_KEY}.npy"}
+    assert all(info.compress_type == zipfile.ZIP_STORED for info in infos)
+
+
+def test_flipped_payload_byte_in_stored_entry_quarantined(cache_env):
+    spec, _, path = _entry(cache_env)
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo("x.npy")
+    data = path.read_bytes()
+    # Local file header: 30 fixed bytes, then the name and extra field.
+    # The member's last byte is the last byte of x's float payload.
+    name_len, extra_len = (int.from_bytes(data[at:at + 2], "little") for at in (26, 28))
+    start = info.header_offset + 30 + name_len + extra_len
+    path.write_bytes(_flip(data, start + info.compress_size - 1))
+
+    seen = []
+    listener = add_corruption_listener(lambda p, reason: seen.append(reason))
+    try:
+        assert cache_module._load_arrays(path) is None
+    finally:
+        remove_corruption_listener(listener)
+    assert not path.exists()
+    assert path.with_name(path.name + ".corrupt").exists()
+    # zipfile's CRC-32 check trips before the content checksum is compared.
+    assert seen == ["unreadable archive: BadZipFile: Bad CRC-32 for file 'x.npy'"]
+    rebuilt = memoize_arrays(spec, lambda: {"x": np.arange(4.0), "y": np.ones((2, 2))})
+    np.testing.assert_array_equal(rebuilt["x"], np.arange(4.0))
+
+
+def test_zlib_error_in_deflated_entry_quarantined(cache_env):
+    """A deflated entry (older caches keep them) whose flipped byte breaks
+    the deflate stream fails inside zlib, before any checksum compare."""
+    from repro.cache import cache_key
+
+    arrays = {"x": np.tile(np.arange(64.0), 8), "y": np.ones((4, 4))}
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, **arrays, **{CHECKSUM_KEY: cache_module._content_checksum(arrays)})
+    data = buffer.getvalue()
+    for offset in range(len(data)):
+        corrupt = _flip(data, offset)
+        try:
+            _raw_load(corrupt)
+        except zlib.error:
+            break
+        except Exception:
+            continue
+    else:
+        pytest.fail("no single-byte flip of the deflated entry raises zlib.error")
+
+    spec = {"kind": "cachetest", "n": 64}
+    path = cache_env / f"cachetest-{cache_key(spec)}.npz"
+    path.write_bytes(corrupt)
+    seen = []
+    listener = add_corruption_listener(lambda p, reason: seen.append(reason))
+    try:
+        assert cache_module._load_arrays(path) is None
+    finally:
+        remove_corruption_listener(listener)
+    assert not path.exists()
+    assert path.with_name(path.name + ".corrupt").read_bytes() == corrupt
+    assert len(seen) == 1 and seen[0].startswith("unreadable archive: error:")
 
 
 def test_reserved_checksum_name_rejected(cache_env):

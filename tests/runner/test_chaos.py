@@ -199,3 +199,19 @@ def test_corrupt_cache_fault_quarantines_and_journals(tmp_path, monkeypatch):
     events = [e for e in Ledger(ledger_path).replay().events if e["event"] == "cache-quarantine"]
     assert len(events) == 1
     assert events[0]["path"].endswith(".corrupt")
+
+
+def test_nan_grad_engine_poisons_jacobian_slots():
+    """The poisoned engine honours ``backward(out=...)``: ``jacobian``
+    writes each gradient into its result slot, so the poison must land
+    there too, and trip the guard where a genuine kernel NaN would."""
+    from repro.runner.faultinject import _NaNGradientEngine
+    from repro.verify import guards
+
+    engine = _NaNGradientEngine(_grad_network())
+    x = np.random.default_rng(0).normal(size=(3, 1, 4, 4))
+    with guards.enforce(False):
+        assert np.isnan(engine.jacobian(x)).all()
+    with guards.enforce(True), pytest.raises(guards.GuardViolation) as trip:
+        engine.jacobian(x)
+    assert trip.value.where == "faultinject.nan_gradient"
