@@ -16,11 +16,16 @@ operational envelope on the cached ``mnist-fast`` artifacts:
    shed anything on a light stream;
 4. **worker death** — SIGKILL one worker mid-stream: its in-flight
    tickets must resolve as shed (never hang a caller), the survivors
-   must finish the stream, and the fleet snapshot must name the corpse.
+   must finish the stream, and the fleet snapshot must name the corpse;
+5. **wedged worker** — a worker alive but silent on its pipe (a blocking
+   dispatch, heartbeats an hour apart) must be declared dead within
+   ``lease_ttl`` plus one monitor tick of its last message, shedding its
+   in-flight ticket.
 
 Exit status 0 = all checks passed.
 """
 
+import multiprocessing
 import sys
 import time
 from pathlib import Path
@@ -137,6 +142,36 @@ def main() -> int:
             and snapshot["counters"]["shed"] >= 4,
             "chaos: fleet snapshot names the corpse and counts its sheds",
         )
+
+    # 5. wedged worker: alive, pipe open, silent -> shed by liveness timeout
+    lease_ttl = 0.5
+    tick = min(lease_ttl / 4.0, 0.5)  # the pool monitor's period
+    release = multiprocessing.get_context("fork").Event()
+
+    def wedge(worker_id, n_requests):
+        release.wait(30.0)
+
+    with ServePool(
+        dcn, workers=1, max_batch=32, lease_ttl=lease_ttl,
+        heartbeat_interval=3600.0, dispatch_hook=wedge,
+    ) as pool:
+        # A stats reply is the worker's last message before the wedge;
+        # the pause puts it safely before the clock below starts.
+        pool.fleet_snapshot()
+        time.sleep(0.1)
+        t0 = time.monotonic()
+        result = pool.submit(stream[0].x).wait(10.0)
+        elapsed = time.monotonic() - t0
+        check(
+            result.status == "shed" and elapsed <= lease_ttl + tick,
+            f"wedge: in-flight ticket shed {elapsed:.3f}s after submit "
+            f"(bound {lease_ttl + tick:.3f}s)",
+        )
+        check(
+            pool.live_workers() == [] and pool.processes[0].is_alive(),
+            "wedge: silent worker declared dead while its process lives",
+        )
+        release.set()
     return 0
 
 

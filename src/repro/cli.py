@@ -166,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--lease-ttl",
         type=float,
         default=5.0,
-        help="seconds without a heartbeat before a serving worker counts as dead",
+        help="seconds without a message from a serving worker before it counts as dead",
     )
     serve.add_argument(
         "--telemetry",

@@ -39,14 +39,13 @@ from .transport import (
     DCNServer,
     FrameError,
 )
-from .workers import ServePool, worker_lease_key
+from .workers import ServePool
 
 __all__ = [
     "DCNService",
     "ServeResult",
     "ServeTicket",
     "ServePool",
-    "worker_lease_key",
     "DCNServer",
     "DCNClient",
     "ClientCounters",

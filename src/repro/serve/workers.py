@@ -12,29 +12,38 @@ Sharded front end
     a request lands on: the per-input corrector noise streams make the
     label a pure function of the row.
 
-Lease-based liveness
-    Workers reuse PR 7's lease discipline: each claims a
-    ``serve-worker-<id>`` lease in a shared JSONL ledger at startup and
-    heartbeats it (append-only, crash-safe
-    :class:`~repro.runner.ledger.Ledger` records).  The front end's
-    monitor marks a worker dead when its process exits *or* its lease
-    expires (alive but wedged), and a dead worker's in-flight requests
-    **resolve as shed** — callers blocked in ``ticket.wait()`` unblock
-    immediately instead of hanging, and later requests route around the
-    corpse.  SIGKILL is additionally caught fast through pipe EOF.
+Pipe liveness
+    Each worker's pipe is its only channel to the front end: requests and
+    stats polls go down it; results, stats snapshots, dispatch errors and
+    heartbeats come back up it.  A worker thread sends ``("beat",)`` every
+    ``heartbeat_interval`` seconds — the first once the worker's service
+    is built — under the same send lock as the worker's replies.  The
+    front end stamps ``time.monotonic()`` on every message it receives,
+    and its monitor marks a worker dead when its process exits *or*
+    nothing has arrived from it for ``lease_ttl`` seconds (alive but
+    wedged).  A dead worker's in-flight requests **resolve as shed** —
+    callers blocked in ``ticket.wait()`` unblock immediately instead of
+    hanging, and later requests route around the corpse.  SIGKILL is
+    additionally caught fast through pipe EOF.
 
 Bounded respawn supervision
     With ``max_restarts > 0`` the monitor **respawns** a dead worker: a
-    fresh fork rejoins the shard ring under a new lease *generation*
-    (``serve-worker-<id>.g<n>`` — the corpse's still-ticking lease can
-    never shadow its replacement), and because labels are a pure function
-    of the row, a respawned worker serves bitwise-identically to the one
-    it replaced.  The budget is a sliding **restart window**: more than
+    fresh fork rejoins the shard ring over a fresh pipe as the slot's next
+    *generation*, so nothing the corpse sent can vouch for its
+    replacement, and because labels are a pure function of the row, a
+    respawned worker serves bitwise-identically to the one it replaced.
+    The budget is a sliding **restart window**: more than
     ``max_restarts`` respawns of one slot within ``restart_window_s``
-    seconds is a crash loop — supervision gives up on the slot, journals
-    a ``serve-worker-crash-loop`` event, and the ring absorbs the shard
-    permanently.  ``respawns``/``crash_loops`` counters flow into the
-    fleet snapshot and the telemetry journal.
+    seconds is a crash loop — supervision gives up on the slot and the
+    ring absorbs the shard permanently.  ``respawns``/``crash_loops``
+    counters flow into the fleet snapshot and the telemetry journal.
+
+Event journal
+    ``ledger_path`` optionally names a JSONL journal in the runner's
+    :class:`~repro.runner.ledger.Ledger` format, written by the front end
+    alone: ``serve-worker-respawn``, ``serve-worker-crash-loop`` and
+    ``serve-worker-error`` (a dispatch error a worker reported over its
+    pipe).  Without it the pool writes no file.
 
 Merged telemetry
     Workers ship :class:`~repro.serve.telemetry.ServeCounters` snapshots
@@ -58,29 +67,17 @@ gates it.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
-import os
-import tempfile
 import threading
 import time
 from pathlib import Path
 
-from ..runner.ledger import Ledger, new_lease_id
+from ..runner.ledger import Ledger
 from .service import DCNService, ServeResult, ServeTicket, validate_request
 from .telemetry import LatencySketch, ServeCounters
 
-__all__ = ["ServePool", "worker_lease_key"]
-
-
-def worker_lease_key(worker_id: int, generation: int = 0) -> str:
-    """Ledger lease key of serving worker ``worker_id``'s ``generation``.
-
-    Generation 0 keeps the historical ``serve-worker-<id>`` format; a
-    respawned worker heartbeats ``serve-worker-<id>.g<generation>`` so
-    its dead predecessor's unexpired lease cannot get it declared wedged.
-    """
-    base = f"serve-worker-{worker_id}"
-    return base if generation == 0 else f"{base}.g{generation}"
+__all__ = ["ServePool"]
 
 
 class ServePool:
@@ -93,13 +90,14 @@ class ServePool:
     workers:
         Worker process count (>= 1).
     ledger_path:
-        Liveness ledger path (lease claims/heartbeats/releases).  Default:
-        a fresh temporary file — pass a real path to post-mortem a run.
+        Optional event journal (respawns, crash loops, worker dispatch
+        errors); ``None`` (default) writes no file.
     lease_ttl:
-        Seconds without a heartbeat before a worker counts as wedged and
-        its in-flight requests shed.
+        Seconds without a message from a worker before it counts as
+        wedged and its in-flight requests shed.
     heartbeat_interval:
-        Seconds between worker heartbeats (default ``lease_ttl / 4``).
+        Seconds between a worker's heartbeats on its pipe (default
+        ``lease_ttl / 4``); must be finite and > 0.
     max_restarts:
         Respawn budget per worker slot within ``restart_window_s``.
         ``0`` (default) disables supervision: a dead worker stays dead
@@ -107,7 +105,7 @@ class ServePool:
     restart_window_s:
         Sliding window of the restart budget; a slot needing more than
         ``max_restarts`` respawns inside it is a crash loop and is
-        abandoned with a structured ledger event.
+        abandoned with a structured journal event.
     dispatch_hook:
         Test seam: ``hook(worker_id, n_requests)`` runs in the worker
         before each dispatch — the chaos tests stall a worker with it.
@@ -138,6 +136,10 @@ class ServePool:
             raise ValueError("max_restarts must be >= 0")
         if restart_window_s <= 0:
             raise ValueError("restart_window_s must be > 0")
+        if heartbeat_interval is None:
+            heartbeat_interval = lease_ttl / 4.0
+        if not (math.isfinite(heartbeat_interval) and heartbeat_interval > 0):
+            raise ValueError("heartbeat_interval must be finite and > 0")
         from ..runner.pool import fork_available
 
         if not fork_available():  # pragma: no cover - non-POSIX
@@ -145,19 +147,13 @@ class ServePool:
         self.dcn = dcn
         self.workers = workers
         self.lease_ttl = lease_ttl
-        self.heartbeat_interval = (
-            heartbeat_interval if heartbeat_interval is not None else lease_ttl / 4.0
-        )
+        self.heartbeat_interval = heartbeat_interval
         self.max_restarts = max_restarts
         self.restart_window_s = restart_window_s
         self.dispatch_hook = dispatch_hook
         self.service_kwargs = dict(service_kwargs)
         self.max_batch = int(self.service_kwargs.get("max_batch", 64))
-        if ledger_path is None:
-            fd, tmp = tempfile.mkstemp(prefix="serve-pool-", suffix=".jsonl")
-            os.close(fd)
-            ledger_path = tmp
-        self.ledger_path = Path(ledger_path)
+        self.ledger_path = Path(ledger_path) if ledger_path is not None else None
         self.front_shed = 0  # sheds decided by the front end (dead workers)
         self.worker_deaths = 0
         self.respawns = 0  # workers brought back by supervision
@@ -171,6 +167,9 @@ class ServePool:
         self._conns: list = []
         self._send_locks: list[threading.Lock] = []
         self._generations = [0] * workers
+        # Monotonic time of each slot's last message; None until the
+        # current generation's first one (such a worker is not judged).
+        self._last_seen: list[float | None] = [None] * workers
         self._restart_times: list[list[float]] = [[] for _ in range(workers)]
         self._crash_looped: set[int] = set()
         self._dead: set[int] = set()
@@ -191,7 +190,8 @@ class ServePool:
             if self._running:
                 raise RuntimeError("pool already started")
             self._running = True
-        self._event_ledger = Ledger(self.ledger_path, fsync=False)
+        if self.ledger_path is not None:
+            self._event_ledger = Ledger(self.ledger_path, fsync=False)
         self._procs = [None] * self.workers
         self._conns = [None] * self.workers
         self._send_locks = [threading.Lock() for _ in range(self.workers)]
@@ -220,13 +220,10 @@ class ServePool:
             target=_worker_main,
             args=(
                 worker_id,
-                generation,
                 child_conn,
                 inherited,
                 self.dcn,
                 self.service_kwargs,
-                str(self.ledger_path),
-                self.lease_ttl,
                 self.heartbeat_interval,
                 self.dispatch_hook,
             ),
@@ -240,6 +237,7 @@ class ServePool:
             self._send_locks[worker_id] = threading.Lock()
             self._inflight[worker_id] = {}
             self._generations[worker_id] = generation
+            self._last_seen[worker_id] = None
             self._dead.discard(worker_id)
         thread = threading.Thread(
             target=self._receive_loop, args=(worker_id, generation, parent_conn),
@@ -262,8 +260,8 @@ class ServePool:
         with self._lock:
             self._running = False
         self._monitor_stop.set()
-        # Bypass _send's dead-worker check: a worker marked dead for a
-        # lease lapse may still be alive and must still see the stop.
+        # Bypass _send's dead-worker check: a worker marked dead for
+        # going silent may still be alive and must still see the stop.
         for worker_id in range(self.workers):
             conn = self._conns[worker_id]
             if conn is None:
@@ -311,10 +309,6 @@ class ServePool:
     def live_workers(self) -> list[int]:
         with self._lock:
             return [w for w in range(self.workers) if w not in self._dead]
-
-    def estimated_wait_s(self, rows: int = 0) -> float | None:
-        """The sharded front end keeps no cost model; admit on no evidence."""
-        return None
 
     # -- submission ------------------------------------------------------------
 
@@ -428,10 +422,6 @@ class ServePool:
         """Merged fleet :class:`ServeCounters` (front-end sheds included)."""
         return ServeCounters(**self.fleet_snapshot()["counters"])
 
-    def latency_summary(self) -> dict:
-        """Fleet-wide p50/p95/mean from the merged sketches."""
-        return self.fleet_snapshot()["latency"]
-
     # -- internals -------------------------------------------------------------
 
     def _send(self, worker_id: int, message) -> bool:
@@ -485,59 +475,68 @@ class ServePool:
                 message = conn.recv()
             except (EOFError, OSError):
                 break
+            now = time.monotonic()
             kind = message[0]
-            if kind == "result":
-                _, request_id, status, labels, flagged, latency_s = message
-                with self._lock:
-                    ticket = self._inflight[worker_id].pop(request_id, None)
-                if ticket is not None:
-                    ticket._resolve(
-                        ServeResult(
-                            status=status, labels=labels, flagged=flagged,
-                            latency_s=latency_s,
-                        )
-                    )
-            elif kind == "stats":
-                _, seq, snapshot = message
-                with self._lock:
+            ticket = None
+            with self._lock:
+                if self._generations[worker_id] == generation:
+                    self._last_seen[worker_id] = now
+                if kind == "result":
+                    ticket = self._inflight[worker_id].pop(message[1], None)
+                elif kind == "stats":
+                    _, seq, snapshot = message
                     self._last_snapshots[(worker_id, generation)] = snapshot
                     slot = self._stats_waits.get(seq)
                     if slot is not None:
                         slot["got"][worker_id] = snapshot
                         if slot["want"] <= set(slot["got"]):
                             slot["event"].set()
+            if ticket is not None:
+                _, _, status, labels, flagged, latency_s = message
+                ticket._resolve(
+                    ServeResult(
+                        status=status, labels=labels, flagged=flagged,
+                        latency_s=latency_s,
+                    )
+                )
+            elif kind == "error":
+                _, error, text = message
+                self._journal(
+                    "serve-worker-error", worker=worker_id, generation=generation,
+                    error=error, message=text,
+                )
         with self._lock:
             shutting_down = not self._running
         self._mark_dead(worker_id, generation=generation, shutdown=shutting_down)
+
+    def _journal(self, event: str, **fields) -> None:
+        """Append one event to the ``ledger_path`` journal, if there is one."""
+        ledger = self._event_ledger
+        if ledger is not None:
+            ledger.event(event, **fields)
 
     def _monitor_loop(self) -> None:
         """Liveness watchdog and respawn supervisor.
 
         Process death is caught fast by pipe EOF; this thread catches the
-        uglier case — a worker that is alive but stopped heartbeating
-        (stuck in a dispatch, paged out, livelocked) — via its lease
-        expiring in the shared ledger, exactly as in the runner's worker
-        pool.  With ``max_restarts > 0`` it is also the supervisor: each
-        tick it respawns dead slots that still have restart budget.
+        uglier case — a worker that is alive but has sent nothing, not
+        even a heartbeat, for ``lease_ttl`` seconds (stopped, paged out,
+        livelocked).  A worker that has not sent its first message yet is
+        not judged.  With ``max_restarts > 0`` it is also the supervisor:
+        each tick it respawns dead slots that still have restart budget.
         """
-        reader = Ledger(self.ledger_path)
         interval = max(0.05, min(self.lease_ttl / 4.0, 0.5))
         while not self._monitor_stop.wait(interval):
+            now = time.monotonic()
             with self._lock:
-                live = [w for w in range(self.workers) if w not in self._dead]
-            if live:
-                state = reader.replay()
-                now = time.time()
-                for worker_id in live:
-                    with self._lock:
-                        proc = self._procs[worker_id]
-                        generation = self._generations[worker_id]
-                    if proc is None or not proc.is_alive():
-                        self._mark_dead(worker_id, generation=generation)
-                        continue
-                    lease = state.leases.get(worker_lease_key(worker_id, generation))
-                    if lease is not None and now > lease["deadline"]:
-                        self._mark_dead(worker_id, generation=generation)
+                live = [
+                    (w, self._procs[w], self._generations[w], self._last_seen[w])
+                    for w in range(self.workers) if w not in self._dead
+                ]
+            for worker_id, proc, generation, seen in live:
+                silent = seen is not None and now - seen > self.lease_ttl
+                if silent or proc is None or not proc.is_alive():
+                    self._mark_dead(worker_id, generation=generation)
             if self.max_restarts > 0:
                 self._respawn_dead_workers()
 
@@ -563,15 +562,11 @@ class ServePool:
                     # rather than fork forever.
                     self._crash_looped.add(worker_id)
                     self.crash_loops += 1
-                    generation = self._generations[worker_id]
-                    ledger = self._event_ledger
-                    if ledger is not None:
-                        ledger.event(
-                            "serve-worker-crash-loop", worker=worker_id,
-                            generation=generation,
-                            restarts=len(window),
-                            window_s=self.restart_window_s,
-                        )
+                    self._journal(
+                        "serve-worker-crash-loop", worker=worker_id,
+                        generation=self._generations[worker_id],
+                        restarts=len(window), window_s=self.restart_window_s,
+                    )
                     continue
                 self._restart_times[worker_id].append(now)
                 # Counted before the slot goes live so observers never see
@@ -580,17 +575,13 @@ class ServePool:
                 generation = self._generations[worker_id] + 1
                 old_conn = self._conns[worker_id]
                 self._conns[worker_id] = None
-                ledger = self._event_ledger
             if old_conn is not None:
                 try:
                     old_conn.close()
                 except OSError:  # pragma: no cover
                     pass
             self._spawn_worker(worker_id, generation=generation)
-            if ledger is not None:
-                ledger.event(
-                    "serve-worker-respawn", worker=worker_id, generation=generation
-                )
+            self._journal("serve-worker-respawn", worker=worker_id, generation=generation)
 
 
 # ---------------------------------------------------------------------------
@@ -600,13 +591,10 @@ class ServePool:
 
 def _worker_main(
     worker_id: int,
-    generation: int,
     conn,
     inherited_conns,
     dcn,
     service_kwargs,
-    ledger_path: str,
-    lease_ttl: float,
     heartbeat_interval: float,
     dispatch_hook,
 ) -> None:
@@ -614,18 +602,21 @@ def _worker_main(
     for other in inherited_conns:
         other.close()
     service = DCNService(dcn, **service_kwargs)
-    ledger = Ledger(ledger_path, fsync=False)
-    lease_id = new_lease_id()
-    key = worker_lease_key(worker_id, generation)
-    now = time.time()
-    ledger.lease("claim", key, lease_id, worker_id, now, now + lease_ttl)
+    send_lock = threading.Lock()
+
+    def send(message) -> None:
+        with send_lock:
+            conn.send(message)
 
     stop_beating = threading.Event()
 
     def beat():
-        while not stop_beating.wait(heartbeat_interval):
-            t = time.time()
-            ledger.lease("heartbeat", key, lease_id, worker_id, t, t + lease_ttl)
+        try:
+            send(("beat",))
+            while not stop_beating.wait(heartbeat_interval):
+                send(("beat",))
+        except OSError:  # front end went away
+            pass
 
     heartbeat = threading.Thread(target=beat, daemon=True)
     heartbeat.start()
@@ -658,18 +649,15 @@ def _worker_main(
                     try:
                         results = service.serve_batch([x for _, x in requests])
                     except Exception as exc:  # tickets must always resolve
-                        ledger.event(
-                            "serve-worker-error", worker=worker_id,
-                            error=type(exc).__name__, message=str(exc),
-                        )
+                        send(("error", type(exc).__name__, str(exc)))
                         results = [ServeResult(status="shed")] * len(requests)
                     for (request_id, _), result in zip(requests, results):
-                        conn.send((
+                        send((
                             "result", request_id, result.status,
                             result.labels, result.flagged, result.latency_s,
                         ))
                 for seq in stats_seqs:
-                    conn.send(("stats", seq, service.telemetry_snapshot()))
+                    send(("stats", seq, service.telemetry_snapshot()))
             except (OSError, BrokenPipeError):  # front end went away
                 break
             if stopping:
@@ -677,9 +665,6 @@ def _worker_main(
     finally:
         stop_beating.set()
         heartbeat.join(timeout=2.0)
-        t = time.time()
-        ledger.lease("release", key, lease_id, worker_id, t, t)
-        ledger.close()
         try:
             conn.close()
         except OSError:  # pragma: no cover

@@ -262,6 +262,22 @@ def _zoo_architecture(name, seed=0):
     return build_network(MODEL_CONFIGS[config], shape, 10, seed=seed), shape
 
 
+def test_zoo_shapes_cover_every_model_at_every_dataset_shape():
+    # The bias-in-GEMM fold and the float32 batch-independence rules hold
+    # only for the conv shapes measured; a new architecture or dataset
+    # shape must join _ZOO_SHAPES so TestBiasInGemm and the parity tests
+    # run over it.
+    from repro.datasets.registry import DATASET_CONFIGS
+    from repro.zoo import _DATASET_MODEL
+
+    covered = set(_ZOO_SHAPES.values())
+    for dataset, model in _DATASET_MODEL.items():
+        config = DATASET_CONFIGS[dataset]
+        shape = (config.channels, config.image_size, config.image_size)
+        assert (model, shape) in covered, (dataset, model, shape)
+    assert set(MODEL_CONFIGS) <= {model for model, _ in covered}
+
+
 class TestImageMajorConv:
     """The image-major conv lowering against the row-major per-call reference."""
 
@@ -315,7 +331,7 @@ class TestImageMajorConv:
                 engine.logits(x[:n], memo=False), _percall_logits(network, x[:n])
             )
 
-    @pytest.mark.parametrize("name", ["cnn-fast", "cnn-fast-wide", "cnn-paper-mnist", "cnn-paper-cifar"])
+    @pytest.mark.parametrize("name", list(_ZOO_SHAPES))
     def test_float32_rows_independent_of_batch_size(self, name):
         # A row's float32 logits must not depend on the batch it arrives in:
         # a bucket-1 dispatch and a coalesced one must agree bit for bit.

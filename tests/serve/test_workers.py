@@ -1,12 +1,15 @@
 """ServePool: sharded serving equivalence, merged telemetry, worker death.
 
-The chaos tests (SIGKILL, wedged-worker lease expiry) are the PR's
-acceptance criteria: a dead worker's in-flight tickets must resolve as
-shed — never hang a caller — and the survivors must finish the stream.
+The chaos tests (SIGKILL, a wedged worker going silent on its pipe) pin
+the pool's core guarantee: a dead worker's in-flight tickets must resolve
+as shed — never hang a caller — and the survivors must finish the stream.
 """
 
+import json
 import multiprocessing
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +25,14 @@ from repro.serve import (
     read_telemetry,
     run_pool,
 )
-from repro.serve.workers import worker_lease_key
+
+
+def _lease_records(journal):
+    """Lease claim/heartbeat/release lines in ``journal`` (none if absent)."""
+    if not journal.exists():
+        return []
+    records = [json.loads(line) for line in journal.read_text().splitlines()]
+    return [rec for rec in records if rec.get("kind") == "lease"]
 
 
 class _RuleDetector:
@@ -86,18 +96,24 @@ class TestShardedServing:
         # stop() snapshots before shutdown; post-stop queries still work.
         assert pool.counters().requests == len(stream)
 
-    def test_workers_release_leases_on_clean_stop(self, tiny_correct, tiny_dcn,
-                                                  tmp_path):
-        from repro.runner.ledger import Ledger
-
+    def test_clean_stop_exits_zero_and_journals_no_leases(self, tiny_correct,
+                                                          tiny_dcn, tmp_path):
         _, x, _ = tiny_correct
         ledger_path = tmp_path / "pool.jsonl"
         with ServePool(tiny_dcn, workers=2, ledger_path=ledger_path,
                        max_batch=8) as pool:
             pool.classify(x[:2])
-        state = Ledger(ledger_path).replay()
-        for worker_id in range(2):
-            assert worker_lease_key(worker_id) not in state.leases
+        assert [proc.exitcode for proc in pool.processes] == [0, 0]
+        assert _lease_records(ledger_path) == []
+
+    def test_pool_without_ledger_path_writes_no_file(self, tiny_correct, tiny_dcn):
+        _, x, _ = tiny_correct
+        scratch = Path(tempfile.gettempdir())
+        before = set(scratch.glob("serve-pool-*.jsonl"))
+        with ServePool(tiny_dcn, workers=2, max_batch=8) as pool:
+            assert pool.classify(x[:2], timeout=10.0).status == "ok"
+        assert set(scratch.glob("serve-pool-*.jsonl")) - before == set()
+        assert pool.ledger_path is None
 
     def test_submit_requires_start_and_validates(self, tiny_dcn, tmp_path):
         pool = ServePool(tiny_dcn, workers=1, ledger_path=tmp_path / "pool.jsonl")
@@ -271,17 +287,16 @@ class TestSupervision:
             if key not in gauges:
                 assert after["counters"][key] >= value, key
 
-    def test_respawned_worker_uses_generation_lease_key(
+    def test_respawned_worker_outlives_its_predecessors_lease_ttl(
         self, tiny_correct, tiny_dcn, tmp_path
     ):
-        from repro.runner.ledger import Ledger
-
         _, x, _ = tiny_correct
-        ledger_path = tmp_path / "pool.jsonl"
+        lease_ttl = 0.4
         with ServePool(
-            tiny_dcn, workers=1, ledger_path=ledger_path, max_batch=8,
-            max_restarts=2, restart_window_s=60.0,
+            tiny_dcn, workers=1, ledger_path=tmp_path / "pool.jsonl", max_batch=8,
+            lease_ttl=lease_ttl, max_restarts=2, restart_window_s=60.0,
         ) as pool:
+            assert pool.classify(x[:1], timeout=10.0).status == "ok"
             pool.processes[0].kill()
             deadline = time.monotonic() + 15.0
             while time.monotonic() < deadline and not (
@@ -289,11 +304,13 @@ class TestSupervision:
             ):
                 time.sleep(0.05)
             assert pool.live_workers() == [0]
+            # Nothing the corpse last sent can count for or against the
+            # replacement: it stays live on its own heartbeats.
+            time.sleep(2.5 * lease_ttl)
+            assert pool.live_workers() == [0]
+            assert pool.worker_deaths == 1
+            assert pool.respawns == 1
             assert pool.classify(x[:1], timeout=10.0).status == "ok"
-        state = Ledger(ledger_path).replay()
-        # Generation 1 claimed (and cleanly released) its own key; the
-        # corpse's gen-0 lease never shadowed the replacement.
-        assert worker_lease_key(0, generation=1) not in state.leases
 
     def test_crash_loop_exhausts_budget_and_gives_up(
         self, tiny_correct, tiny_dcn, tmp_path
@@ -358,6 +375,62 @@ class TestSupervision:
             ServePool(tiny_dcn, workers=1, max_restarts=-1)
         with pytest.raises(ValueError, match="restart_window_s"):
             ServePool(tiny_dcn, workers=1, restart_window_s=0.0)
+        # A zero, negative or non-finite interval would spin the worker's
+        # heartbeat thread (or crash it) instead of pacing it.
+        for interval in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="heartbeat_interval"):
+                ServePool(tiny_dcn, workers=1, heartbeat_interval=interval)
+        with pytest.raises(ValueError, match="heartbeat_interval"):
+            ServePool(tiny_dcn, workers=1, lease_ttl=float("inf"))
+
+
+class TestPipeLiveness:
+    """Liveness rides the worker pipe: heartbeats and replies are messages,
+    and the journal only ever holds front-end events."""
+
+    def test_fast_heartbeats_keep_a_busy_worker_live_and_journal_nothing(
+        self, tiny_correct, tiny_dcn, tmp_path
+    ):
+        _, x, _ = tiny_correct
+
+        # The dispatch outlasts lease_ttl; only the heartbeat thread's
+        # messages keep the worker from being declared wedged.
+        def nap(worker_id, n_requests):
+            time.sleep(0.6)
+
+        ledger_path = tmp_path / "pool.jsonl"
+        with ServePool(
+            tiny_dcn, workers=1, ledger_path=ledger_path, max_batch=8,
+            lease_ttl=0.3, heartbeat_interval=0.01, dispatch_hook=nap,
+        ) as pool:
+            assert pool.classify(x[:1], timeout=10.0).status == "ok"
+            time.sleep(0.4)
+            assert pool.live_workers() == [0]
+            assert pool.worker_deaths == 0
+        # No lease or heartbeat records: with no respawn, crash loop or
+        # dispatch error the journal is never even created.
+        assert not ledger_path.exists()
+
+    def test_dispatch_error_is_journaled_by_the_front_end(self, tiny_correct,
+                                                          tmp_path):
+        from repro.runner.ledger import Ledger
+
+        network, x, _ = tiny_correct
+
+        def explode(logits):
+            raise RuntimeError("detector exploded")
+
+        dcn = DCN(network, _RuleDetector(network, explode),
+                  Corrector(network, radius=0.1, samples=20, seed=0))
+        ledger_path = tmp_path / "pool.jsonl"
+        with ServePool(dcn, workers=1, ledger_path=ledger_path, max_batch=8) as pool:
+            result = pool.classify(x[:1], timeout=10.0)
+            assert result.status == "shed"
+            assert pool.live_workers() == [0]
+        events = Ledger(ledger_path).replay().events
+        assert [(e["event"], e["worker"], e["error"], e["message"]) for e in events] == [
+            ("serve-worker-error", 0, "RuntimeError", "detector exploded")
+        ]
 
 
 class TestBoundedSnapshot:
