@@ -12,21 +12,29 @@ operational envelope on the cached ``mnist-fast`` artifacts:
    workers, produce finite fleet-wide percentiles from the merged
    sketches, and journal cleanly through ``TelemetryExporter``;
 3. **SLO admission in workers** — a pool built with ``slo_target_s``
-   forwards it to each worker's service; a generous budget must not
-   shed anything on a light stream;
+   builds the service every worker inherits with it; a generous budget
+   must not shed anything on a light stream;
 4. **worker death** — SIGKILL one worker mid-stream: its in-flight
    tickets must resolve as shed (never hang a caller), the survivors
    must finish the stream, and the fleet snapshot must name the corpse;
 5. **wedged worker** — a worker alive but silent on its pipe (a blocking
    dispatch, heartbeats an hour apart) must be declared dead within
    ``lease_ttl`` plus one monitor tick of its last message, shedding its
-   in-flight ticket.
+   in-flight ticket;
+6. **stopped worker respawned** — SIGSTOP a worker under supervision:
+   once it is declared dead, the respawn must kill and reap it before
+   forking its replacement, so a SIGCONT finds no process, no receive
+   thread dies on the pipe the front end let go of, and the replacement
+   serves labels bitwise-identical to offline ``DCN.classify``.
 
 Exit status 0 = all checks passed.
 """
 
 import multiprocessing
+import os
+import signal
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -172,6 +180,40 @@ def main() -> int:
             "wedge: silent worker declared dead while its process lives",
         )
         release.set()
+
+    # 6. stopped worker: declared dead, killed and reaped, then respawned
+    errors = []
+    threading.excepthook = errors.append
+    with ServePool(
+        dcn, workers=1, max_batch=32, lease_ttl=lease_ttl, max_restarts=1,
+    ) as pool:
+        check(pool.classify(stream[0].x, timeout=30.0).status == "ok",
+              "respawn: worker serves before the stop")
+        corpse = pool.processes[0]
+        os.kill(corpse.pid, signal.SIGSTOP)
+        deadline = time.monotonic() + 15.0
+        while time.monotonic() < deadline and not (
+            pool.respawns == 1 and pool.live_workers() == [0]
+        ):
+            time.sleep(0.05)
+        check(pool.respawns == 1 and pool.live_workers() == [0],
+              "respawn: stopped worker declared dead and replaced")
+        try:
+            os.kill(corpse.pid, signal.SIGCONT)
+            woke = True
+        except ProcessLookupError:
+            woke = False
+        time.sleep(2 * lease_ttl)  # a woken corpse would have sent a beat
+        check(not woke and not corpse.is_alive(),
+              "respawn: corpse killed and reaped before its replacement forked")
+        results = [pool.classify(stream[i].x, timeout=30.0) for i in range(8)]
+        check(
+            all(r.status == "ok" for r in results)
+            and all(np.array_equal(r.labels, offline[i]) for i, r in enumerate(results)),
+            "respawn: replacement's labels bitwise-identical to offline",
+        )
+    threading.excepthook = threading.__excepthook__
+    check(errors == [], "respawn: no receive thread died")
     return 0
 
 

@@ -515,8 +515,7 @@ def _serve_stream(dataset_name: str | None, requests: int, adv_fraction: float,
 
 def _build_front(dcn, max_batch: int, max_queue: int, max_delay: float,
                  overload: str, slo_target_s: float | None, workers: int,
-                 lease_ttl: float, max_restarts: int = 0,
-                 restart_window_s: float = 30.0):
+                 lease_ttl: float, max_restarts: int, restart_window_s: float):
     """The serving backend behind both local streams and --listen."""
     from .serve import DCNService, ServePool
 
@@ -578,6 +577,7 @@ def _cmd_serve(dataset_name: str | None, requests: int, adv_fraction: float,
                min_size: int, max_size: int, seed: int, max_batch: int,
                max_queue: int, max_delay: float, overload: str, burst: int,
                slo_target_ms: float | None, workers: int, lease_ttl: float,
+               max_restarts: int, restart_window: float,
                telemetry: str | None) -> int:
     import contextlib
     import time
@@ -590,7 +590,7 @@ def _cmd_serve(dataset_name: str | None, requests: int, adv_fraction: float,
     slo_target_s = slo_target_ms / 1e3 if slo_target_ms is not None else None
     front = _build_front(
         dcn, max_batch, max_queue, max_delay, overload, slo_target_s,
-        workers, lease_ttl,
+        workers, lease_ttl, max_restarts, restart_window,
     )
     statuses: dict[str, int] = {}
     start = time.perf_counter()
@@ -726,7 +726,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.dataset, args.requests, args.adv_fraction, args.min_size,
             args.max_size, args.seed, args.max_batch, args.max_queue,
             args.max_delay, args.overload, args.burst, args.slo_target_ms,
-            args.workers, args.lease_ttl, args.telemetry,
+            args.workers, args.lease_ttl, args.max_restarts,
+            args.restart_window, args.telemetry,
         )
     if args.command == "loadgen":
         if args.connect is not None:

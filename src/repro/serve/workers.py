@@ -6,8 +6,8 @@ Sharded front end
     ``submit()`` routes each request to a worker by a **deterministic
     shard-by-request** rule — request sequence number modulo the worker
     count, falling to the next live worker in the ring when the target is
-    dead.  Every worker runs its own :class:`~repro.serve.DCNService`
-    over the same (fork-inherited) DCN, so served labels stay
+    dead.  The pool builds one :class:`~repro.serve.DCNService` over the
+    DCN and every worker inherits it by fork, so served labels stay
     bitwise-identical to offline ``DCN.classify`` no matter which worker
     a request lands on: the per-input corrector noise streams make the
     label a pure function of the row.
@@ -16,22 +16,26 @@ Pipe liveness
     Each worker's pipe is its only channel to the front end: requests and
     stats polls go down it; results, stats snapshots, dispatch errors and
     heartbeats come back up it.  A worker thread sends ``("beat",)`` every
-    ``heartbeat_interval`` seconds — the first once the worker's service
-    is built — under the same send lock as the worker's replies.  The
+    ``heartbeat_interval`` seconds — the first as soon as the worker
+    runs — under the same send lock as the worker's replies.  The
     front end stamps ``time.monotonic()`` on every message it receives,
     and its monitor marks a worker dead when its process exits *or*
     nothing has arrived from it for ``lease_ttl`` seconds (alive but
     wedged).  A dead worker's in-flight requests **resolve as shed** —
     callers blocked in ``ticket.wait()`` unblock immediately instead of
     hanging, and later requests route around the corpse.  SIGKILL is
-    additionally caught fast through pipe EOF.
+    additionally caught fast through pipe EOF.  One receive thread reads
+    each pipe and alone closes it, once the pipe reaches EOF.
 
 Bounded respawn supervision
-    With ``max_restarts > 0`` the monitor **respawns** a dead worker: a
-    fresh fork rejoins the shard ring over a fresh pipe as the slot's next
-    *generation*, so nothing the corpse sent can vouch for its
-    replacement, and because labels are a pure function of the row, a
-    respawned worker serves bitwise-identically to the one it replaced.
+    With ``max_restarts > 0`` the monitor **respawns** a dead worker.  It
+    first ends the corpse — SIGKILL (a wedged worker may still be alive),
+    reap, then join the corpse's receive thread, which returns on pipe
+    EOF — and only then forks the replacement, the slot's next
+    *generation*, over a fresh pipe.  Each generation is its own record,
+    so nothing the corpse sent can vouch for its replacement, and because
+    labels are a pure function of the row, a respawned worker serves
+    bitwise-identically to the one it replaced.
     The budget is a sliding **restart window**: more than
     ``max_restarts`` respawns of one slot within ``restart_window_s``
     seconds is a crash loop — supervision gives up on the slot and the
@@ -50,7 +54,7 @@ Merged telemetry
     and mergeable :class:`~repro.serve.telemetry.LatencySketch` states on
     demand; :meth:`ServePool.fleet_snapshot` sums counters and merges
     sketches into fleet-wide p50/p95 without ever shipping raw latency
-    windows.  Snapshots are kept per worker *generation*, so a respawned
+    windows.  Every generation keeps its last snapshot, so a respawned
     worker starting from zero never pulls fleet totals backwards.  The
     poll is **bounded**: a worker that dies mid-request can
     delay the snapshot by at most the stats timeout, after which the
@@ -60,9 +64,9 @@ Merged telemetry
     :class:`~repro.serve.telemetry.TelemetryExporter` can journal the
     fleet time series exactly like a single service's.
 
-``fork`` is the only supported start method (the DCN and its engines are
-inherited, never pickled); :func:`repro.runner.pool.fork_available`
-gates it.
+``fork`` is the only supported start method (the DCN, its engines and
+the service are inherited, never pickled);
+:func:`repro.runner.pool.fork_available` gates it.
 """
 
 from __future__ import annotations
@@ -78,6 +82,34 @@ from .service import DCNService, ServeResult, ServeTicket, validate_request
 from .telemetry import LatencySketch, ServeCounters
 
 __all__ = ["ServePool"]
+
+
+class _Worker:
+    """One forked generation of a worker slot, as the front end sees it.
+
+    A respawn makes a new record, so a death report, reply or snapshot
+    from a corpse can only ever touch the corpse's own record.
+    """
+
+    __slots__ = (
+        "slot", "generation", "proc", "conn", "send_lock", "inflight",
+        "last_seen", "snapshot", "answered", "dead", "reader",
+    )
+
+    def __init__(self, slot: int, generation: int, proc, conn):
+        self.slot = slot
+        self.generation = generation
+        self.proc = proc
+        self.conn = conn
+        self.send_lock = threading.Lock()
+        self.inflight: dict[int, ServeTicket] = {}
+        # Monotonic time of the last message; None until the first one
+        # (such a worker is not judged).
+        self.last_seen: float | None = None
+        self.snapshot: dict | None = None  # last stats reply
+        self.answered = -1  # newest stats poll answered
+        self.dead = False
+        self.reader: threading.Thread | None = None
 
 
 class ServePool:
@@ -109,9 +141,10 @@ class ServePool:
     dispatch_hook:
         Test seam: ``hook(worker_id, n_requests)`` runs in the worker
         before each dispatch — the chaos tests stall a worker with it.
-    service_kwargs:
-        Forwarded to each worker's :class:`DCNService` (``max_batch``,
-        ``slo_target_s``, ``overload``, ...).
+    **kwargs:
+        Build the one :class:`DCNService` every worker inherits
+        (``max_batch``, ``slo_target_s``, ``overload``, ...); a bad one
+        raises here.
     """
 
     _STATS_TIMEOUT = 5.0
@@ -126,7 +159,7 @@ class ServePool:
         max_restarts: int = 0,
         restart_window_s: float = 30.0,
         dispatch_hook=None,
-        **service_kwargs,
+        **kwargs,
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -144,42 +177,32 @@ class ServePool:
 
         if not fork_available():  # pragma: no cover - non-POSIX
             raise RuntimeError("ServePool needs the fork start method")
-        self.dcn = dcn
+        self.service = DCNService(dcn, **kwargs)
         self.workers = workers
         self.lease_ttl = lease_ttl
         self.heartbeat_interval = heartbeat_interval
         self.max_restarts = max_restarts
         self.restart_window_s = restart_window_s
         self.dispatch_hook = dispatch_hook
-        self.service_kwargs = dict(service_kwargs)
-        self.max_batch = int(self.service_kwargs.get("max_batch", 64))
         self.ledger_path = Path(ledger_path) if ledger_path is not None else None
         self.front_shed = 0  # sheds decided by the front end (dead workers)
         self.worker_deaths = 0
         self.respawns = 0  # workers brought back by supervision
         self.crash_loops = 0  # slots abandoned after exhausting the budget
-        self._lock = threading.Lock()
+        # One condition guards all pool state; stats replies and deaths
+        # notify it, which is what a stats poll waits on.
+        self._lock = threading.Condition()
         self._running = False
         self._seq = 0
         self._next_id = 0
         self._stats_seq = 0
-        self._procs: list[multiprocessing.process.BaseProcess | None] = []
-        self._conns: list = []
-        self._send_locks: list[threading.Lock] = []
-        self._generations = [0] * workers
-        # Monotonic time of each slot's last message; None until the
-        # current generation's first one (such a worker is not judged).
-        self._last_seen: list[float | None] = [None] * workers
+        self._slots: list[_Worker] = []  # each slot's current generation
+        self._records: list[_Worker] = []  # every generation ever forked
         self._restart_times: list[list[float]] = [[] for _ in range(workers)]
         self._crash_looped: set[int] = set()
-        self._dead: set[int] = set()
-        self._inflight: list[dict[int, ServeTicket]] = []
-        self._stats_waits: dict[int, dict] = {}
-        # Keyed by (worker, generation): a respawned worker's counters
-        # restart at zero, so its predecessor's last snapshot must stay in
-        # the sum or fleet totals would go backwards.
-        self._last_snapshots: dict[tuple[int, int], dict] = {}
-        self._threads: list[threading.Thread] = []
+        self._monitor = threading.Thread(
+            target=self._monitor_loop, name="serve-pool-monitor", daemon=True
+        )
         self._monitor_stop = threading.Event()
         self._event_ledger: Ledger | None = None
 
@@ -192,62 +215,41 @@ class ServePool:
             self._running = True
         if self.ledger_path is not None:
             self._event_ledger = Ledger(self.ledger_path, fsync=False)
-        self._procs = [None] * self.workers
-        self._conns = [None] * self.workers
-        self._send_locks = [threading.Lock() for _ in range(self.workers)]
-        self._inflight = [{} for _ in range(self.workers)]
-        for worker_id in range(self.workers):
-            self._spawn_worker(worker_id, generation=0)
-        monitor = threading.Thread(
-            target=self._monitor_loop, name="serve-pool-monitor", daemon=True
-        )
-        monitor.start()
-        self._threads.append(monitor)
+        for slot in range(self.workers):
+            self._slots.append(self._spawn(slot, generation=0))
+        self._monitor.start()
         return self
 
-    def _spawn_worker(self, worker_id: int, generation: int) -> None:
-        """Fork one worker (initial start and supervision respawns alike).
+    def _spawn(self, slot: int, generation: int) -> _Worker:
+        """Fork one worker generation and start its receive thread.
 
-        Workers are forked sequentially, so a new child inherits exactly
-        the parent ends currently held by the front end — it closes all
-        of them (its own included) so a SIGKILLed sibling's pipe still
-        reaches EOF in the parent.
+        Workers are forked one at a time, so a new child inherits exactly
+        the parent ends the front end holds — it closes all of them (its
+        own included) so a SIGKILLed sibling's pipe still reaches EOF in
+        the parent.
         """
         ctx = multiprocessing.get_context("fork")
         parent_conn, child_conn = ctx.Pipe(duplex=True)
-        inherited = [conn for conn in self._conns if conn is not None] + [parent_conn]
+        inherited = [worker.conn for worker in self._slots] + [parent_conn]
         proc = ctx.Process(
             target=_worker_main,
             args=(
-                worker_id,
-                child_conn,
-                inherited,
-                self.dcn,
-                self.service_kwargs,
-                self.heartbeat_interval,
-                self.dispatch_hook,
+                slot, child_conn, inherited, self.service,
+                self.heartbeat_interval, self.dispatch_hook,
             ),
             daemon=True,
         )
         proc.start()
         child_conn.close()
-        with self._lock:
-            self._procs[worker_id] = proc
-            self._conns[worker_id] = parent_conn
-            self._send_locks[worker_id] = threading.Lock()
-            self._inflight[worker_id] = {}
-            self._generations[worker_id] = generation
-            self._last_seen[worker_id] = None
-            self._dead.discard(worker_id)
-        thread = threading.Thread(
-            target=self._receive_loop, args=(worker_id, generation, parent_conn),
-            name=f"serve-pool-recv-{worker_id}.g{generation}", daemon=True,
+        worker = _Worker(slot, generation, proc, parent_conn)
+        worker.reader = threading.Thread(
+            target=self._receive_loop, args=(worker,),
+            name=f"serve-pool-recv-{slot}.g{generation}", daemon=True,
         )
-        thread.start()
         with self._lock:
-            # One receive thread per respawn: drop the finished ones.
-            self._threads = [t for t in self._threads if t.is_alive()]
-            self._threads.append(thread)
+            self._records.append(worker)
+        worker.reader.start()
+        return worker
 
     def stop(self) -> None:
         """Final fleet snapshot, clean worker shutdown, join everything."""
@@ -260,37 +262,26 @@ class ServePool:
         with self._lock:
             self._running = False
         self._monitor_stop.set()
+        self._monitor.join()  # no respawn can race the shutdown below
         # Bypass _send's dead-worker check: a worker marked dead for
         # going silent may still be alive and must still see the stop.
-        for worker_id in range(self.workers):
-            conn = self._conns[worker_id]
-            if conn is None:
-                continue
+        for worker in self._slots:
             try:
-                with self._send_locks[worker_id]:
-                    conn.send(("stop",))
-            except (OSError, ValueError, BrokenPipeError):
+                with worker.send_lock:
+                    worker.conn.send(("stop",))
+            except (OSError, ValueError):
                 pass
-        for proc in self._procs:
-            if proc is None:
-                continue
-            proc.join(timeout=10.0)
-            if proc.is_alive():  # pragma: no cover - wedged worker backstop
-                proc.terminate()
-                proc.join(timeout=5.0)
-        for conn in self._conns:
-            if conn is None:
-                continue
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
-        for thread in self._threads:
-            thread.join(timeout=5.0)
+        for worker in self._slots:
+            worker.proc.join(timeout=10.0)
+            if worker.proc.is_alive():  # pragma: no cover - wedged worker backstop
+                worker.proc.terminate()
+                worker.proc.join(timeout=5.0)
+        for worker in self._records:
+            worker.reader.join(timeout=5.0)
         # Anything still unresolved (worker died with the stop in flight)
         # sheds rather than hangs.
-        for worker_id in range(self.workers):
-            self._mark_dead(worker_id, shutdown=True)
+        for worker in self._slots:
+            self._mark_dead(worker, shutdown=True)
         if self._event_ledger is not None:
             self._event_ledger.close()
             self._event_ledger = None
@@ -304,11 +295,11 @@ class ServePool:
     @property
     def processes(self) -> list:
         """The worker processes (the chaos tests SIGKILL these)."""
-        return list(self._procs)
+        return [worker.proc for worker in self._slots]
 
     def live_workers(self) -> list[int]:
         with self._lock:
-            return [w for w in range(self.workers) if w not in self._dead]
+            return [worker.slot for worker in self._slots if not worker.dead]
 
     # -- submission ------------------------------------------------------------
 
@@ -318,28 +309,26 @@ class ServePool:
         If every worker is dead the ticket resolves as shed — the pool
         never blocks a caller on a corpse.
         """
-        x = validate_request(x, self.max_batch)
+        x = validate_request(x, self.service.max_batch)
         with self._lock:
             if not self._running:
                 raise RuntimeError("pool is not started; use start() or a with block")
             base = self._seq
             self._seq += 1
-            worker_id = None
             for offset in range(self.workers):
-                candidate = (base + offset) % self.workers
-                if candidate not in self._dead:
-                    worker_id = candidate
+                worker = self._slots[(base + offset) % self.workers]
+                if not worker.dead:
                     break
-            if worker_id is None:
+            else:
                 self.front_shed += 1
                 return ServeTicket(ServeResult(status="shed", reason="unavailable"))
             request_id = self._next_id
             self._next_id += 1
             ticket = ServeTicket()
-            self._inflight[worker_id][request_id] = ticket
-        if not self._send(worker_id, ("req", request_id, x)):
-            # Send raced the worker dying; _mark_dead resolved the ticket.
-            pass
+            worker.inflight[request_id] = ticket
+        # A send that races the worker dying marks it dead, which
+        # resolves the ticket as shed.
+        self._send(worker, ("req", request_id, x))
         return ticket
 
     def classify(self, x, timeout: float | None = 30.0) -> ServeResult:
@@ -364,36 +353,26 @@ class ServePool:
         ``respawns``/``crash_loops`` ride the merged counters.
         """
         timeout = self._STATS_TIMEOUT if timeout is None else timeout
-        stale: list[int] = []
         with self._lock:
-            running = self._running
-            live = [w for w in range(self.workers) if w not in self._dead]
-        if running and live:
-            with self._lock:
-                seq = self._stats_seq
-                self._stats_seq += 1
-                slot = {"event": threading.Event(), "got": {}, "want": set(live)}
-                self._stats_waits[seq] = slot
-            for worker_id in live:
-                if not self._send(worker_id, ("stats", seq)):
-                    with self._lock:
-                        slot["want"].discard(worker_id)
-                        if slot["want"] <= set(slot["got"]):
-                            slot["event"].set()
-            slot["event"].wait(timeout)
-            with self._lock:
-                self._stats_waits.pop(seq, None)
-                stale = sorted(w for w in live if w not in slot["got"])
+            polled = [w for w in self._slots if not w.dead] if self._running else []
+            seq = self._stats_seq
+            self._stats_seq += 1
+        for worker in polled:
+            self._send(worker, ("stats", seq))
         with self._lock:
-            snapshots = list(self._last_snapshots.values())
-            reporting = sorted({worker for worker, _ in self._last_snapshots})
+            self._lock.wait_for(
+                lambda: all(w.answered >= seq or w.dead for w in polled), timeout
+            )
+            stale = sorted(w.slot for w in polled if w.answered < seq)
+            snapshots = [w.snapshot for w in self._records if w.snapshot is not None]
+            reporting = sorted({w.slot for w in self._records if w.snapshot is not None})
             front = {
                 "shed": self.front_shed,
                 "respawns": self.respawns,
                 "crash_loops": self.crash_loops,
             }
-            dead = sorted(self._dead)
-            generations = list(self._generations)
+            dead = [w.slot for w in self._slots if w.dead]
+            generations = [w.generation for w in self._slots]
         counters = ServeCounters.merged([snap["counters"] for snap in snapshots] + [front])
         sketch = LatencySketch()
         for snap in snapshots:
@@ -424,73 +403,51 @@ class ServePool:
 
     # -- internals -------------------------------------------------------------
 
-    def _send(self, worker_id: int, message) -> bool:
-        with self._lock:
-            if worker_id in self._dead:
-                return False
-            conn = self._conns[worker_id]
-            send_lock = self._send_locks[worker_id]
-            generation = self._generations[worker_id]
-        if conn is None:
-            return False
+    def _send(self, worker: _Worker, message) -> None:
+        if worker.dead:
+            return
         try:
-            with send_lock:
-                conn.send(message)
-            return True
-        except (OSError, ValueError, BrokenPipeError):
-            self._mark_dead(worker_id, generation=generation)
-            return False
+            with worker.send_lock:
+                worker.conn.send(message)
+        except (OSError, ValueError):
+            self._mark_dead(worker)
 
-    def _mark_dead(
-        self, worker_id: int, generation: int | None = None, shutdown: bool = False
-    ) -> None:
-        """Dead/wedged worker: shed its in-flight requests, stop routing.
-
-        ``generation`` guards against a previous incarnation's receive
-        thread (or a stale monitor pass) declaring its *replacement* dead:
-        a death report for generation ``g`` is ignored once the slot has
-        respawned past ``g``.
-        """
+    def _mark_dead(self, worker: _Worker, shutdown: bool = False) -> None:
+        """Dead/wedged worker: shed its in-flight requests, stop routing."""
         with self._lock:
-            if generation is not None and generation != self._generations[worker_id]:
-                return
-            already = worker_id in self._dead
-            if not already:
-                self._dead.add(worker_id)
+            if not worker.dead:
+                worker.dead = True
                 if not shutdown:
                     self.worker_deaths += 1
-            orphans = list(self._inflight[worker_id].values())
-            self._inflight[worker_id] = {}
+            orphans = list(worker.inflight.values())
+            worker.inflight.clear()
             self.front_shed += len(orphans)
-            for slot in self._stats_waits.values():
-                slot["want"].discard(worker_id)
-                if slot["want"] <= set(slot["got"]):
-                    slot["event"].set()
+            self._lock.notify_all()
         for ticket in orphans:
             ticket._resolve(ServeResult(status="shed"))
 
-    def _receive_loop(self, worker_id: int, generation: int, conn) -> None:
+    def _receive_loop(self, worker: _Worker) -> None:
+        """Read one generation's pipe until EOF, then close it.
+
+        This thread is the pipe's only reader and its only closer, so no
+        other thread ever closes the pipe under a blocked ``recv()``.
+        """
+        conn = worker.conn
         while True:
             try:
                 message = conn.recv()
             except (EOFError, OSError):
                 break
-            now = time.monotonic()
             kind = message[0]
             ticket = None
             with self._lock:
-                if self._generations[worker_id] == generation:
-                    self._last_seen[worker_id] = now
+                worker.last_seen = time.monotonic()
                 if kind == "result":
-                    ticket = self._inflight[worker_id].pop(message[1], None)
+                    ticket = worker.inflight.pop(message[1], None)
                 elif kind == "stats":
-                    _, seq, snapshot = message
-                    self._last_snapshots[(worker_id, generation)] = snapshot
-                    slot = self._stats_waits.get(seq)
-                    if slot is not None:
-                        slot["got"][worker_id] = snapshot
-                        if slot["want"] <= set(slot["got"]):
-                            slot["event"].set()
+                    _, seq, worker.snapshot = message
+                    worker.answered = max(worker.answered, seq)
+                    self._lock.notify_all()
             if ticket is not None:
                 _, _, status, labels, flagged, latency_s = message
                 ticket._resolve(
@@ -502,12 +459,14 @@ class ServePool:
             elif kind == "error":
                 _, error, text = message
                 self._journal(
-                    "serve-worker-error", worker=worker_id, generation=generation,
-                    error=error, message=text,
+                    "serve-worker-error", worker=worker.slot,
+                    generation=worker.generation, error=error, message=text,
                 )
+        with worker.send_lock:
+            conn.close()
         with self._lock:
             shutting_down = not self._running
-        self._mark_dead(worker_id, generation=generation, shutdown=shutting_down)
+        self._mark_dead(worker, shutdown=shutting_down)
 
     def _journal(self, event: str, **fields) -> None:
         """Append one event to the ``ledger_path`` journal, if there is one."""
@@ -529,59 +488,54 @@ class ServePool:
         while not self._monitor_stop.wait(interval):
             now = time.monotonic()
             with self._lock:
-                live = [
-                    (w, self._procs[w], self._generations[w], self._last_seen[w])
-                    for w in range(self.workers) if w not in self._dead
-                ]
-            for worker_id, proc, generation, seen in live:
+                live = [worker for worker in self._slots if not worker.dead]
+            for worker in live:
+                seen = worker.last_seen
                 silent = seen is not None and now - seen > self.lease_ttl
-                if silent or proc is None or not proc.is_alive():
-                    self._mark_dead(worker_id, generation=generation)
+                if silent or not worker.proc.is_alive():
+                    self._mark_dead(worker)
             if self.max_restarts > 0:
                 self._respawn_dead_workers()
 
     def _respawn_dead_workers(self) -> None:
         """One supervision pass: respawn dead slots within budget."""
-        with self._lock:
-            if not self._running:
-                return
-            candidates = sorted(self._dead - self._crash_looped)
-        for worker_id in candidates:
+        for slot in range(self.workers):
             now = time.monotonic()
             with self._lock:
-                if not self._running or worker_id not in self._dead:
+                corpse = self._slots[slot]
+                if not self._running or not corpse.dead or slot in self._crash_looped:
                     continue
                 window = [
-                    t for t in self._restart_times[worker_id]
+                    t for t in self._restart_times[slot]
                     if now - t < self.restart_window_s
                 ]
-                self._restart_times[worker_id] = window
+                self._restart_times[slot] = window
                 if len(window) >= self.max_restarts:
                     # Crash loop: the slot keeps dying faster than the
                     # budget allows.  Give up with a structured record
                     # rather than fork forever.
-                    self._crash_looped.add(worker_id)
+                    self._crash_looped.add(slot)
                     self.crash_loops += 1
                     self._journal(
-                        "serve-worker-crash-loop", worker=worker_id,
-                        generation=self._generations[worker_id],
+                        "serve-worker-crash-loop", worker=slot,
+                        generation=corpse.generation,
                         restarts=len(window), window_s=self.restart_window_s,
                     )
                     continue
-                self._restart_times[worker_id].append(now)
+                window.append(now)
                 # Counted before the slot goes live so observers never see
                 # a respawned worker with a stale counter.
                 self.respawns += 1
-                generation = self._generations[worker_id] + 1
-                old_conn = self._conns[worker_id]
-                self._conns[worker_id] = None
-            if old_conn is not None:
-                try:
-                    old_conn.close()
-                except OSError:  # pragma: no cover
-                    pass
-            self._spawn_worker(worker_id, generation=generation)
-            self._journal("serve-worker-respawn", worker=worker_id, generation=generation)
+            # End the corpse before its replacement forks: a wedged one
+            # may still be alive, and its receive thread closes the pipe
+            # once the kill brings EOF.
+            corpse.proc.kill()
+            corpse.proc.join()
+            corpse.reader.join(timeout=5.0)
+            worker = self._spawn(slot, corpse.generation + 1)
+            with self._lock:
+                self._slots[slot] = worker
+            self._journal("serve-worker-respawn", worker=slot, generation=worker.generation)
 
 
 # ---------------------------------------------------------------------------
@@ -593,15 +547,13 @@ def _worker_main(
     worker_id: int,
     conn,
     inherited_conns,
-    dcn,
-    service_kwargs,
+    service: DCNService,
     heartbeat_interval: float,
     dispatch_hook,
 ) -> None:
     """One forked serving worker: recv, coalesce, serve, reply, heartbeat."""
     for other in inherited_conns:
         other.close()
-    service = DCNService(dcn, **service_kwargs)
     send_lock = threading.Lock()
 
     def send(message) -> None:

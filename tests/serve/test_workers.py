@@ -7,7 +7,10 @@ as shed — never hang a caller — and the survivors must finish the stream.
 
 import json
 import multiprocessing
+import os
+import signal
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -181,8 +184,8 @@ class TestWorkerDeath:
 
     def test_wedged_worker_dies_by_lease_expiry(self, tiny_correct, tiny_dcn,
                                                 tmp_path):
-        """Alive-but-stuck worker: pipe stays open, so only the lease
-        going stale in the shared ledger can unstick its callers."""
+        """Alive-but-stuck worker: pipe stays open, so only its silence
+        outlasting ``lease_ttl`` can unstick its callers."""
         _, x, _ = tiny_correct
         release = multiprocessing.get_context("fork").Event()
 
@@ -196,8 +199,8 @@ class TestWorkerDeath:
         )
         with pool:
             ticket = pool.submit(x[:1])
-            # No heartbeats arrive, so the claim's deadline lapses and the
-            # monitor declares the worker dead without any process exit.
+            # No message arrives for lease_ttl, so the monitor declares
+            # the worker dead without any process exit.
             result = ticket.wait(5.0)
             assert result.status == "shed"
             assert pool.live_workers() == []
@@ -357,6 +360,44 @@ class TestSupervision:
         assert events[0]["worker"] == 0
         assert events[0]["restarts"] == 1
 
+    def test_respawn_ends_a_stopped_corpse_before_its_replacement_forks(
+        self, tiny_correct, tiny_dcn, tmp_path, monkeypatch
+    ):
+        """SIGSTOP -> lease expiry -> respawn -> SIGCONT.  The respawn kills
+        and reaps the silent worker, so it can never wake up and reply on
+        a pipe the front end has let go of, and no receive thread dies."""
+        _, x, _ = tiny_correct
+        errors = []
+        monkeypatch.setattr(threading, "excepthook", errors.append)
+        with ServePool(
+            tiny_dcn, workers=1, ledger_path=tmp_path / "pool.jsonl", max_batch=8,
+            lease_ttl=0.4, max_restarts=1, restart_window_s=60.0,
+        ) as pool:
+            assert pool.classify(x[:1], timeout=10.0).status == "ok"
+            corpse = pool.processes[0]
+            os.kill(corpse.pid, signal.SIGSTOP)
+            deadline = time.monotonic() + 15.0
+            while time.monotonic() < deadline and not (
+                pool.respawns == 1 and pool.live_workers() == [0]
+            ):
+                time.sleep(0.05)
+            assert pool.respawns == 1
+            try:
+                os.kill(corpse.pid, signal.SIGCONT)
+            except ProcessLookupError:
+                pass  # reaped by the respawn
+            # A woken corpse would send a heartbeat within lease_ttl / 4.
+            time.sleep(0.5)
+            assert not corpse.is_alive()
+            assert pool.processes[0] is not corpse
+            for i in range(4):
+                result = pool.classify(x[i : i + 1], timeout=10.0)
+                assert result.status == "ok"
+                np.testing.assert_array_equal(
+                    result.labels, tiny_dcn.classify(x[i : i + 1])
+                )
+        assert [(args.thread.name, args.exc_type) for args in errors] == []
+
     def test_no_respawn_by_default(self, tiny_correct, tiny_dcn, tmp_path):
         _, x, _ = tiny_correct
         with ServePool(
@@ -382,6 +423,14 @@ class TestSupervision:
                 ServePool(tiny_dcn, workers=1, heartbeat_interval=interval)
         with pytest.raises(ValueError, match="heartbeat_interval"):
             ServePool(tiny_dcn, workers=1, lease_ttl=float("inf"))
+
+    def test_bad_service_kwargs_raise_at_construction(self, tiny_dcn):
+        # The pool builds the one DCNService its workers inherit, so a
+        # typo or an invalid value fails here, not in every forked worker.
+        with pytest.raises(TypeError, match="max_queu"):
+            ServePool(tiny_dcn, workers=1, max_queu=5)
+        with pytest.raises(ValueError, match="overload"):
+            ServePool(tiny_dcn, workers=1, overload="bogus")
 
 
 class TestPipeLiveness:

@@ -1,7 +1,10 @@
 """Tests for the command-line interface."""
 
+import inspect
+
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 
 
@@ -137,6 +140,38 @@ class TestCommands:
         )
         assert code == 0
         assert "fgsm (untargeted)" in capsys.readouterr().out
+
+
+class _StubFront:
+    """Stands in for the serving backend: no stream, zero counters."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        pass
+
+    def telemetry_snapshot(self):
+        return {"counters": {"examples": 0}, "latency": {"p50_ms": 0.0, "p95_ms": 0.0}}
+
+
+class TestServeCommand:
+    def test_serve_forwards_restart_budget_to_the_pool(self, monkeypatch, capsys):
+        front_signature = inspect.signature(cli._build_front)
+        seen = {}
+
+        def fake_build_front(*args, **kwargs):
+            seen.update(front_signature.bind(*args, **kwargs).arguments)
+            return _StubFront()
+
+        monkeypatch.setattr(cli, "_serve_stream", lambda *args: (None, []))
+        monkeypatch.setattr(cli, "_build_front", fake_build_front)
+        assert main(["serve", "--workers", "2", "--max-restarts", "3",
+                     "--restart-window", "12"]) == 0
+        assert seen["workers"] == 2
+        assert seen.get("max_restarts") == 3
+        assert seen.get("restart_window_s") == 12.0
+        assert "[2 workers]" in capsys.readouterr().out
 
 
 class TestPaperArtifactCommands:
