@@ -127,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="differential verification of the fused engines vs autograd"
     )
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--cases", type=int, default=25, help="randomized cases to run")
+    verify.add_argument("--cases", type=_positive_int, default=25, help="randomized cases to run")
     verify.add_argument(
         "--dtype",
         choices=("float32", "float64", "both"),
@@ -231,6 +231,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     return parser
+
+
+def _positive_int(value: str) -> int:
+    number = int(value)
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {number}")
+    return number
 
 
 def _parse_hostport(value: str) -> tuple[str, int]:

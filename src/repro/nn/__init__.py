@@ -7,8 +7,7 @@ DESIGN.md §2 for the substitution rationale.
 from . import gradcheck, init, losses, metrics, ops, optim
 from .engine import EngineCounters, InferenceEngine, PlanEngine
 from .grad_engine import GradientEngine
-from .layers import AvgPool2D, Conv2D, Dense, Dropout, Flatten, MaxPool2D, ReLU, Sigmoid, Tanh
-from .norm import BatchNorm1D, BatchNorm2D
+from .layers import Conv2D, Dense, Dropout, Flatten, MaxPool2D, ReLU, Tanh
 from .network import Network
 from .optim import SGD, Adam
 from .plan import DEFAULT_PLAN_ENTRIES, CompiledPlan, compile_plan
@@ -42,13 +41,9 @@ __all__ = [
     "Dense",
     "Conv2D",
     "MaxPool2D",
-    "AvgPool2D",
-    "BatchNorm1D",
-    "BatchNorm2D",
     "Flatten",
     "ReLU",
     "Tanh",
-    "Sigmoid",
     "Dropout",
     "SGD",
     "Adam",

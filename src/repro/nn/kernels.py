@@ -17,12 +17,13 @@ Window views
 
 Per-call reference kernels
     :func:`build_percall_infer_kernels` reproduces the pre-plan
-    InferenceEngine arithmetic exactly: one closure per layer, every
-    temporary allocated per call, convolution as the row-major
-    ``cols @ w_mat.T`` over :func:`repro.nn.ops.im2col` patch rows.  It is
-    the baseline the plan benchmark (``benchmarks/bench_plan_throughput.py``)
-    measures against and a second reference implementation for the plan
-    parity tests.
+    InferenceEngine arithmetic exactly: one closure per layer of the plan
+    vocabulary (``Dense``, ``Conv2D``, ``MaxPool2D``, ``Flatten``,
+    ``ReLU``, ``Tanh``, ``Dropout``), every temporary allocated per call,
+    convolution as the row-major ``cols @ w_mat.T`` over
+    :func:`repro.nn.ops.im2col` patch rows.  It is the baseline the plan
+    benchmark (``benchmarks/bench_plan_throughput.py``) measures against
+    and a second reference implementation for the plan parity tests.
 
 Everything here is stateless NumPy; the buffer-bound execution lives in
 :mod:`repro.nn.plan`.
@@ -34,14 +35,12 @@ from typing import Callable
 
 import numpy as np
 
-from .layers import AvgPool2D, Conv2D, Dense, Dropout, Flatten, MaxPool2D, ReLU, Sigmoid, Tanh
-from .norm import _BatchNormBase
-from .ops import im2col, stable_sigmoid
+from .layers import Conv2D, Dense, Dropout, Flatten, MaxPool2D, ReLU, Tanh
+from .ops import im2col
 
 __all__ = [
     "window_view",
     "conv_output_size",
-    "bn_eval_scale_shift",
     "build_percall_infer_kernels",
 ]
 
@@ -81,17 +80,6 @@ def window_view(
     )
 
 
-def bn_eval_scale_shift(layer: _BatchNormBase) -> tuple[np.ndarray, np.ndarray]:
-    """Eval-mode batch-norm folded into one affine: ``y = x * scale + shift``.
-
-    Computed in float64 from the live running statistics (they are float64
-    module state); callers broadcast/cast to the compute dtype.
-    """
-    scale = layer.params["gamma"].data / np.sqrt(layer.running_var + layer.eps)
-    shift = layer.params["beta"].data - layer.running_mean * scale
-    return scale, shift
-
-
 # -- per-call reference kernels (the pre-plan inference path) -------------------
 
 
@@ -104,11 +92,6 @@ def max_pool_forward(x: np.ndarray, size: int, stride: int) -> np.ndarray:
     out_w = conv_output_size(w, size, stride)
     cols = im2col(x.reshape(n * c, 1, h, w), size, stride)
     return cols.max(axis=1).reshape(n, c, out_h, out_w)
-
-
-def avg_pool_forward(x: np.ndarray, size: int) -> np.ndarray:
-    n, c, h, w = x.shape
-    return x.reshape(n, c, h // size, size, w // size, size).mean(axis=(3, 5), dtype=x.dtype)
 
 
 def build_percall_infer_kernels(
@@ -141,26 +124,14 @@ def _percall_kernel(layer, cast) -> Callable[[np.ndarray], np.ndarray] | None:
         return _percall_conv_kernel(layer, cast)
     if isinstance(layer, MaxPool2D):
         return lambda x: max_pool_forward(x, layer.size, layer.stride)
-    if isinstance(layer, AvgPool2D):
-        return lambda x: avg_pool_forward(x, layer.size)
     if isinstance(layer, Flatten):
         return lambda x: x.reshape(len(x), int(np.prod(x.shape[1:])))
     if isinstance(layer, ReLU):
         return lambda x: np.maximum(x, 0.0, dtype=x.dtype)
     if isinstance(layer, Tanh):
         return np.tanh
-    if isinstance(layer, Sigmoid):
-        return stable_sigmoid
     if isinstance(layer, Dropout):
         return lambda x: x  # inference-time identity
-    if isinstance(layer, _BatchNormBase):
-
-        def run(x: np.ndarray) -> np.ndarray:
-            scale, shift = bn_eval_scale_shift(layer)
-            shape = layer._shape
-            return x * scale.reshape(shape).astype(x.dtype) + shift.reshape(shape).astype(x.dtype)
-
-        return run
     return None
 
 

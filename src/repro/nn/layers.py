@@ -20,11 +20,9 @@ __all__ = [
     "Dense",
     "Conv2D",
     "MaxPool2D",
-    "AvgPool2D",
     "Flatten",
     "ReLU",
     "Tanh",
-    "Sigmoid",
     "Dropout",
 ]
 
@@ -140,25 +138,6 @@ class MaxPool2D(Layer):
         return (c, h_out, w_out)
 
 
-class AvgPool2D(Layer):
-    """Average pooling (NCHW), non-overlapping windows."""
-
-    def __init__(self, size: int = 2):
-        super().__init__()
-        self.size = size
-
-    def forward(self, x: Tensor, training: bool) -> Tensor:
-        return ops.avg_pool2d(x, self.size)
-
-    def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
-        # Raised here, not only in the autograd op, so every shape walk (a
-        # plan compile, Network.output_shape) rejects a floor-dividing pool.
-        c, h, w = input_shape
-        if h % self.size or w % self.size:
-            raise ValueError(f"spatial dims {(h, w)} not divisible by pool size {self.size}")
-        return (c, h // self.size, w // self.size)
-
-
 class Flatten(Layer):
     """Flatten all but the batch dimension."""
 
@@ -179,11 +158,6 @@ class ReLU(Layer):
 class Tanh(Layer):
     def forward(self, x: Tensor, training: bool) -> Tensor:
         return ops.tanh(x)
-
-
-class Sigmoid(Layer):
-    def forward(self, x: Tensor, training: bool) -> Tensor:
-        return ops.sigmoid(x)
 
 
 class Dropout(Layer):

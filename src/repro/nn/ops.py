@@ -22,23 +22,17 @@ __all__ = [
     "exp",
     "log",
     "tanh",
-    "sigmoid",
     "relu",
-    "stable_sigmoid",
-    "abs_",
     "maximum",
-    "clip",
     "sum_",
     "mean",
     "max_",
     "reshape",
     "transpose",
     "getitem",
-    "concatenate",
     "pad2d",
     "conv2d",
     "max_pool2d",
-    "avg_pool2d",
     "dropout",
     "softmax",
     "log_softmax",
@@ -154,31 +148,6 @@ def tanh(a) -> Tensor:
     return Tensor._from_op(out_data, (a,), backward)
 
 
-def stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    """Overflow-free logistic function on a plain array (dtype-preserving).
-
-    The naive ``1 / (1 + exp(-x))`` overflows ``exp`` for strongly negative
-    inputs (|x| ≳ 88 in float32, ≳ 709 in float64) — the result saturates
-    correctly but the intermediate raises under ``np.errstate(over='raise')``
-    and trips warnings-as-errors test runs.  Computing through
-    ``exp(-|x|) ≤ 1`` never overflows; the three fused engines and the
-    autograd op all share this kernel so they stay bit-identical.
-    """
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = stable_sigmoid(a.data)
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(grad * out_data * (1.0 - out_data))
-
-    return Tensor._from_op(out_data, (a,), backward)
-
-
 def relu(a) -> Tensor:
     a = as_tensor(a)
     mask = a.data > 0
@@ -187,17 +156,6 @@ def relu(a) -> Tensor:
     def backward(grad: np.ndarray) -> None:
         if a.requires_grad:
             a._accumulate(grad * mask)
-
-    return Tensor._from_op(out_data, (a,), backward)
-
-
-def abs_(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.abs(a.data)
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(grad * np.sign(a.data))
 
     return Tensor._from_op(out_data, (a,), backward)
 
@@ -215,19 +173,6 @@ def maximum(a, b) -> Tensor:
             b._accumulate(_unbroadcast(grad * ~take_a, b.shape))
 
     return Tensor._from_op(out_data, (a, b), backward)
-
-
-def clip(a, low: float, high: float) -> Tensor:
-    """Clamp to ``[low, high]``; gradient is zero outside the interval."""
-    a = as_tensor(a)
-    out_data = np.clip(a.data, low, high)
-    interior = (a.data >= low) & (a.data <= high)
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(grad * interior)
-
-    return Tensor._from_op(out_data, (a,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -333,22 +278,6 @@ def getitem(a, index) -> Tensor:
             a._accumulate(full)
 
     return Tensor._from_op(np.asarray(out_data), (a,), backward)
-
-
-def concatenate(tensors, axis: int = 0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(grad: np.ndarray) -> None:
-        for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            if tensor.requires_grad:
-                slicer = [slice(None)] * grad.ndim
-                slicer[axis] = slice(start, stop)
-                tensor._accumulate(grad[tuple(slicer)])
-
-    return Tensor._from_op(out_data, tuple(tensors), backward)
 
 
 def pad2d(a, padding: int) -> Tensor:
@@ -493,24 +422,6 @@ def _max_pool2d_fast(x: Tensor, size: int) -> Tensor:
             return
         grad_blocks = mask * grad[:, :, :, None, :, None]
         x._accumulate(grad_blocks.reshape(x.shape))
-
-    return Tensor._from_op(out_data, (x,), backward)
-
-
-def avg_pool2d(x, size: int = 2) -> Tensor:
-    """Average pooling (NCHW) with non-overlapping windows."""
-    x = as_tensor(x)
-    n, c, h, w = x.shape
-    if h % size or w % size:
-        raise ValueError(f"spatial dims {(h, w)} not divisible by pool size {size}")
-    out_h, out_w = h // size, w // size
-    blocks = x.data.reshape(n, c, out_h, size, out_w, size)
-    out_data = blocks.mean(axis=(3, 5))
-
-    def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            spread = np.repeat(np.repeat(grad, size, axis=2), size, axis=3)
-            x._accumulate(spread / (size * size))
 
     return Tensor._from_op(out_data, (x,), backward)
 

@@ -3,11 +3,10 @@
 The serving-shaped hot path of this reproduction is *repeated same-shape*
 work: the detector-gated fast path pays one forward per request, the
 corrector fans flagged inputs into staged sample batches on the bucket
-ladder, and
-every attack inner loop pushes identically-shaped batches through the same
-network thousands of times.  Before this module, each of the three engines
-re-decided shapes, re-derived im2col geometry and re-allocated every
-activation on every call.
+ladder, and every attack inner loop pushes identically-shaped batches
+through the same network thousands of times.  Before this module, each of
+the three engines re-decided shapes, re-derived im2col geometry and
+re-allocated every activation on every call.
 
 :func:`compile_plan` walks a network once for a fixed ``(batch shape,
 dtype, mode)`` and emits a :class:`CompiledPlan`:
@@ -21,17 +20,16 @@ Explicit op list with arena-preallocated buffers
     callers have always had.
 
 Fused elementwise chains
-    ReLU / tanh / sigmoid / eval-mode batch norm / training dropout fold
-    in place onto their producer's buffer (conv→bn→relu is one step, one
-    buffer), except where the backward pass needs the producer's values
-    intact: in ``grad``/``train`` mode a tanh/sigmoid output is *protected*
-    — it is needed to form its own gradient, so nothing may fuse over it
-    and the chain restarts on a fresh buffer.  ReLU stays fusable in every
-    mode by stashing its sign mask in a preallocated boolean buffer.  One
-    method, ``_Op.step``, runs an op and its fused stages, and decides which
-    buffer they cover: a conv's whole row-padded buffer, junk columns
-    included, except for training dropout, whose mask draws exactly the
-    layer's output shape.
+    ReLU / tanh / training dropout fold in place onto their producer's
+    buffer (conv→relu is one step, one buffer), except where the backward
+    pass needs the producer's values intact: in ``grad``/``train`` mode a
+    tanh output is *protected* — it is needed to form its own gradient,
+    so nothing may fuse over it and the chain restarts on a fresh buffer.
+    ReLU stays fusable in every mode by stashing its sign mask in a
+    preallocated boolean buffer.  One method, ``_Op.step``, runs an op and
+    its fused stages, and decides which buffer they cover: a conv's whole
+    row-padded buffer, junk columns included, except for training dropout,
+    whose mask draws exactly the layer's output shape.
 
 Geometry bound once
     Each conv owns a flat per-channel padded frame (``hp·wp`` plus a
@@ -80,17 +78,15 @@ bitwise ``x @ w + b``.  A conv's bias is instead the last of the matmul's
 one accumulator, so ``+ b·1.0`` rounds exactly as the separate add.  That
 is measured on every zoo conv shape; a K split into blocks, or an edge
 kernel with split accumulators, would round it elsewhere (DESIGN.md,
-"Bias as the last GEMM term").  Avg-pool backward keeps the legacy
-fill-then-divide;
-max pooling is an exact selection, and its backward routes each window's
-gradient to the first maximal element, as ``argmax`` would, bits and all
-(``-0.0`` and NaN included).  The row-padded ``W @ cols`` hands BLAS the
-legacy ``cols @ w_mat.T`` product with its operand roles swapped and, at
-stride 1, junk columns appended; junk never feeds a valid output.  The
-input-gradient scatter adds each frame element's terms in ``(kh, kw)``
-order, as a zero-filled slab col2im would, plus only ``±0.0`` terms from
-junk columns and zero tails: a sum that starts at ``+0.0`` never holds
-``-0.0``, so they change no bit.  At stride 1 that sum is one
+"Bias as the last GEMM term").  Max pooling is an exact selection, and
+its backward routes each window's gradient to the first maximal element,
+as ``argmax`` would, bits and all (``-0.0`` and NaN included).  The
+row-padded ``W @ cols`` hands BLAS the legacy ``cols @ w_mat.T`` product
+with its operand roles swapped and, at stride 1, junk columns appended;
+junk never feeds a valid output.  The input-gradient scatter adds each
+frame element's terms in ``(kh, kw)`` order, as a zero-filled slab col2im
+would, plus only ``±0.0`` terms from junk columns and zero tails: a sum
+that starts at ``+0.0`` never holds ``-0.0``, so they change no bit.  At stride 1 that sum is one
 ``np.add.reduce`` from ``initial=+0.0``; where NaNs of both signs meet in
 one element, its SIMD loop may keep a different NaN's sign than the slab
 adds did.  Every non-NaN bit is unchanged.
@@ -106,8 +102,8 @@ few-row Dense wide enough to fall onto BLAS's small-matrix kernels runs on
 ``DENSE_MIN_ROWS`` rows, so on every zoo architecture a row's float32
 logits do not depend on its batch.  Conv weight and bias gradients come
 from a different contraction order than the legacy ``grad_matᵀ @ cols``
-and differ in the last bits; the differential verifier's budgets cover
-them.
+and differ in the last bits, within the differential verifier's
+budgets.
 """
 
 from __future__ import annotations
@@ -115,12 +111,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..verify import guards
-from .kernels import bn_eval_scale_shift, conv_output_size, window_view
-from .layers import AvgPool2D, Conv2D, Dense, Dropout, Flatten, MaxPool2D, ReLU, Sigmoid, Tanh
-from .norm import _BatchNormBase
-from .ops import stable_sigmoid
+from .kernels import conv_output_size, window_view
+from .layers import Conv2D, Dense, Dropout, Flatten, MaxPool2D, ReLU, Tanh
 
-__all__ = ["CompiledPlan", "compile_plan", "supports", "unplannable", "MODES", "DEFAULT_PLAN_ENTRIES"]
+__all__ = ["CompiledPlan", "compile_plan", "unplannable", "MODES", "DEFAULT_PLAN_ENTRIES"]
 
 MODES = ("infer", "grad", "train")
 
@@ -147,28 +141,12 @@ DENSE_MIN_ROWS = 8
 # takes them at n <= 4 rows and its 2048-input one at n <= 3.
 SMALL_GEMM_MACS = 1_000_000
 
-_PLANNABLE = (
-    Dense,
-    Conv2D,
-    MaxPool2D,
-    AvgPool2D,
-    Flatten,
-    ReLU,
-    Tanh,
-    Sigmoid,
-    Dropout,
-    _BatchNormBase,
-)
+_PLANNABLE = (Dense, Conv2D, MaxPool2D, Flatten, ReLU, Tanh, Dropout)
 
 
 def unplannable(network) -> list[str]:
     """Type names of the layers of ``network`` that have no compiled-plan op."""
     return [type(layer).__name__ for layer in network.layers if not isinstance(layer, _PLANNABLE)]
-
-
-def supports(network) -> bool:
-    """Whether every layer of ``network`` lowers to a compiled-plan op."""
-    return not unplannable(network)
 
 
 # -- fused elementwise stages ---------------------------------------------------
@@ -203,7 +181,8 @@ class _ReluStage(_Stage):
 
 
 class _TanhStage(_Stage):
-    protects_output = True  # backward reads the output values
+    # Its backward reads the output values, so _build protects its output
+    # in grad/train mode.
 
     def __init__(self, layer_index: int, track_grad: bool):
         self.layer_index = layer_index
@@ -218,51 +197,6 @@ class _TanhStage(_Stage):
     def backward(self, grad: np.ndarray) -> None:
         out = self._out
         grad *= 1.0 - out * out
-
-
-class _SigmoidStage(_Stage):
-    protects_output = True
-
-    def __init__(self, layer_index: int, track_grad: bool):
-        self.layer_index = layer_index
-        self.track_grad = track_grad
-        self._out = None
-
-    def apply(self, src: np.ndarray, dst: np.ndarray) -> None:
-        np.copyto(dst, stable_sigmoid(src))
-        if self.track_grad:
-            self._out = dst
-
-    def backward(self, grad: np.ndarray) -> None:
-        out = self._out
-        grad *= out
-        grad *= 1.0 - out
-
-
-class _BnEvalStage(_Stage):
-    """Eval-mode batch norm as an in-place affine; gradients flow through
-    the scale only (running statistics are constants, as in autograd)."""
-
-    def __init__(self, layer_index: int, layer: _BatchNormBase, dtype, track_grad: bool):
-        self.layer_index = layer_index
-        self.layer = layer
-        self.dtype = dtype
-        self.track_grad = track_grad
-        self._scale = None
-
-    def apply(self, src: np.ndarray, dst: np.ndarray) -> None:
-        # Recomputed per call from the live running statistics (the vectors
-        # are tiny); a fit that updates them is picked up immediately.
-        scale64, shift64 = bn_eval_scale_shift(self.layer)
-        shape = self.layer._shape
-        scale = scale64.reshape(shape).astype(self.dtype)
-        np.multiply(src, scale, out=dst)
-        dst += shift64.reshape(shape).astype(self.dtype)
-        if self.track_grad:
-            self._scale = scale
-
-    def backward(self, grad: np.ndarray) -> None:
-        grad *= self._scale
 
 
 class _DropoutTrainStage(_Stage):
@@ -622,11 +556,11 @@ class _MaxPoolOp(_Op):
     selection mask per window position, in ``(kh, kw)`` order: the
     element equals the window's max and no earlier position was taken.
     That is the first maximal element a reduction's ``argmax`` picks.  The
-    masks are built here, not in the backward, because fused posts (eval
-    batch norm, ReLU, training dropout) overwrite ``out`` in place.  When
-    the windows tile the input, the backward writes each window position's
-    view of the input gradient once, as the cotangent's bits times the
-    mask in unsigned integers.
+    masks are built here, not in the backward, because fused posts (ReLU,
+    training dropout) overwrite ``out`` in place.  When the windows tile
+    the input, the backward writes each window position's view of the
+    input gradient once, as the cotangent's bits times the mask in
+    unsigned integers.
     """
 
     def __init__(self, layer_index, layer, n, in_shape, dtype, mode):
@@ -694,71 +628,6 @@ class _MaxPoolOp(_Op):
             view = self.gin[:, :, rows, cols]
             np.add(view, grad, out=view, where=mask)
         return self.gin
-
-
-class _AvgPoolOp(_Op):
-    def __init__(self, layer_index, layer, n, in_shape, dtype, mode):
-        super().__init__(layer_index)
-        c, h, w = in_shape
-        size = layer.size
-        self.blocks_shape = (n, c, h // size, size, w // size, size)
-        self.out = np.empty((n, c, h // size, w // size), dtype=dtype)
-        self.divisor = np.dtype(dtype).type(size * size)
-        self.gin = np.empty((n, c, h, w), dtype=dtype) if mode != "infer" else None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        blocks = x.reshape(self.blocks_shape)
-        np.mean(blocks, axis=(3, 5), dtype=self.out.dtype, out=self.out)
-        return self.out
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        gin6 = self.gin.reshape(self.blocks_shape)
-        # Fill then divide (not a reciprocal multiply): the per-element op
-        # sequence of the legacy kernel, preserved for bitwise parity.
-        gin6[:] = grad[:, :, :, None, :, None]
-        self.gin /= self.divisor
-        return self.gin
-
-
-class _BnTrainOp(_Op):
-    """Training-mode batch norm: batch statistics, float64 running updates."""
-
-    def __init__(self, layer_index, layer, n, in_shape, dtype, cast, accumulate):
-        super().__init__(layer_index)
-        self.layer = layer
-        self.gamma, self.beta = layer.params["gamma"], layer.params["beta"]
-        self.cast = cast
-        self.accumulate = accumulate
-        full = (n,) + tuple(in_shape)
-        self.xhat = np.empty(full, dtype=dtype)
-        self.out = np.empty(full, dtype=dtype)
-        self._inv_std = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        layer = self.layer
-        axes, shape = layer._axes, layer._shape
-        mean = x.mean(axis=axes)
-        var = x.var(axis=axes)
-        momentum = layer.momentum
-        layer.running_mean = momentum * layer.running_mean + (1 - momentum) * mean.astype(
-            np.float64
-        )
-        layer.running_var = momentum * layer.running_var + (1 - momentum) * var.astype(np.float64)
-        inv_std = (1.0 / np.sqrt(var + layer.eps)).reshape(shape).astype(x.dtype)
-        np.subtract(x, mean.reshape(shape), out=self.xhat)
-        self.xhat *= inv_std
-        np.multiply(self.xhat, self.cast(self.gamma).reshape(shape), out=self.out)
-        self.out += self.cast(self.beta).reshape(shape)
-        self._inv_std = inv_std
-        return self.out
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        layer = self.layer
-        axes, shape = layer._axes, layer._shape
-        self.accumulate(self.gamma, (grad * self.xhat).sum(axis=axes))
-        self.accumulate(self.beta, grad.sum(axis=axes))
-        grad *= self.cast(self.gamma).reshape(shape) * self._inv_std
-        return grad
 
 
 # -- the plan -------------------------------------------------------------------
@@ -865,7 +734,8 @@ def compile_plan(network, batch_shape, dtype, mode, cast, accumulate=None) -> Co
     ``cast`` maps a parameter :class:`~repro.nn.tensor.Tensor` to its
     engine-dtype array (pass the engine's staleness-checked cast cache);
     ``accumulate(param, grad)`` is required in ``train`` mode.  Raises
-    :class:`ValueError` for networks :func:`supports` rejects.
+    :class:`ValueError` for a network with a layer :func:`unplannable`
+    names.
     """
     return CompiledPlan(network, batch_shape, dtype, mode, cast, accumulate)
 
@@ -879,7 +749,7 @@ def _build(network, batch_shape, dtype, mode, cast, accumulate):
     steps: list[_Op] = []
     # Whether the current buffer is plan-owned and safe for in-place fusion.
     # False at the head (the caller's input must never be mutated) and after
-    # a protected tanh/sigmoid output in grad/train mode.
+    # a protected tanh output in grad/train mode.
     owned = False
     track_grad = mode != "infer"
 
@@ -909,10 +779,6 @@ def _build(network, batch_shape, dtype, mode, cast, accumulate):
             steps.append(_MaxPoolOp(index, layer, n, shape, dtype, mode))
             shape = layer.output_shape(shape)
             owned = True
-        elif isinstance(layer, AvgPool2D):
-            steps.append(_AvgPoolOp(index, layer, n, shape, dtype, mode))
-            shape = layer.output_shape(shape)
-            owned = True
         elif isinstance(layer, Flatten):
             features = 1
             for dim in shape:
@@ -926,9 +792,8 @@ def _build(network, batch_shape, dtype, mode, cast, accumulate):
             onto_conv = owned and isinstance(steps[-1], _ConvOp)
             mask_shape = steps[-1].whole.shape if onto_conv else (n,) + shape
             attach(_ReluStage(index, mask_shape, track_grad))
-        elif isinstance(layer, (Tanh, Sigmoid)):
-            stage_cls = _TanhStage if isinstance(layer, Tanh) else _SigmoidStage
-            stage = stage_cls(index, track_grad)
+        elif isinstance(layer, Tanh):
+            stage = _TanhStage(index, track_grad)
             if mode == "infer":
                 attach(stage)
             else:
@@ -942,16 +807,7 @@ def _build(network, batch_shape, dtype, mode, cast, accumulate):
                 attach(_DropoutTrainStage(index, layer))
             else:
                 steps.append(_PassOp(index))
-        elif isinstance(layer, _BatchNormBase):
-            if mode == "train":
-                steps.append(_BnTrainOp(index, layer, n, shape, dtype, cast, accumulate))
-                owned = True
-            else:
-                attach(_BnEvalStage(index, layer, dtype, track_grad))
         else:
-            raise ValueError(
-                f"cannot compile a plan for layer type {type(layer).__name__}; "
-                "check plan.supports(network) first"
-            )
+            raise ValueError(f"cannot compile a plan for layer type {type(layer).__name__}")
 
     return steps

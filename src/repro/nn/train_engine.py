@@ -9,10 +9,8 @@ black-box substitute fits.  Each step runs a train-mode
 straight into each parameter's ``.grad`` buffer:
 
 Training-mode plans
-    Dropout draws its inverted mask from the layer's own generator (so the
-    engine is seed-for-seed comparable with the autograd path), and batch
-    norm computes batch statistics and updates the float64 running
-    estimates in place.
+    Dropout draws its inverted mask from the layer's own generator, so the
+    engine is seed-for-seed comparable with the autograd path.
 
 Image-blocked weight gradients
     A convolution's weight gradient lowers each image block's
@@ -185,9 +183,9 @@ class TrainingEngine(PlanEngine):
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, object]:
         """One training-mode forward pass returning ``(logits, context)``.
 
-        Dropout masks are drawn and batch-norm running statistics are
-        updated, exactly as ``network.forward(..., training=True)`` would.
-        This is the advanced API; most callers want :meth:`train_batch`.
+        Dropout masks are drawn exactly as ``network.forward(...,
+        training=True)`` would.  This is the advanced API; most callers
+        want :meth:`train_batch`.
         """
         return self._run_forward(x)
 

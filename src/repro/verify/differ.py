@@ -9,13 +9,14 @@ computation paths over the same :class:`~repro.nn.network.Network`:
 3. **GradientEngine** — compiled forward + input-gradient plans;
 4. **TrainingEngine** — compiled forward + loss + parameter-gradient plans.
 
-This module builds randomized layer stacks and inputs (including the edge
-flavours that historically diverged: sigmoid/tanh saturation at large
-magnitudes, quantized inputs that tie max-pool windows, batch-of-one
-batch-norm), pushes each case down all four paths, and folds the results
-into a :class:`~repro.verify.report.Report` — per-layer max ULP distance
-plus path-level relative error against the budget (1e-4 in float32, 1e-10
-in float64).  Because the compiled plans reuse arena buffers across calls,
+This module builds randomized layer stacks over the plan vocabulary
+(``Dense``, ``Conv2D``, ``MaxPool2D``, ``Flatten``, ``ReLU``, ``Tanh``,
+``Dropout``) and inputs (including the edge flavours that historically
+diverged: tanh saturation at large magnitudes, quantized inputs that tie
+max-pool windows, batches of one), pushes each case down all four paths,
+and folds the results into a :class:`~repro.verify.report.Report` —
+per-layer max ULP distance plus path-level relative error against the
+budget (1e-4 in float32, 1e-10 in float64).  Because the compiled plans reuse arena buffers across calls,
 the differ additionally replays the deterministic paths (a second
 same-input call after pushing a different batch shape through the plan
 cache) under a **zero** budget: any cross-call state leak in a reused
@@ -40,9 +41,6 @@ from typing import Sequence
 import numpy as np
 
 from ..nn import (
-    AvgPool2D,
-    BatchNorm1D,
-    BatchNorm2D,
     Conv2D,
     Dense,
     Dropout,
@@ -52,7 +50,6 @@ from ..nn import (
     MaxPool2D,
     Network,
     ReLU,
-    Sigmoid,
     Tanh,
     Tensor,
     TrainingEngine,
@@ -69,7 +66,7 @@ REL_BUDGET = {np.dtype(np.float32): 1e-4, np.dtype(np.float64): 1e-10}
 
 NUM_CLASSES = 4
 
-_ACTIVATIONS = {"relu": ReLU, "tanh": Tanh, "sigmoid": Sigmoid}
+_ACTIVATIONS = {"relu": ReLU, "tanh": Tanh}
 
 _ERRSTATE = dict(over="raise", invalid="raise", divide="raise", under="ignore")
 
@@ -157,12 +154,12 @@ def build_case(
 ) -> Case:
     """Materialize a block list into a network plus a matching input batch.
 
-    Blocks: ``("dense", out)``, ``("act", name)``, ``("bn",)``,
-    ``("dropout", rate)``, ``("conv", out_c, kernel, stride, padding)``,
-    ``("maxpool", size, stride)``, ``("avgpool", size)``.  Blocks that do
-    not fit the running feature-map geometry are skipped, so *every* block
-    list (including any shrunk sublist) builds a valid network.  A final
-    ``Dense`` head to ``classes`` logits is always appended.
+    Blocks: ``("dense", out)``, ``("act", name)``, ``("dropout", rate)``,
+    ``("conv", out_c, kernel, stride, padding)``, ``("maxpool", size,
+    stride)``.  Blocks that do not fit the running feature-map geometry
+    are skipped, so *every* block list (including any shrunk sublist)
+    builds a valid network.  A final ``Dense`` head to ``classes`` logits
+    is always appended.
     """
     rng = np.random.default_rng(seed)
     layers: list = []
@@ -185,17 +182,6 @@ def build_case(
                 continue
             layers.append(MaxPool2D(size, stride=stride))
             s = new_s
-        elif kind == "avgpool" and features is None:
-            _, size = block
-            if size < 1 or s % size:
-                continue
-            layers.append(AvgPool2D(size))
-            s //= size
-        elif kind == "bn":
-            if features is None:
-                layers.append(BatchNorm2D(c))
-            else:
-                layers.append(BatchNorm1D(features))
         elif kind == "act":
             layers.append(_ACTIVATIONS[block[1]]())
         elif kind == "dropout":
@@ -213,13 +199,6 @@ def build_case(
     layers.append(Dense(features, classes, rng))
 
     network = Network(layers, (channels, side, side))
-    # Non-trivial running statistics so the inference-path batch-norm
-    # kernel is exercised away from the (0, 1) identity.
-    for layer in network.layers:
-        if hasattr(layer, "running_var"):
-            layer.running_mean = rng.normal(size=layer.running_mean.shape)
-            layer.running_var = rng.uniform(0.5, 2.0, size=layer.running_var.shape)
-
     x = rng.normal(scale=scale, size=(batch, channels, side, side))
     if quantize:
         # Coarse grid → repeated values → max-pool ties, the argmax-order
@@ -354,7 +333,7 @@ def diff_case(case: Case, dtype, report: Report | None = None, label: str = "") 
             0.0,
         )
 
-        # Path 4: TrainingEngine parameter gradients, loss and running stats.
+        # Path 4: TrainingEngine parameter gradients and loss.
         _diff_training(case, dtype, report, case_label, budget)
 
     return report
@@ -369,14 +348,14 @@ def _reseed_dropout(network: Network, seed: int) -> None:
 def _diff_training(case: Case, dtype: np.dtype, report: Report, label: str, budget: float) -> None:
     """Compare fused and autograd training passes from identical state.
 
-    Both runs start from a snapshot of the network state with identically
-    reseeded dropout generators, so parameter gradients, the loss value and
-    batch-norm running statistics must match pointwise.  The snapshot is
-    restored afterwards — the verifier never leaves a network perturbed.
+    Both runs start with identically reseeded dropout generators, so the
+    parameter gradients and the loss value must match pointwise.  Neither
+    run steps a parameter; the dropout generators and cleared gradients are
+    restored afterwards, so the verifier never leaves a network perturbed.
     """
     network, x, labels = case.network, case.x, case.labels
     dtype_name = dtype.name
-    state0 = {key: value.copy() for key, value in network.state().items()}
+    dropouts = [(layer, layer._rng) for layer in network.layers if isinstance(layer, Dropout)]
     try:
         _reseed_dropout(network, case.seed + 7)
         network.zero_grad()
@@ -389,13 +368,7 @@ def _diff_training(case: Case, dtype: np.dtype, report: Report, label: str, budg
             (name, None if p.grad is None else p.grad.copy())
             for name, p in _named_parameters(network)
         ]
-        ref_stats = [
-            (type(layer).__name__, layer.running_mean.copy(), layer.running_var.copy())
-            for layer in network.layers
-            if hasattr(layer, "running_var")
-        ]
 
-        network.load_state(state0)
         _reseed_dropout(network, case.seed + 7)
         network.zero_grad()
         trainer = TrainingEngine(network, dtype=dtype)
@@ -425,26 +398,9 @@ def _diff_training(case: Case, dtype: np.dtype, report: Report, label: str, budg
                 ulp_distance(grad, ref, dtype=dtype),
                 budget,
             )
-        live_stats = [
-            (layer.running_mean, layer.running_var)
-            for layer in network.layers
-            if hasattr(layer, "running_var")
-        ]
-        for (name, ref_mean, ref_var), (mean, var) in zip(ref_stats, live_stats):
-            report.record(
-                label,
-                "train-stats",
-                name,
-                dtype_name,
-                max(_rel_error(mean, ref_mean), _rel_error(var, ref_var)),
-                max(
-                    ulp_distance(mean, ref_mean, dtype=dtype),
-                    ulp_distance(var, ref_var, dtype=dtype),
-                ),
-                budget,
-            )
     finally:
-        network.load_state(state0)
+        for layer, rng in dropouts:
+            layer._rng = rng
         network.zero_grad()
 
 
@@ -454,7 +410,7 @@ def _diff_training(case: Case, dtype: np.dtype, report: Report, label: str, budg
 def sample_blocks(rng: np.random.Generator) -> list[tuple]:
     """One random architecture description in the differ's block language."""
     blocks: list[tuple] = []
-    act = str(rng.choice(["relu", "tanh", "sigmoid"]))
+    act = str(rng.choice(["relu", "tanh"]))
     if rng.random() < 0.6:  # conv stack
         blocks.append(
             (
@@ -465,20 +421,14 @@ def sample_blocks(rng: np.random.Generator) -> list[tuple]:
                 int(rng.choice([0, 1])),
             )
         )
-        if rng.random() < 0.5:
-            blocks.append(("bn",))
         blocks.append(("act", act))
-        pool = str(rng.choice(["none", "max", "max-overlap", "avg"]))
+        pool = str(rng.choice(["none", "max", "max-overlap"]))
         if pool == "max":
             blocks.append(("maxpool", 2, 2))
         elif pool == "max-overlap":
             blocks.append(("maxpool", 2, 1))
-        elif pool == "avg":
-            blocks.append(("avgpool", 2))
     else:  # dense stack
         blocks.append(("dense", int(rng.choice([6, 10]))))
-        if rng.random() < 0.5:
-            blocks.append(("bn",))
         blocks.append(("act", act))
     if rng.random() < 0.3:
         blocks.append(("dropout", 0.3))
@@ -489,9 +439,8 @@ def sample_case(seed: int) -> Case:
     """One random case: architecture, input scale/shape, edge flavours."""
     rng = np.random.default_rng(seed)
     blocks = sample_blocks(rng)
-    # Scale 30 drives sigmoid/tanh deep into saturation (the regime where
-    # the naive logistic kernel overflowed); quantization creates pooling
-    # ties; batch 1 exercises the batch-norm single-example variance.
+    # Scale 30 drives tanh deep into saturation; quantization creates
+    # pooling ties; batch 1 runs a single-row Dense on its two-row buffer.
     scale = float(rng.choice([0.5, 1.0, 3.0, 30.0]))
     batch = int(rng.integers(1, 5))
     side = int(rng.choice([5, 6, 8]))

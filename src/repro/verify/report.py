@@ -106,7 +106,7 @@ class Report:
         if self.divergences:
             lines.append(f"DIVERGENCES ({len(self.divergences)}):")
             lines.extend("  " + d.describe() for d in self.divergences)
-        elif self.cases == 0:
+        elif self.cases < 1:
             lines.append("no cases executed")
         else:
             lines.append("all paths agree within budget")

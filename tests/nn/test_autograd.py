@@ -75,9 +75,6 @@ class TestElementwise:
     def test_tanh(self):
         check_gradient(ops.tanh, (4, 4))
 
-    def test_sigmoid(self):
-        check_gradient(ops.sigmoid, (4, 4))
-
     def test_relu(self):
         # Avoid kink at zero by shifting away from it.
         rng = np.random.default_rng(1)
@@ -87,14 +84,6 @@ class TestElementwise:
         ops.relu(t).sum().backward()
         np.testing.assert_allclose(t.grad, (x > 0).astype(float))
 
-    def test_abs(self):
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(5,))
-        x[np.abs(x) < 0.1] += 0.3
-        t = Tensor(x, requires_grad=True)
-        ops.abs_(t).sum().backward()
-        np.testing.assert_allclose(t.grad, np.sign(x))
-
     def test_maximum(self):
         rng = np.random.default_rng(3)
         a, b = rng.normal(size=(6,)), rng.normal(size=(6,))
@@ -103,12 +92,6 @@ class TestElementwise:
         ops.maximum(ta, tb).sum().backward()
         np.testing.assert_allclose(ta.grad, (a >= b).astype(float))
         np.testing.assert_allclose(tb.grad, (a < b).astype(float))
-
-    def test_clip_gradient_masked_outside(self):
-        x = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
-        t = Tensor(x, requires_grad=True)
-        ops.clip(t, -1.0, 1.0).sum().backward()
-        np.testing.assert_allclose(t.grad, [0.0, 1.0, 1.0, 1.0, 0.0])
 
 
 class TestMatmulReductions:
@@ -164,12 +147,6 @@ class TestShapeOps:
         t = Tensor(x, requires_grad=True)
         ops.getitem(t, np.array([0, 0, 2])).sum().backward()
         np.testing.assert_allclose(t.grad, [2.0, 0.0, 1.0, 0.0])
-
-    def test_concatenate(self):
-        check_gradient(lambda a, b: ops.concatenate([a, b], axis=0), (2, 3), (4, 3))
-
-    def test_concatenate_axis1(self):
-        check_gradient(lambda a, b: ops.concatenate([a, b], axis=1), (2, 3), (2, 5))
 
     def test_pad2d(self):
         check_gradient(lambda a: ops.pad2d(a, 2), (2, 1, 4, 4))

@@ -5,9 +5,6 @@ import pytest
 
 from repro.nn import (
     Adam,
-    AvgPool2D,
-    BatchNorm1D,
-    BatchNorm2D,
     Conv2D,
     Dense,
     Dropout,
@@ -26,15 +23,13 @@ def _kitchen_sink_network(seed=0):
     rng = np.random.default_rng(seed)
     layers = [
         Conv2D(1, 4, 3, rng, padding=1),
-        BatchNorm2D(4),
         ReLU(),
         MaxPool2D(2),
         Conv2D(4, 6, 3, rng, padding=1),
         Tanh(),
-        AvgPool2D(2),
+        MaxPool2D(2),
         Flatten(),
         Dense(6 * 2 * 2, 16, rng),
-        BatchNorm1D(16),
         ReLU(),
         Dropout(0.1, rng),
         Dense(16, 10, rng),

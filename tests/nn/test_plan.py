@@ -5,13 +5,13 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.nn import BatchNorm2D, GradientEngine, InferenceEngine, SGD, Tensor, TrainingEngine, no_grad
+from repro.nn import GradientEngine, InferenceEngine, SGD, Tensor, TrainingEngine, no_grad
 from repro.nn.kernels import build_percall_infer_kernels
-from repro.nn.layers import Conv2D, Dense, Dropout, Flatten, Layer, MaxPool2D, ReLU, Sigmoid, Tanh
+from repro.nn.layers import Conv2D, Dense, Dropout, Flatten, Layer, MaxPool2D, ReLU, Tanh
 from repro.nn.losses import cross_entropy
 from repro.nn.network import Network
 from repro.nn import plan as plan_module
-from repro.nn.plan import CompiledPlan, _ConvOp, compile_plan, supports
+from repro.nn.plan import CompiledPlan, _ConvOp, compile_plan, unplannable
 from repro.nn.train import TrainConfig, fit
 from repro.verify.guards import GuardViolation
 from repro.zoo import MODEL_CONFIGS, build_network
@@ -190,14 +190,14 @@ class TestContextStaleness:
 
 
 class TestCompiledPlanContract:
-    def test_supports_matches_engine_fallback_decision(self):
+    def test_unplannable_matches_engine_decision(self):
         network = _network()
-        assert supports(network)
-        network.engine  # builds: the engine accepts what supports() accepts
-        unplannable = Network(network.layers + [Layer()], network.input_shape)
-        assert not supports(unplannable)
+        assert unplannable(network) == []
+        network.engine  # builds: the engine accepts what unplannable() passes
+        odd = Network(network.layers + [Layer()], network.input_shape)
+        assert unplannable(odd) == ["Layer"]
         with pytest.raises(ValueError, match="Layer"):
-            InferenceEngine(unplannable)
+            InferenceEngine(odd)
 
     def test_rejects_unknown_mode_and_trainless_accumulate(self):
         network = _network()
@@ -461,15 +461,11 @@ class TestRowPaddedConv:
         # the never-written zero tails of the gradient columns and the
         # frame border.
         rng = np.random.default_rng(0)
-        bn = BatchNorm2D(4)
-        bn.running_mean = rng.normal(size=4)
-        bn.running_var = rng.uniform(0.5, 2.0, size=4)
         network = Network(
             [
                 Conv2D(1, 3, 3, rng, padding=1),
                 ReLU(),
                 Conv2D(3, 4, 3, rng),
-                bn,
                 Tanh(),
                 MaxPool2D(2),
                 Flatten(),
@@ -552,9 +548,9 @@ class TestRowPaddedConv:
         for param, want in zip(network.parameters(), param_grads):
             np.testing.assert_allclose(param.grad, want, rtol=1e-10, atol=1e-12)
 
-    @pytest.mark.parametrize("activation", [Tanh, Sigmoid])
+    @pytest.mark.parametrize("activation", [Tanh])
     def test_protected_activation_after_conv_in_grad_mode(self, activation):
-        # In grad mode tanh/sigmoid get a buffer of their own; it is fed the
+        # In grad mode tanh gets a buffer of its own; it is fed the
         # conv's [..., :ow] view, and its backward widens back into the
         # conv's row-padded gradient.
         rng = np.random.default_rng(0)
@@ -600,24 +596,23 @@ class TestMaskRoutedMaxPool:
     """The max-pool backward routes by selection masks built in the forward."""
 
     @staticmethod
-    def _pool_bn_relu(pool):
+    def _pool_relu(pool):
         rng = np.random.default_rng(0)
-        bn = BatchNorm2D(2)
-        bn.running_mean = rng.normal(size=2)
-        bn.running_var = rng.uniform(0.5, 2.0, size=2)
         features = 2 * int(np.prod(pool.output_shape((2, 7, 7))[1:]))
         return Network(
-            [Conv2D(1, 2, 3, rng, padding=1), pool, bn, ReLU(), Flatten(), Dense(features, NUM_CLASSES, rng)],
+            [Conv2D(1, 2, 3, rng, padding=1), pool, ReLU(), Flatten(), Dense(features, NUM_CLASSES, rng)],
             (1, 7, 7),
         )
 
     @pytest.mark.parametrize("mode", ["grad", "train"])
     @pytest.mark.parametrize("pool", [(2, 2), (2, 1), (3, 2)], ids=str)
     def test_fused_bn_and_relu_over_pool_output_match_autograd(self, mode, pool):
-        # Eval BN then ReLU fuse in place onto the pool's output buffer in
-        # grad mode; a backward that compared windows against that buffer
-        # would route nothing.  Train mode runs batch-statistics BN.
-        network = self._pool_bn_relu(MaxPool2D(*pool))
+        # ReLU fuses in place onto the pool's output buffer in grad and
+        # train mode; a backward that compared windows against that buffer
+        # would route nothing.  The name keeps the test's history: an eval
+        # BatchNorm stage also fused here until BatchNorm left the layer
+        # vocabulary, and ReLU is now the only stage over the pool.
+        network = self._pool_relu(MaxPool2D(*pool))
         x = np.random.default_rng(1).normal(size=(5, 1, 7, 7))
         labels = np.arange(5) % NUM_CLASSES
         logits, input_grad, param_grads = _autograd(network, x, labels, training=mode == "train")

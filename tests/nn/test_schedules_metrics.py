@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import AvgPool2D, Conv2D, Dense, Flatten, Network, Tanh, ops
+from repro.nn import Conv2D, Dense, Flatten, MaxPool2D, Network, Tanh, ops
 from repro.nn.gradcheck import GradientCheckError, check_gradients, check_network_input_gradients
 from repro.nn.metrics import confusion_matrix, expected_calibration_error, per_class_accuracy
 from repro.nn.tensor import Tensor
@@ -66,7 +66,7 @@ class TestGradcheckUtility:
     def _conv_tanh_pool_dense():
         rng = np.random.default_rng(0)
         return Network(
-            [Conv2D(1, 2, 3, rng, padding=1), Tanh(), AvgPool2D(2), Flatten(), Dense(8, 3, rng)],
+            [Conv2D(1, 2, 3, rng, padding=1), Tanh(), MaxPool2D(2), Flatten(), Dense(8, 3, rng)],
             (1, 4, 4),
         )
 

@@ -53,14 +53,6 @@ class TestOperatorSugar:
 
 
 class TestOpEdges:
-    def test_concatenate_three_tensors_gradients(self):
-        parts = [Tensor(np.full((2,), float(i)), requires_grad=True) for i in range(3)]
-        weights = np.array([1.0, 1.0, 2.0, 2.0, 3.0, 3.0])
-        ops.mul(ops.concatenate(parts, axis=0), weights).sum().backward()
-        np.testing.assert_allclose(parts[0].grad, [1.0, 1.0])
-        np.testing.assert_allclose(parts[1].grad, [2.0, 2.0])
-        np.testing.assert_allclose(parts[2].grad, [3.0, 3.0])
-
     def test_getitem_integer_index(self):
         t = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
         out = t[1]

@@ -142,6 +142,17 @@ class TestCommands:
         assert "fgsm (untargeted)" in capsys.readouterr().out
 
 
+class TestVerifyCommand:
+    @pytest.mark.parametrize("cases", ["0", "-3"])
+    def test_refuses_fewer_than_one_case(self, cases, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--cases", cases])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert "--cases" in err
+        assert "agree" not in out + err
+
+
 class _StubFront:
     """Stands in for the serving backend: no stream, zero counters."""
 
