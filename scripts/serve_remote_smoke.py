@@ -8,12 +8,15 @@ cached ``mnist-fast`` artifacts:
 1. **remote equivalence** — a deterministic stream replayed through
    concurrent remote clients must serve every request with labels
    bitwise-identical to offline ``DCN.classify``;
-2. **transport chaos** — with seeded reply faults (connection drop,
+2. **malformed request** — rows shaped unlike the network's input must
+   come back as a ``bad-payload`` protocol error, and the same stream
+   served right after must still match ``DCN.classify`` bitwise;
+3. **transport chaos** — with seeded reply faults (connection drop,
    torn half-frame) injected server-side, the clients must retry the
    idempotent-safe failures and still converge on identical labels;
-3. **deadline agreement** — a budget the server cannot meet must come
+4. **deadline agreement** — a budget the server cannot meet must come
    back as a ``shed``/``reason="deadline"`` result on the client, fast;
-4. **server SIGKILL** — killing the server process mid-conversation
+5. **server SIGKILL** — killing the server process mid-conversation
    must resolve every outstanding and subsequent call (shed or breaker
    fast-fail), never hang a caller.
 
@@ -33,6 +36,7 @@ from repro.eval import build_context, scale_config  # noqa: E402
 from repro.runner.faultinject import Fault, FaultPlan, TransportChaos  # noqa: E402
 from repro.serve import (  # noqa: E402
     DCNClient,
+    RemoteProtocolError,
     StreamSpec,
     build_stream,
     run_remote,
@@ -109,7 +113,27 @@ def main() -> int:
     )
     stop_server(proc, conn)
 
-    # 2. transport chaos: dropped and torn replies retried to identical labels
+    # 2. malformed request: refused at admission, and serving carries on
+    proc, conn, address = start_server(dcn)
+    client = DCNClient(address, deadline_s=5.0)
+    try:
+        code = None
+        try:
+            client.classify(np.zeros((1, 5), dtype=np.float32))
+        except RemoteProtocolError as exc:
+            code = exc.code
+        check(code == "bad-payload", "malformed: wrong row shape refused as bad-payload")
+        stats = run_remote([client], stream)
+    finally:
+        client.close()
+    check(
+        stats.statuses == ["ok"] * len(stream)
+        and all(np.array_equal(got, want) for got, want in zip(stats.labels, offline)),
+        "malformed: the stream after it is served bitwise-identical to offline",
+    )
+    stop_server(proc, conn)
+
+    # 3. transport chaos: dropped and torn replies retried to identical labels
     chaos = TransportChaos(
         FaultPlan(
             faults=(
@@ -138,7 +162,7 @@ def main() -> int:
     check(retries >= 2 and torn >= 2, "chaos: both faults cost exactly a retry each")
     stop_server(proc, conn)
 
-    # 3. deadline agreement: an un-meetable budget sheds as "deadline", fast
+    # 4. deadline agreement: an un-meetable budget sheds as "deadline", fast
     proc, conn, address = start_server(dcn, max_delay=1.5)
     with DCNClient(address, deadline_s=0.3, retries=2) as client:
         t0 = time.monotonic()
@@ -150,7 +174,7 @@ def main() -> int:
     )
     stop_server(proc, conn)
 
-    # 4. server SIGKILL mid-conversation: calls resolve, breaker fast-fails
+    # 5. server SIGKILL mid-conversation: calls resolve, breaker fast-fails
     proc, conn, address = start_server(dcn)
     client = DCNClient(
         address, deadline_s=5.0, retries=1, backoff_base_s=0.01,

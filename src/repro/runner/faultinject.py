@@ -80,7 +80,6 @@ single-process chaos plans replay unchanged under the pool.
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import socket
@@ -352,20 +351,9 @@ class TransportChaos:
             # header promises bytes that never arrive, so the client's
             # reader raises a structured "torn" error, never a partial
             # array.
-            from ..serve import transport as _transport
+            from ..serve.transport import KIND_RESPONSE, pack_frame
 
-            meta_bytes = json.dumps(meta, separators=(",", ":")).encode("utf-8")
-            frame = (
-                _transport._HEADER.pack(
-                    _transport.PROTOCOL_MAGIC,
-                    _transport.PROTOCOL_VERSION,
-                    _transport.KIND_RESPONSE,
-                    len(meta_bytes),
-                    len(body),
-                )
-                + meta_bytes
-                + body
-            )
+            frame = pack_frame(KIND_RESPONSE, meta, body)
             try:
                 conn.sendall(frame[: max(1, len(frame) // 2)])
             except OSError:

@@ -51,27 +51,20 @@ NUMERICAL_ERRORS = (GuardViolation, FloatingPointError)
 
 @dataclass(frozen=True)
 class FailurePolicy:
-    """How the runner treats a failing unit."""
+    """How the runner treats a failing unit.
+
+    Guards are always enforced while a unit runs, so NaN/Inf traps at the
+    engine boundary where the ladder can catch it, and the degradation
+    ladder is always on: the first numerical failure retries on float64.
+    """
 
     max_attempts: int = 3  # total attempts, including the first
     backoff_base: float = 0.0  # seconds; attempt k sleeps base * 2**(k-1)
     unit_budget_seconds: float | None = None  # wall-clock budget across attempts
-    degrade_on_numerical: bool = True  # guard trip -> float64 engine retry
-    # Guard enforcement while a unit runs: "enforce" traps NaN/Inf at the
-    # engine boundary (so the ladder can catch it), "inherit" respects
-    # $REPRO_VERIFY, "off" disables guards for the duration.
-    guards: str = "enforce"
 
     def __post_init__(self):
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.guards not in ("enforce", "inherit", "off"):
-            raise ValueError(f"unknown guards mode {self.guards!r}")
-
-    def guard_context(self):
-        if self.guards == "inherit":
-            return nullcontext()
-        return guards.enforce(self.guards == "enforce")
 
 
 @dataclass
@@ -188,7 +181,7 @@ def execute_unit(unit, policy: FailurePolicy, injector=None, index: int = 0) -> 
             injector.attempt(unit, index, attempt, degraded) if injector is not None else nullcontext()
         )
         try:
-            with policy.guard_context(), attempt_ctx:
+            with guards.enforce(), attempt_ctx:
                 if degraded:
                     with degraded_engines(unit.resolve_networks()):
                         payload = unit.run()
@@ -204,10 +197,9 @@ def execute_unit(unit, policy: FailurePolicy, injector=None, index: int = 0) -> 
             }
         except NUMERICAL_ERRORS as exc:
             attempt += 1
-            if policy.degrade_on_numerical and not degraded:
-                # The ladder's next rung: retry once on the autograd
-                # reference path before giving up on the unit.
-                degraded = True
+            # The ladder's next rung: later attempts run on fresh float64
+            # engines before the unit is given up.
+            degraded = True
             failure = _capture(unit, exc, "numerical", attempt, degraded)
         except Exception as exc:
             attempt += 1

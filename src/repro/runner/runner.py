@@ -71,7 +71,8 @@ class Runner:
         the mode the plain table functions use).
     policy:
         The :class:`~repro.runner.policy.FailurePolicy`; defaults to three
-        attempts with guard enforcement and the degradation ladder on.
+        attempts.  Guard enforcement and the degradation ladder are always
+        on.
     resume:
         When true (default) terminal records already in the ledger are
         replayed instead of re-executed.  ``False`` starts fresh — the

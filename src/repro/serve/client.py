@@ -386,7 +386,7 @@ class DCNClient:
             if remaining <= 0:
                 raise _Retryable("deadline")
             meta = {"id": request_id, "deadline_s": remaining, "attempt": attempt}
-            body = encode_body(meta, x=x)  # sets meta["npy"] before the send
+            body = encode_body(meta, x=x)  # sets meta["arrays"] before the send
             try:
                 sock.settimeout(remaining)
                 write_frame(sock, KIND_REQUEST, meta, body)

@@ -72,25 +72,12 @@ __all__ = [
     "ServeResult",
     "ServeTicket",
     "OVERLOAD_POLICIES",
-    "validate_request",
 ]
 
 OVERLOAD_POLICIES = ("shed", "degrade")
 
 #: Shed (status only) results carry no labels.
 _SHED_STATUS = "shed"
-
-
-def validate_request(x: np.ndarray, max_batch: int) -> np.ndarray:
-    """Request shape contract, shared by the service and the pool front end."""
-    x = np.asarray(x)
-    if x.ndim < 2 or len(x) == 0:
-        raise ValueError("a request is a non-empty batch of inputs, shape (n, ...)")
-    if len(x) > max_batch:
-        raise ValueError(
-            f"request of {len(x)} rows exceeds max_batch={max_batch}; split it"
-        )
-    return x
 
 
 @dataclass(frozen=True)
@@ -101,7 +88,8 @@ class ServeResult:
     overload and served detector-only — model labels, no corrector), or
     ``"shed"`` (rejected by admission control; ``labels`` is ``None``).
     ``reason`` names what decided a shed when the decider knows it —
-    ``"deadline"``, ``"breaker"``, ``"overload"``, ``"unavailable"`` —
+    ``"deadline"``, ``"breaker"``, ``"overload"``, ``"unavailable"``,
+    ``"error"`` (its dispatch raised) —
     so remote callers can distinguish budget exhaustion from overload.
     """
 
@@ -275,7 +263,7 @@ class DCNService:
         A shed request comes back as an already-resolved ticket with
         ``status == "shed"`` — admission control never blocks the caller.
         """
-        x = self._validate(x)
+        x = self.validate(x)
         with self._cond:
             if not self._running:
                 raise RuntimeError("service is not started; use serve_batch() or start()")
@@ -311,7 +299,7 @@ class DCNService:
         with self._cond:
             for i, x in enumerate(arrays):
                 request = self._admit(
-                    self._validate(x), now=now,
+                    self.validate(x), now=now,
                     depth=len(admitted), rows_ahead=admitted_rows,
                 )
                 if request is None:
@@ -341,6 +329,24 @@ class DCNService:
         assert all(result is not None for result in slots)
         return slots  # type: ignore[return-value]
 
+    def validate(self, x: np.ndarray) -> np.ndarray:
+        """Request shape contract, shared by the service and the pool front
+        end: a non-empty batch of at most ``max_batch`` rows, each shaped
+        like the network's input.  Raises ``ValueError`` otherwise."""
+        x = np.asarray(x)
+        if x.ndim < 2 or len(x) == 0:
+            raise ValueError("a request is a non-empty batch of inputs, shape (n, ...)")
+        if len(x) > self.max_batch:
+            raise ValueError(
+                f"request of {len(x)} rows exceeds max_batch={self.max_batch}; split it"
+            )
+        if x.shape[1:] != self.dcn.network.input_shape:
+            raise ValueError(
+                f"request rows have shape {x.shape[1:]}; the network takes "
+                f"{self.dcn.network.input_shape}"
+            )
+        return x
+
     # -- telemetry -------------------------------------------------------------
 
     def telemetry_snapshot(self) -> dict:
@@ -369,9 +375,6 @@ class DCNService:
             return self.cost_model.estimate_wait(self._queued_rows + max(0, rows))
 
     # -- internals -------------------------------------------------------------
-
-    def _validate(self, x: np.ndarray) -> np.ndarray:
-        return validate_request(x, self.max_batch)
 
     def _admit(
         self,
@@ -447,7 +450,16 @@ class DCNService:
                 self.counters.queue_depth = len(self._queue)
                 self.counters.queued_rows = self._queued_rows
             if batch:
-                self._dispatch(batch)
+                try:
+                    self._dispatch(batch)
+                except Exception:
+                    # A failed dispatch sheds its own batch, never the
+                    # dispatcher: later requests must still be served.
+                    for request in batch:
+                        if not request.ticket._event.is_set():
+                            request.ticket._resolve(
+                                ServeResult(status=_SHED_STATUS, reason="error")
+                            )
 
     def _dispatch(self, requests: list[_Request]) -> None:
         """One coalesced dispatch: pad, forward, gate, fuse, scatter."""

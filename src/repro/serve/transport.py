@@ -7,14 +7,15 @@ purpose; this module gives them a wire.  Everything rides a single
 Frame format
     ``magic(4) | version(1) | kind(1) | meta_len(4, !I) | body_len(8, !Q)``
     followed by ``meta_len`` bytes of UTF-8 JSON metadata and ``body_len``
-    bytes of body.  Arrays travel as concatenated bare-``.npy`` segments
-    with a name/length table in ``meta["npy"]`` (:func:`encode_body` /
-    :func:`decode_body`); a body without the table is ``bad-payload``.
-    Object arrays are refused, so a malicious peer cannot smuggle
-    pickles, and a segment whose ``.npy`` header declares more bytes than
-    it carries is refused before anything is allocated.  A frame
-    whose header fails the magic/version check, or whose declared size
-    exceeds ``max_frame_bytes``, is rejected with a **structured**
+    bytes of body.  Arrays are described once, in the table
+    ``meta["arrays"] = [[name, dtype.str, shape], ...]``, and the body is
+    their raw C-order bytes back to back (:func:`encode_body` /
+    :func:`decode_body`).  Dtype codes are looked up in a fixed table of
+    native bool/int/uint/float dtypes, never parsed, so object arrays
+    cannot be smuggled in; the table must account for the body exactly,
+    checked before anything is allocated.  A frame whose header fails the
+    magic/version check, or whose declared size exceeds
+    ``max_frame_bytes``, is rejected with a **structured**
     :class:`FrameError` (``code`` in :data:`FRAME_ERROR_CODES`) rather
     than a hang or a silent truncation; a connection that dies mid-frame
     surfaces as ``code="torn"``.
@@ -47,7 +48,6 @@ Server
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import socket
@@ -75,12 +75,13 @@ __all__ = [
     "encode_body",
     "decode_body",
     "read_frame",
+    "pack_frame",
     "write_frame",
     "DCNServer",
 ]
 
 PROTOCOL_MAGIC = b"DCNS"
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Hard ceiling on one frame's declared payload (metadata + body).  64 MiB
 #: is ~256x the largest legal request at the default ``max_batch``; a
@@ -122,75 +123,71 @@ class FrameError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def encode_body(meta: dict, **arrays: np.ndarray | None) -> bytes:
-    """Encode named arrays as concatenated bare-``.npy`` segments.
+#: The dtypes an array may travel as, keyed by ``dtype.str``.  A peer's
+#: code is only ever looked up here, never parsed.
+_WIRE_DTYPES = {
+    np.dtype(name).str: np.dtype(name)
+    for name in ("bool", "int8", "int16", "int32", "int64", "uint8", "uint16",
+                 "uint32", "uint64", "float16", "float32", "float64")
+}
 
-    Each array is ``np.save``-d directly and the name/byte-length segment
-    table rides in ``meta["npy"]``.  ``None`` values are skipped.
+
+def encode_body(meta: dict, **arrays: np.ndarray | None) -> bytes:
+    """Encode named arrays as raw C-order bytes, described in ``meta["arrays"]``.
+
+    ``None`` values are skipped; a dtype outside the wire table raises
+    ``ValueError``.
     """
-    buf = io.BytesIO()
-    segments: list[list] = []
+    table: list[list] = []
+    chunks: list[bytes] = []
     for name, value in arrays.items():
         if value is None:
             continue
-        start = buf.tell()
-        np.save(buf, np.asarray(value), allow_pickle=False)
-        segments.append([name, buf.tell() - start])
-    meta["npy"] = segments
-    return buf.getvalue()
+        value = np.asarray(value)
+        if value.dtype.str not in _WIRE_DTYPES:
+            raise ValueError(f"array {name!r} has dtype {value.dtype}, which cannot be sent")
+        table.append([name, value.dtype.str, list(value.shape)])
+        chunks.append(value.tobytes())
+    meta["arrays"] = table
+    return b"".join(chunks)
 
 
 def decode_body(meta: dict, data: bytes) -> dict[str, np.ndarray]:
-    """Decode a frame body laid out by :func:`encode_body`.
+    """Decode a frame body laid out by :func:`encode_body` into writable arrays.
 
-    Any malformed table or segment raises ``FrameError("bad-payload")``.
+    Every entry's size is checked against the body before anything is
+    allocated, and the table must account for the body exactly; any
+    malformed table raises ``FrameError("bad-payload")``.
     """
-    segments = meta.get("npy")
-    if segments is None:
-        raise FrameError("bad-payload", "frame body has no npy segment table")
+    table = meta.get("arrays")
+    if not isinstance(table, list):
+        raise FrameError("bad-payload", "frame body has no array table")
     out: dict[str, np.ndarray] = {}
     offset = 0
-    try:
-        for name, length in segments:
-            if (
-                not isinstance(name, str)
-                or not isinstance(length, int)
-                or length < 0
-                or offset + length > len(data)
-            ):
-                raise FrameError("bad-payload", "malformed npy segment table")
-            out[name] = _load_npy(data[offset : offset + length])
-            offset += length
-    except FrameError:
-        raise
-    except Exception as exc:
-        raise FrameError("bad-payload", f"undecodable array body: {exc}") from exc
+    for entry in table:
+        if not (isinstance(entry, list) and len(entry) == 3):
+            raise FrameError("bad-payload", "array table entry is not [name, dtype, shape]")
+        name, code, shape = entry
+        dtype = _WIRE_DTYPES.get(code) if isinstance(code, str) else None
+        if (
+            not isinstance(name, str)
+            or dtype is None
+            or not isinstance(shape, list)
+            or len(shape) > 64  # numpy's ndim ceiling; also bounds math.prod
+            or not all(type(dim) is int and dim >= 0 for dim in shape)
+        ):
+            raise FrameError("bad-payload", "malformed array table entry")
+        count = math.prod(shape)
+        if offset + count * dtype.itemsize > len(data):
+            raise FrameError("bad-payload", "array table declares more bytes than the body holds")
+        try:
+            out[name] = np.frombuffer(data, dtype, count, offset).reshape(shape).copy()
+        except ValueError as exc:  # an empty array with dims numpy cannot hold
+            raise FrameError("bad-payload", f"unshapeable array: {exc}") from exc
+        offset += count * dtype.itemsize
+    if offset != len(data):
+        raise FrameError("bad-payload", f"{len(data) - offset} body bytes past the array table")
     return out
-
-
-def _load_npy(segment: bytes) -> np.ndarray:
-    """One bare ``.npy`` segment, its declared size checked before allocation.
-
-    ``np.load`` allocates the header's declared shape before it reads the
-    data, so a short segment claiming a huge shape would allocate that
-    much; the header is parsed first and must account for the segment
-    exactly.
-    """
-    stream = io.BytesIO(segment)
-    version = np.lib.format.read_magic(stream)
-    if version == (1, 0):
-        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(stream)
-    elif version == (2, 0):
-        shape, fortran_order, dtype = np.lib.format.read_array_header_2_0(stream)
-    else:
-        raise FrameError("bad-payload", f"unsupported npy version {version}")
-    if dtype.hasobject:
-        raise FrameError("bad-payload", "object arrays are refused")
-    count = math.prod(shape)
-    if stream.tell() + count * dtype.itemsize != len(segment):
-        raise FrameError("bad-payload", "npy segment length does not match its header")
-    flat = np.frombuffer(segment, dtype, count, stream.tell())
-    return flat.reshape(shape, order="F" if fortran_order else "C").copy(order="A")
 
 
 def _recv_exact(sock: socket.socket, n: int, deadline: float | None) -> bytes | None:
@@ -267,13 +264,18 @@ def read_frame(
     return kind, meta, body
 
 
-def write_frame(sock: socket.socket, kind: int, meta: dict, body: bytes = b"") -> None:
-    """Serialise and send one frame with a single ``sendall``."""
+def pack_frame(kind: int, meta: dict, body: bytes = b"") -> bytes:
+    """One frame's bytes: header, JSON metadata, body."""
     meta_bytes = json.dumps(meta, separators=(",", ":")).encode("utf-8")
     header = _HEADER.pack(
         PROTOCOL_MAGIC, PROTOCOL_VERSION, kind, len(meta_bytes), len(body)
     )
-    sock.sendall(header + meta_bytes + body)
+    return header + meta_bytes + body
+
+
+def write_frame(sock: socket.socket, kind: int, meta: dict, body: bytes = b"") -> None:
+    """Serialise and send one frame with a single ``sendall``."""
+    sock.sendall(pack_frame(kind, meta, body))
 
 
 # ---------------------------------------------------------------------------

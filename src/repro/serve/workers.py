@@ -78,7 +78,7 @@ import time
 from pathlib import Path
 
 from ..runner.ledger import Ledger
-from .service import DCNService, ServeResult, ServeTicket, validate_request
+from .service import DCNService, ServeResult, ServeTicket
 from .telemetry import LatencySketch, ServeCounters
 
 __all__ = ["ServePool"]
@@ -309,7 +309,7 @@ class ServePool:
         If every worker is dead the ticket resolves as shed — the pool
         never blocks a caller on a corpse.
         """
-        x = validate_request(x, self.service.max_batch)
+        x = self.service.validate(x)
         with self._lock:
             if not self._running:
                 raise RuntimeError("pool is not started; use start() or a with block")

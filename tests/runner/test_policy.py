@@ -78,8 +78,6 @@ def test_non_dict_payload_is_a_failure():
 def test_policy_validation():
     with pytest.raises(ValueError):
         FailurePolicy(max_attempts=0)
-    with pytest.raises(ValueError):
-        FailurePolicy(guards="sometimes")
 
 
 def _small_network():

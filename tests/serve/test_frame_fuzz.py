@@ -6,8 +6,8 @@ already closed, so a read can only finish: a frame, a clean EOF (``None``)
 or a ``FrameError``.  Bodies go through :func:`decode_body` the same way.
 """
 
-import io
 import json
+import math
 import socket
 import tracemalloc
 
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.serve.transport import (
     _HEADER,
     _KNOWN_KINDS,
+    _WIRE_DTYPES,
     FRAME_ERROR_CODES,
     KIND_REQUEST,
     PROTOCOL_MAGIC,
@@ -65,7 +66,7 @@ def _decode(meta: dict, body: bytes):
         assert exc.code == "bad-payload"
         return exc
     assert all(isinstance(name, str) for name in arrays)
-    assert all(isinstance(value, np.ndarray) and not value.dtype.hasobject for value in arrays.values())
+    assert all(value.dtype.str in _WIRE_DTYPES and value.flags.writeable for value in arrays.values())
     return arrays
 
 
@@ -85,8 +86,29 @@ arrays = st.sampled_from(
         np.zeros((1, 1, 2, 2), dtype=np.float64),
         np.array(7, dtype=np.int64),
         np.empty((0, 3), dtype=np.int16),
+        np.asfortranarray(np.arange(6, dtype=np.uint16).reshape(2, 3)),
     ]
 )
+dtype_codes = st.sampled_from(sorted(_WIRE_DTYPES)) | st.sampled_from(
+    ["|O", "|V8", ">f4", ">i8", "<c16", "<M8[s]", "float32", "f4", ""]
+) | st.text(max_size=6)
+dims = st.integers(0, 4) | st.integers(-2, 2**70) | st.booleans() | st.floats(0, 4)
+
+
+@st.composite
+def array_table(draw):
+    """Arbitrary ``[name, code, shape]`` entries and a body near their size."""
+    table = draw(
+        st.lists(
+            st.tuples(st.text(max_size=4), dtype_codes, st.lists(dims, max_size=4)).map(list),
+            max_size=3,
+        )
+    )
+    size = 0
+    for _, code, shape in table:
+        if code in _WIRE_DTYPES and all(type(d) is int and 0 <= d <= 4 for d in shape):
+            size += int(np.prod(shape)) * _WIRE_DTYPES[code].itemsize
+    return table, draw(st.binary(min_size=size, max_size=size)) + draw(st.binary(max_size=3))
 
 
 @st.composite
@@ -128,7 +150,7 @@ class TestReadFrameFuzz:
         for outcome in outcomes:
             if isinstance(outcome, tuple):
                 _, meta, body = outcome
-                if "npy" in meta:
+                if "arrays" in meta:
                     _decode(meta, body)
 
     @FUZZ
@@ -174,7 +196,16 @@ class TestDecodeBodyFuzz:
     @FUZZ
     @given(table=json_values, body=st.binary(max_size=256))
     def test_arbitrary_tables_and_bodies(self, table, body):
-        _decode({"npy": table}, body)
+        _decode({"arrays": table}, body)
+
+    @FUZZ
+    @given(case=array_table())
+    def test_arbitrary_codes_shapes_and_names(self, case):
+        table, body = case
+        arrays = _decode({"arrays": table}, body)
+        if isinstance(arrays, dict):  # a decoded table accounts for every byte
+            declared = [math.prod(shape) * _WIRE_DTYPES[code].itemsize for _, code, shape in table]
+            assert sum(declared) == len(body)
 
     @FUZZ
     @given(case=valid_body(), data=st.data())
@@ -186,8 +217,9 @@ class TestDecodeBodyFuzz:
             flipped = body[:where] + bytes([body[where] ^ data.draw(st.integers(1, 255))]) + body[where + 1 :]
             _decode(meta, flipped)
         cut = data.draw(st.integers(0, len(body)))
-        _decode(meta, body[:cut])
-        _decode({"npy": [[name, length + 1] for name, length in meta["npy"]]}, body + b"\0")
+        outcome = _decode(meta, body[:cut])
+        assert isinstance(outcome, dict) == (cut == len(body))
+        assert isinstance(_decode(meta, body + b"\0"), FrameError)  # longer than its table
 
     def test_valid_segments_round_trip_writable(self):
         meta = {}
@@ -198,24 +230,18 @@ class TestDecodeBodyFuzz:
             assert value.flags.writeable
 
     def test_object_segment_is_refused(self):
-        buf = io.BytesIO()
-        np.save(buf, np.array([{"a": 1}], dtype=object), allow_pickle=True)
+        with pytest.raises(ValueError):
+            encode_body({}, x=np.array([{"a": 1}], dtype=object))
         with pytest.raises(FrameError) as err:
-            decode_body({"npy": [["x", len(buf.getvalue())]]}, buf.getvalue())
+            decode_body({"arrays": [["x", "|O", [1]]]}, b"\0" * 8)
         assert err.value.code == "bad-payload"
 
     def test_short_segment_declaring_huge_shape_refused_before_allocation(self):
-        # np.load allocates the declared shape before reading the data:
-        # this 128-byte segment claims 256 MiB.
-        header = io.BytesIO()
-        np.lib.format.write_array_header_1_0(
-            header, {"descr": "<f8", "fortran_order": False, "shape": (2**25,)}
-        )
-        segment = header.getvalue() + b"\0" * 8
+        # An 8-byte body whose table claims 2**25 float64 values (256 MiB).
         tracemalloc.start()
         try:
             with pytest.raises(FrameError) as err:
-                decode_body({"npy": [["x", len(segment)]]}, segment)
+                decode_body({"arrays": [["x", "<f8", [2**25]]]}, b"\0" * 8)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core import DCN, Corrector
 from repro.serve import DCNService
+from repro.verify import guards
 from repro.zoo import MODEL_CONFIGS, build_network
 
 
@@ -157,6 +158,8 @@ class TestAdmissionControl:
             service.serve_batch([x[0, 0, 0]])  # not a batch of inputs
         with pytest.raises(ValueError):
             service.serve_batch([x[:5]])  # exceeds max_batch
+        with pytest.raises(ValueError, match="network takes"):
+            service.serve_batch([x[:1, :, :5]])  # rows shaped unlike the input
 
     def test_constructor_validation(self, tiny_dcn):
         for kwargs in (
@@ -211,6 +214,37 @@ class TestThreadedMode:
                 service.start()  # already running
         with pytest.raises(RuntimeError):
             service.submit(x[:1])  # stopped again
+
+
+class TestDispatchFailure:
+    """A dispatch that raises (here a NaN row tripping the engine guard)
+    sheds its own batch; it must never kill the dispatcher thread."""
+
+    def _nan_row(self, x):
+        row = x[:1].copy()
+        row[0, 0, 0, 0] = np.nan
+        return row
+
+    def test_failed_dispatch_sheds_its_batch_and_service_keeps_serving(
+        self, tiny_correct, tiny_dcn, monkeypatch
+    ):
+        _, x, _ = tiny_correct
+        errors = []
+        monkeypatch.setattr(threading, "excepthook", errors.append)
+        with guards.enforce(), DCNService(tiny_dcn, max_batch=8) as service:
+            bad = service.submit(self._nan_row(x)).wait(5.0)
+            good = service.classify(x[:2], timeout=5.0)
+        assert (bad.status, bad.reason, bad.labels) == ("shed", "error", None)
+        assert good.status == "ok"
+        np.testing.assert_array_equal(good.labels, tiny_dcn.classify(x[:2]))
+        assert [(args.thread.name, args.exc_type) for args in errors] == []
+
+    def test_serve_batch_still_raises(self, tiny_correct, tiny_dcn):
+        # The pool worker journals this exception as serve-worker-error.
+        _, x, _ = tiny_correct
+        service = DCNService(tiny_dcn, max_batch=8)
+        with guards.enforce(), pytest.raises(guards.GuardViolation):
+            service.serve_batch([self._nan_row(x)])
 
 
 class TestTelemetry:

@@ -5,6 +5,8 @@ labels, a shed/degraded result, or a structured error — never a hang —
 under every deterministic transport fault the chaos harness can fire.
 """
 
+import functools
+import io
 import json
 import socket
 import threading
@@ -20,6 +22,7 @@ from repro.serve import (
     DCNServer,
     DCNService,
     RemoteProtocolError,
+    ServePool,
     StreamSpec,
     build_stream,
     run_offline,
@@ -33,6 +36,7 @@ from repro.serve.transport import (
     PROTOCOL_MAGIC,
     PROTOCOL_VERSION,
     _HEADER,
+    _WIRE_DTYPES,
     FrameError,
     decode_body,
     encode_body,
@@ -72,7 +76,7 @@ class TestFrameCodec:
         write_frame(a, KIND_REQUEST, sent, body)
         kind, meta, got = read_frame(b)
         assert kind == KIND_REQUEST
-        assert meta == {"id": 7, "deadline_s": 0.5, "npy": [["x", len(body)]]}
+        assert meta == {"id": 7, "deadline_s": 0.5, "arrays": [["x", "<f4", [2, 3]]]}
         arrays = decode_body(meta, got)
         assert list(arrays) == ["x"]  # None-valued arrays are skipped
         np.testing.assert_array_equal(
@@ -82,18 +86,47 @@ class TestFrameCodec:
         b.close()
 
     def test_npy_segment_roundtrip(self):
-        # The hot-path codec: bare .npy segments, table in the metadata.
+        # The hot-path codec: one table entry per array, raw bytes in the
+        # body.  The name predates the array table (protocol v1 sent .npy
+        # segments).
         meta = {"id": 3}
-        x = np.arange(6, dtype=np.float32).reshape(2, 3)
+        labels = np.array([4, 1], dtype=np.int64)
         flagged = np.array([True, False])
-        body = encode_body(meta, labels=x, flagged=flagged, skip=None)
-        assert [name for name, _ in meta["npy"]] == ["labels", "flagged"]
+        body = encode_body(meta, labels=labels, flagged=flagged, skip=None)
+        assert meta["arrays"] == [["labels", "<i8", [2]], ["flagged", "|b1", [2]]]
+        assert body == labels.tobytes() + flagged.tobytes()
         arrays = decode_body(meta, body)
-        np.testing.assert_array_equal(arrays["labels"], x)
+        np.testing.assert_array_equal(arrays["labels"], labels)
         np.testing.assert_array_equal(arrays["flagged"], flagged)
 
+    @pytest.mark.parametrize("code", sorted(_WIRE_DTYPES))
+    @pytest.mark.parametrize(
+        "shape, fortran", [((), False), ((0, 3), False), ((3, 4), False), ((3, 4), True)],
+        ids=["0d", "empty", "c-order", "fortran"],
+    )
+    def test_every_wire_dtype_round_trips_bitwise_and_writable(self, code, shape, fortran):
+        rng = np.random.default_rng(0)
+        x = rng.integers(0, 256, size=int(np.prod(shape)) * np.dtype(code).itemsize, dtype=np.uint8)
+        x = x.view(code).reshape(shape)
+        if fortran:
+            x = np.asfortranarray(x)
+        meta = {}
+        got = decode_body(meta, encode_body(meta, x=x))["x"]
+        assert got.dtype == x.dtype and got.shape == x.shape
+        assert got.tobytes() == x.tobytes()  # bitwise, NaN payloads included
+        assert got.flags.writeable and got.flags.c_contiguous
+
+    @pytest.mark.parametrize(
+        "value",
+        [np.array([{"a": 1}], dtype=object), np.zeros(2, ">f4"), np.zeros(2, "i4,f8"), np.zeros(2, "c16")],
+        ids=["object", "big-endian", "structured", "complex"],
+    )
+    def test_unsendable_dtype_raises_at_the_sender(self, value):
+        with pytest.raises(ValueError, match="cannot be sent"):
+            encode_body({}, x=value)
+
     def test_body_without_segment_table_is_bad_payload(self):
-        # No .npz fallback: a body must carry its segment table.
+        # A body must carry its array table.
         body = encode_body({}, x=np.ones(3, dtype=np.float64))
         with pytest.raises(FrameError) as err:
             decode_body({"id": 1}, body)
@@ -102,22 +135,70 @@ class TestFrameCodec:
     @pytest.mark.parametrize(
         "table",
         [
-            [["x", 10_000]],  # length past the end of the body
-            [["x", -1]],  # negative length
-            [[7, 4]],  # non-string name
-            ["not-a-pair"],  # malformed entry
+            [["x", "<f4", [10_000]]],  # declares bytes past the end of the body
+            [["x", "<f4", [-1]]],  # negative dimension
+            [[7, "<f4", [2]]],  # non-string name
+            ["not-a-triple"],  # malformed entry
         ],
     )
     def test_malformed_segment_table_is_bad_payload(self, table):
         body = encode_body({}, x=np.ones(2, dtype=np.float32))
         with pytest.raises(FrameError) as err:
-            decode_body({"npy": table}, body)
+            decode_body({"arrays": table}, body)
+        assert err.value.code == "bad-payload"
+
+    @pytest.mark.parametrize(
+        "table, body",
+        [
+            ([["x", "|O", [1]]], b"\0" * 8),
+            ([["x", "|V12", [1]]], b"\0" * 12),
+            ([["x", [["a", "<i4"], ["b", "<f8"]], [1]]], b"\0" * 12),
+            ([["x", ">f4", [2]]], b"\0" * 8),
+            ([["x", "<c16", [1]]], b"\0" * 16),
+            ([["x", "float32", [2]]], b"\0" * 8),
+            ([["x", "<f4", [True, 2]]], b"\0" * 8),
+            ([["x", "<f4", [2, -1]]], b"\0" * 8),
+            ([["x", "<f4", [2.0]]], b"\0" * 8),
+            ([["x", "<f4", 2]], b"\0" * 8),
+            ([["x", "<f4", [1] * 65]], b"\0" * 4),
+            ([["x", "<f4", [10**4000] * 500]], b""),  # math.prod alone would take seconds
+            ([["x", "<f4", [0, 2**70]]], b""),
+            ([["x", "<f4", [3]]], b"\0" * 8),
+            ([["x", "<f4", [2]]], b"\0" * 9),
+            ([["x", "<f4", [2]], ["y", "<i8", [1]]], b"\0" * 12),
+            ({"x": ["<f4", [2]]}, b"\0" * 8),
+        ],
+        ids=[
+            "object", "void", "structured", "big-endian", "complex", "dtype-name",
+            "bool-dim", "negative-dim", "float-dim", "scalar-shape", "65-dims", "huge-dims",
+            "unshapeable-empty", "body-short", "body-long", "second-array-short",
+            "table-not-list",
+        ],
+    )
+    def test_hostile_array_tables_are_bad_payload(self, table, body):
+        with pytest.raises(FrameError) as err:
+            decode_body({"arrays": table}, body)
         assert err.value.code == "bad-payload"
 
     def test_garbage_npy_segment_is_bad_payload(self):
-        with pytest.raises(FrameError) as err:
-            decode_body({"npy": [["x", 9]]}, b"not-a-npy")
-        assert err.value.code == "bad-payload"
+        # A protocol-v1 body (a bare .npy segment) under either table.
+        buf = io.BytesIO()
+        np.save(buf, np.ones(3, dtype=np.float32))
+        segment = buf.getvalue()
+        for meta in ({"npy": [["x", len(segment)]]}, {"arrays": [["x", "<f4", [3]]]}):
+            with pytest.raises(FrameError) as err:
+                decode_body(meta, segment)
+            assert err.value.code == "bad-payload"
+
+    def test_v1_header_is_bad_version(self):
+        assert PROTOCOL_VERSION == 2
+        a, b = _pair()
+        a.sendall(_HEADER.pack(PROTOCOL_MAGIC, 1, KIND_REQUEST, 0, 0))
+        with pytest.raises(FrameError) as excinfo:
+            read_frame(b)
+        assert excinfo.value.code == "bad-version"
+        a.close()
+        b.close()
 
     def test_clean_eof_is_none(self):
         a, b = _pair()
@@ -245,6 +326,28 @@ class TestServerClient:
                 assert kind == KIND_ERROR
                 assert meta["code"] == "bad-payload"
                 sock.close()
+
+    @pytest.mark.parametrize("backend", ["service", "pool"])
+    def test_wrong_row_shape_is_bad_payload_and_serving_continues(
+        self, tiny_correct, tiny_dcn, backend, monkeypatch
+    ):
+        """Rows shaped unlike the network's input are refused at admission:
+        the caller gets ``bad-payload``, and no dispatcher or worker thread
+        dies taking later requests down with it."""
+        _, x, _ = tiny_correct
+        errors = []
+        monkeypatch.setattr(threading, "excepthook", errors.append)
+        make = DCNService if backend == "service" else functools.partial(ServePool, workers=1)
+        with make(tiny_dcn, max_batch=8) as served:
+            with DCNServer(served) as server:
+                with DCNClient(server.address, deadline_s=5.0) as client:
+                    with pytest.raises(RemoteProtocolError) as err:
+                        client.classify(np.zeros((1, 5), dtype=np.float32))
+                    assert err.value.code == "bad-payload"
+                    result = client.classify(x[:3])
+        assert result.status == "ok"
+        np.testing.assert_array_equal(result.labels, tiny_dcn.classify(x[:3]))
+        assert [(args.thread.name, args.exc_type) for args in errors] == []
 
     def test_ping_pong(self, tiny_correct, tiny_dcn):
         with DCNService(tiny_dcn, max_batch=8) as service:

@@ -121,7 +121,7 @@ class TestShardedServing:
     def test_submit_requires_start_and_validates(self, tiny_dcn, tmp_path):
         pool = ServePool(tiny_dcn, workers=1, ledger_path=tmp_path / "pool.jsonl")
         with pytest.raises(RuntimeError, match="not started"):
-            pool.submit(np.zeros((1, 2), dtype=np.float32))
+            pool.submit(np.zeros((1, 1, 6, 6), dtype=np.float32))
         with pytest.raises(ValueError):
             ServePool(tiny_dcn, workers=0)
 
