@@ -18,7 +18,11 @@ cached ``mnist-fast`` artifacts:
    back as a ``shed``/``reason="deadline"`` result on the client, fast;
 5. **server SIGKILL** — killing the server process mid-conversation
    must resolve every outstanding and subsequent call (shed or breaker
-   fast-fail), never hang a caller.
+   fast-fail), never hang a caller;
+6. **poisoned row through a pool** — a NaN row under the engine guard,
+   served by a ``ServePool`` behind the server, must come back
+   ``shed``/``reason="error"`` with no retry and the breaker closed, and
+   the stream served right after must match ``DCN.classify`` bitwise.
 
 Exit status 0 = all checks passed.
 """
@@ -36,11 +40,14 @@ from repro.eval import build_context, scale_config  # noqa: E402
 from repro.runner.faultinject import Fault, FaultPlan, TransportChaos  # noqa: E402
 from repro.serve import (  # noqa: E402
     DCNClient,
+    DCNServer,
     RemoteProtocolError,
+    ServePool,
     StreamSpec,
     build_stream,
     run_remote,
 )
+from repro.verify import guards  # noqa: E402
 
 
 def check(condition, message):
@@ -199,6 +206,26 @@ def main() -> int:
     )
     client.close()
     conn.close()
+
+    # 6. a poisoned row through a pool sheds as "error", never retried
+    poisoned = stream[0].x.copy()
+    poisoned.flat[0] = np.nan
+    # The guard is on before the pool forks, so its worker inherits it.
+    with guards.enforce(), ServePool(dcn, workers=1, max_batch=32) as pool:
+        with DCNServer(pool) as server, DCNClient(server.address, deadline_s=10.0) as client:
+            result = client.classify(poisoned)
+            check(
+                (result.status, result.reason) == ("shed", "error")
+                and client.counters.retries == 0
+                and client.breaker.state == "closed",
+                "poisoned: pool sheds the row as error, no retry, breaker closed",
+            )
+            stats = run_remote([client], stream)
+    check(
+        stats.statuses == ["ok"] * len(stream)
+        and all(np.array_equal(got, want) for got, want in zip(stats.labels, offline)),
+        "poisoned: the stream after it is served bitwise-identical to offline",
+    )
     return 0
 
 

@@ -14,7 +14,10 @@ cached ``mnist-fast`` artifacts:
    corrector vote) and the result is marked ``"degraded"``;
 4. **telemetry** — the ``ServeCounters`` snapshot must be internally
    consistent (admitted = served, gate split adds up, plan counters
-   moved, snapshot is a detached copy).
+   moved, snapshot is a detached copy);
+5. **failed window** — a synchronous window holding a poisoned request
+   (a NaN row under the engine guard) must raise, leave both queue
+   gauges at 0, and the next window must still be bitwise-identical.
 
 Exit status 0 = all checks passed.
 """
@@ -29,6 +32,7 @@ import numpy as np
 
 from repro.eval import build_context, scale_config  # noqa: E402
 from repro.serve import DCNService, StreamSpec, build_stream  # noqa: E402
+from repro.verify import guards  # noqa: E402
 
 
 def check(condition, message):
@@ -118,6 +122,28 @@ def main() -> int:
     summary = service.latencies.summary()
     check(summary["count"] >= len(stream), "telemetry: latencies recorded per request")
     check(summary["p95_ms"] >= summary["p50_ms"], "telemetry: percentile ordering")
+
+    # 5. a poisoned request fails its window cleanly; the next one serves
+    window = [request.x for request in stream[:6]]
+    poisoned = list(window)
+    poisoned[3] = window[3].copy()
+    poisoned[3].flat[0] = np.nan
+    sync_service = DCNService(dcn, max_batch=4, max_queue=256)
+    try:
+        with guards.enforce():
+            sync_service.serve_batch(poisoned)
+        raised = False
+    except guards.GuardViolation:
+        raised = True
+    check(raised, "failed window: a poisoned request raises out of serve_batch")
+    gauges = (sync_service.counters.queue_depth, sync_service.counters.queued_rows)
+    check(gauges == (0, 0), "failed window: both queue gauges back at 0")
+    served = sync_service.serve_batch(window)
+    check(
+        all(r.status == "ok" and np.array_equal(r.labels, want)
+            for r, want in zip(served, offline)),
+        "failed window: the next window is bitwise-identical to offline",
+    )
     return 0
 
 

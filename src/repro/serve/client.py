@@ -411,7 +411,18 @@ class DCNClient:
                 self._close_locked()
                 self.counters.torn_replies += 1
                 raise _Retryable("torn")
-            kind, reply, body = frame
+            try:
+                return self._reply_result(request_id, *frame)
+            except RemoteProtocolError:
+                # The server closes the connection after an error frame,
+                # and a reply that breaks the protocol leaves the stream
+                # unreadable: the next call must reconnect.
+                self._close_locked()
+                raise
+
+    def _reply_result(self, request_id: int, kind: int, reply: dict, body) -> ServeResult:
+        """Decode one reply frame; raises ``_Retryable`` on a retryable shed
+        and :class:`RemoteProtocolError` on a protocol violation."""
         if kind == KIND_ERROR:
             raise RemoteProtocolError(
                 str(reply.get("code", "error")), str(reply.get("message", ""))

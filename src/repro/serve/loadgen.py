@@ -136,22 +136,20 @@ class RunStats:
         return rows / self.seconds if self.seconds > 0 else float("inf")
 
 
-def run_offline(
-    dcn: DCN, stream: list[GeneratedRequest], clock=time.perf_counter
-) -> RunStats:
+def run_offline(dcn: DCN, stream: list[GeneratedRequest]) -> RunStats:
     """Per-request baseline: each request dispatched alone via ``DCN.classify``.
 
     This is the pre-serving status quo — every caller pays its own engine
     dispatch, its own detector forward and its own corrector vote.
     """
     stats = RunStats()
-    start = clock()
+    start = time.perf_counter()
     for request in stream:
-        t0 = clock()
+        t0 = time.perf_counter()
         stats.labels.append(dcn.classify(request.x))
-        stats.latencies_s.append(clock() - t0)
+        stats.latencies_s.append(time.perf_counter() - t0)
         stats.statuses.append("ok")
-    stats.seconds = clock() - start
+    stats.seconds = time.perf_counter() - start
     return stats
 
 
@@ -159,7 +157,6 @@ def run_coalesced(
     service: DCNService,
     stream: list[GeneratedRequest],
     window: int = 16,
-    clock=time.perf_counter,
 ) -> RunStats:
     """Drive the service in synchronous arrival windows of ``window`` requests.
 
@@ -170,7 +167,7 @@ def run_coalesced(
     if window < 1:
         raise ValueError("window must be >= 1")
     stats = RunStats()
-    start = clock()
+    start = time.perf_counter()
     for begin in range(0, len(stream), window):
         arrivals = stream[begin : begin + window]
         results = service.serve_batch([request.x for request in arrivals])
@@ -179,7 +176,7 @@ def run_coalesced(
             stats.statuses.append(result.status)
             if result.ok:
                 stats.latencies_s.append(result.latency_s)
-    stats.seconds = clock() - start
+    stats.seconds = time.perf_counter() - start
     return stats
 
 
@@ -187,7 +184,6 @@ def run_pool(
     pool,
     stream: list[GeneratedRequest],
     window: int = 16,
-    clock=time.perf_counter,
     timeout: float | None = 60.0,
 ) -> RunStats:
     """Drive a :class:`~repro.serve.workers.ServePool` in arrival windows.
@@ -201,7 +197,7 @@ def run_pool(
     if window < 1:
         raise ValueError("window must be >= 1")
     stats = RunStats()
-    start = clock()
+    start = time.perf_counter()
     for begin in range(0, len(stream), window):
         arrivals = stream[begin : begin + window]
         tickets = [pool.submit(request.x) for request in arrivals]
@@ -211,15 +207,11 @@ def run_pool(
             stats.statuses.append(result.status)
             if result.ok:
                 stats.latencies_s.append(result.latency_s)
-    stats.seconds = clock() - start
+    stats.seconds = time.perf_counter() - start
     return stats
 
 
-def run_remote(
-    clients,
-    stream: list[GeneratedRequest],
-    clock=time.perf_counter,
-) -> RunStats:
+def run_remote(clients, stream: list[GeneratedRequest]) -> RunStats:
     """Replay ``stream`` against a live server through ``clients``.
 
     Request ``i`` goes to client ``i % len(clients)`` — a deterministic
@@ -235,8 +227,8 @@ def run_remote(
     Every entry in ``statuses`` resolves — ``ok``/``degraded``/``shed`` —
     because :meth:`DCNClient.classify` converts transport failures into
     sheds or structured errors rather than hanging.  Latencies are timed
-    with ``clock`` around each ``classify`` call, so they include the
-    transport and client time the server-reported ``latency_s`` leaves out.
+    around each ``classify`` call, so they include the transport and
+    client time the server-reported ``latency_s`` leaves out.
     """
     if not clients:
         raise ValueError("need at least one client")
@@ -246,12 +238,12 @@ def run_remote(
     def drive(client_index: int) -> None:
         client = clients[client_index]
         for i in range(client_index, len(stream), len(clients)):
-            sent = clock()
+            sent = time.perf_counter()
             results[i] = client.classify(stream[i].x)
-            latencies[i] = clock() - sent
+            latencies[i] = time.perf_counter() - sent
 
     stats = RunStats()
-    start = clock()
+    start = time.perf_counter()
     threads = [
         threading.Thread(target=drive, args=(c,), name=f"loadgen-client-{c}")
         for c in range(len(clients))
@@ -260,7 +252,7 @@ def run_remote(
         thread.start()
     for thread in threads:
         thread.join()
-    stats.seconds = clock() - start
+    stats.seconds = time.perf_counter() - start
     for result, latency in zip(results, latencies):
         stats.labels.append(result.labels)
         stats.statuses.append(result.status)

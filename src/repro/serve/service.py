@@ -13,8 +13,8 @@ Shape-bucketed plan reuse
     Dispatch batches are padded onto the power-of-two bucket ladder
     (:mod:`repro.serve.bucketing`), bounding the distinct batch shapes the
     engines' compiled-plan LRUs ever see, and the service raises the
-    engines' plan budget (``plan_entries``) so the whole ladder stays
-    resident.  The corrector's engine calls run ladder shapes too
+    engines' plan budget to at least :data:`PLAN_ENTRIES` so the whole
+    ladder stays resident.  The corrector's engine calls run ladder shapes too
     (:func:`~repro.defenses.region.ladder_spans`), so after warm-up every
     dispatch — model forward, detector forward and the corrector's sample
     chunks — is a plan hit.
@@ -45,7 +45,9 @@ Around the hot path sits admission control, in one of two regimes:
   when the estimate exceeds the target, with the same ``2 × max_queue``
   depth bound kept as a hard backstop.
 
-Either way queue memory stays bounded under any load.  Every stage
+Either way queue memory stays bounded under any load.  Both drive modes
+(see :class:`DCNService`) run one path: the same admission and enqueue,
+the same batch former and the same failed-dispatch shedding.  Every stage
 increments :class:`~repro.serve.telemetry.ServeCounters`, and every
 request's latency lands in one mergeable
 :class:`~repro.serve.telemetry.LatencySketch` (``latencies``) — the
@@ -75,6 +77,13 @@ __all__ = [
 ]
 
 OVERLOAD_POLICIES = ("shed", "degrade")
+
+#: Floor for the model/detector engines' compiled-plan LRU capacity.
+#: Serving presents a known working set of shapes — the bucket ladder,
+#: which the corrector's engine calls also run on — and a budget that
+#: covers it makes every post-warm-up dispatch a plan hit.  A service
+#: never shrinks an engine's existing budget.
+PLAN_ENTRIES = 32
 
 #: Shed (status only) results carry no labels.
 _SHED_STATUS = "shed"
@@ -139,7 +148,9 @@ class _Request:
 class DCNService:
     """Online serving front end over one :class:`~repro.core.dcn.DCN`.
 
-    Two drive modes share the same admission/dispatch code:
+    Two drive modes run one request path — the same admission and
+    enqueue, the same batch former, the same shedding of a failed
+    dispatch:
 
     * **threaded** — ``start()`` spawns a dispatcher thread; callers
       ``submit()`` (or ``classify()``) concurrently and the dispatcher
@@ -147,7 +158,10 @@ class DCNService:
       past the oldest request before dispatching a partial batch.
     * **synchronous** — ``serve_batch(arrays)`` treats its arguments as
       simultaneous arrivals and serves them deterministically in-process;
-      the benchmark and the equivalence tests use this mode.
+      the benchmark, the pool workers and the equivalence tests use this
+      mode.  It refuses a started service (the dispatcher would race it
+      for the one queue) and validates the whole window before it admits
+      any of it.
 
     Parameters
     ----------
@@ -169,12 +183,6 @@ class DCNService:
         rows priced separately — exceeds this many seconds.  The
         ``2 × max_queue`` depth bound stays as a hard backstop.  ``None``
         (default) keeps the original depth policy.
-    plan_entries:
-        Floor for the model/detector engines' compiled-plan LRU capacity.
-        Serving presents a known working set of shapes — the bucket
-        ladder, which the corrector's engine calls also run on — and a
-        budget that covers it makes every post-warm-up dispatch a plan
-        hit.  Never shrinks an engine's existing budget.
     """
 
     def __init__(
@@ -185,8 +193,6 @@ class DCNService:
         max_delay: float = 0.002,
         overload: str = "shed",
         slo_target_s: float | None = None,
-        plan_entries: int = 32,
-        clock=time.perf_counter,
     ):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
@@ -196,8 +202,6 @@ class DCNService:
             raise ValueError("max_delay must be >= 0")
         if overload not in OVERLOAD_POLICIES:
             raise ValueError(f"overload must be one of {OVERLOAD_POLICIES}")
-        if plan_entries < 1:
-            raise ValueError("plan_entries must be >= 1")
         self.dcn = dcn
         self.max_batch = max_batch
         self.max_queue = max_queue
@@ -205,7 +209,7 @@ class DCNService:
         self.overload = overload
         self.buckets = bucket_sizes(max_batch)
         for engine in (dcn.network.engine, dcn.detector.network.engine):
-            engine.plan_entries = max(engine.plan_entries, plan_entries)
+            engine.plan_entries = max(engine.plan_entries, PLAN_ENTRIES)
         self.counters = ServeCounters()
         self.latencies = LatencySketch()
         # A flagged row pays its share of the batch forward plus at most
@@ -222,7 +226,6 @@ class DCNService:
             else None
         )
         self.idle_wakeups = 0  # dispatcher wakeups with nothing to do
-        self._clock = clock
         self._queue: deque[_Request] = deque()
         self._queued_rows = 0
         self._cond = threading.Condition()
@@ -267,18 +270,7 @@ class DCNService:
         with self._cond:
             if not self._running:
                 raise RuntimeError("service is not started; use serve_batch() or start()")
-            request = self._admit(x)
-            if request is None:
-                return ServeTicket(ServeResult(status=_SHED_STATUS))
-            self._queue.append(request)
-            self._queued_rows += len(request.x)
-            self.counters.queue_depth = len(self._queue)
-            self.counters.queued_rows = self._queued_rows
-            self.counters.max_queue_depth = max(
-                self.counters.max_queue_depth, len(self._queue)
-            )
-            self._cond.notify_all()
-            return request.ticket
+            return self._enqueue(x)
 
     def classify(self, x: np.ndarray, timeout: float | None = 30.0) -> ServeResult:
         """Blocking convenience: ``submit`` + ``wait``."""
@@ -287,47 +279,32 @@ class DCNService:
     def serve_batch(self, arrays: list[np.ndarray]) -> list[ServeResult]:
         """Serve a window of simultaneous arrivals synchronously.
 
-        Applies the same admission control and coalescing as the threaded
-        path, but deterministically: requests are admitted in order
-        against the window's own pending depth, coalesced into dispatches
-        of at most ``max_batch`` rows, and executed inline.
+        Every request is validated first, so a malformed one raises
+        ``ValueError`` with nothing admitted.  The window is then admitted
+        in order and drained through the threaded path's batch former,
+        dispatching inline.  A dispatch that raises sheds its batch and
+        the rest of the window (``reason="error"``) and re-raises.  Raises
+        ``RuntimeError`` on a started service, whose dispatcher owns the
+        queue.
         """
-        now = self._clock()
-        slots: list[ServeResult | None] = [None] * len(arrays)
-        admitted: list[tuple[int, _Request]] = []
-        admitted_rows = 0
+        arrays = [self.validate(x) for x in arrays]
         with self._cond:
-            for i, x in enumerate(arrays):
-                request = self._admit(
-                    self.validate(x), now=now,
-                    depth=len(admitted), rows_ahead=admitted_rows,
-                )
-                if request is None:
-                    slots[i] = ServeResult(status=_SHED_STATUS)
-                else:
-                    admitted.append((i, request))
-                    admitted_rows += len(request.x)
-            self.counters.max_queue_depth = max(
-                self.counters.max_queue_depth, len(admitted)
-            )
-            self.counters.queue_depth = len(admitted)
-            self.counters.queued_rows = admitted_rows
-        pending = deque(admitted)
-        while pending:
-            batch: list[tuple[int, _Request]] = []
-            rows = 0
-            while pending and rows + len(pending[0][1].x) <= self.max_batch:
-                index, request = pending.popleft()
-                batch.append((index, request))
-                rows += len(request.x)
+            if self._running:
+                raise RuntimeError("service is started; its dispatcher serves submit()")
+            tickets = [self._enqueue(x) for x in arrays]
+            batch = self._take()
+        while batch:
+            try:
+                self._dispatch(batch)
+            except Exception:
+                while batch:
+                    self._shed(batch)
+                    with self._cond:
+                        batch = self._take()
+                raise
             with self._cond:
-                self.counters.queue_depth = len(pending)
-                self.counters.queued_rows = sum(len(r.x) for _, r in pending)
-            self._dispatch([request for _, request in batch])
-            for index, request in batch:
-                slots[index] = request.ticket.wait(0)
-        assert all(result is not None for result in slots)
-        return slots  # type: ignore[return-value]
+                batch = self._take()
+        return [ticket.wait() for ticket in tickets]
 
     def validate(self, x: np.ndarray) -> np.ndarray:
         """Request shape contract, shared by the service and the pool front
@@ -376,29 +353,23 @@ class DCNService:
 
     # -- internals -------------------------------------------------------------
 
-    def _admit(
-        self,
-        x: np.ndarray,
-        now: float | None = None,
-        depth: int | None = None,
-        rows_ahead: int | None = None,
-    ) -> _Request | None:
-        """Admission control (caller holds the lock): request, or None = shed.
+    def _enqueue(self, x: np.ndarray) -> ServeTicket:
+        """Admission control, then enqueue (caller holds the lock).
 
         Depth-governed by default; SLO-governed when ``slo_target_s`` is
         set — the decision then keys on the estimated queued wait of the
-        ``rows_ahead`` rows already admitted, not on the raw depth.
+        rows already queued, not on the raw depth.  A shed request gets
+        an already-resolved ticket and never touches the queue.
         """
-        depth = len(self._queue) if depth is None else depth
+        depth = len(self._queue)
         degraded = False
         if self.slo is not None:
-            rows_ahead = self._queued_rows if rows_ahead is None else rows_ahead
-            decision = self.slo.decide(depth, rows_ahead)
+            decision = self.slo.decide(depth, self._queued_rows)
             if decision.action == "shed":
                 self.counters.shed += 1
                 if decision.reason == "slo":
                     self.counters.slo_shed += 1
-                return None
+                return ServeTicket(ServeResult(status=_SHED_STATUS))
             if decision.action == "degrade":
                 degraded = True
                 self.counters.degraded += 1
@@ -406,12 +377,42 @@ class DCNService:
         elif depth >= self.max_queue:
             if self.overload == "shed" or depth >= 2 * self.max_queue:
                 self.counters.shed += 1
-                return None
+                return ServeTicket(ServeResult(status=_SHED_STATUS))
             degraded = True
             self.counters.degraded += 1
         self.counters.requests += 1
         self.counters.examples += len(x)
-        return _Request(x, self._clock() if now is None else now, degraded)
+        request = _Request(x, time.perf_counter(), degraded)
+        self._queue.append(request)
+        self._queued_rows += len(x)
+        self.counters.queue_depth = len(self._queue)
+        self.counters.queued_rows = self._queued_rows
+        self.counters.max_queue_depth = max(self.counters.max_queue_depth, len(self._queue))
+        self._cond.notify_all()  # wake the dispatcher, if one is running
+        return request.ticket
+
+    def _take(self) -> list[_Request]:
+        """Pop the next dispatch — queued requests in order, up to
+        ``max_batch`` rows — and update the gauges (caller holds the lock)."""
+        batch: list[_Request] = []
+        rows = 0
+        while self._queue and rows + len(self._queue[0].x) <= self.max_batch:
+            request = self._queue.popleft()
+            batch.append(request)
+            rows += len(request.x)
+        self._queued_rows -= rows
+        self.counters.queue_depth = len(self._queue)
+        self.counters.queued_rows = self._queued_rows
+        return batch
+
+    def _shed(self, batch: list[_Request]) -> None:
+        """Resolve a failed dispatch's unresolved tickets as
+        ``shed``/``reason="error"``, counted in ``error_shed``."""
+        unresolved = [r for r in batch if not r.ticket._event.is_set()]
+        with self._cond:
+            self.counters.error_shed += len(unresolved)
+        for request in unresolved:
+            request.ticket._resolve(ServeResult(status=_SHED_STATUS, reason="error"))
 
     def _loop(self) -> None:
         """Dispatcher thread: coalesce whatever is queued, dispatch, repeat."""
@@ -426,44 +427,27 @@ class DCNService:
                     if not self._queue and self._running:
                         self.idle_wakeups += 1
                 if not self._queue:
-                    if not self._running:
-                        self.counters.queue_depth = 0
-                        self.counters.queued_rows = 0
-                        return
-                    continue
+                    return  # stopped and drained
                 # Hold a partial batch open until the oldest request has
                 # aged max_delay, or the row budget fills — whichever first.
                 deadline = self._queue[0].enqueued_at + self.max_delay
                 while (
                     self._running
                     and self._queued_rows < self.max_batch
-                    and (remaining := deadline - self._clock()) > 0
+                    and (remaining := deadline - time.perf_counter()) > 0
                 ):
                     self._cond.wait(remaining)
-                batch: list[_Request] = []
-                rows = 0
-                while self._queue and rows + len(self._queue[0].x) <= self.max_batch:
-                    request = self._queue.popleft()
-                    batch.append(request)
-                    rows += len(request.x)
-                self._queued_rows -= rows
-                self.counters.queue_depth = len(self._queue)
-                self.counters.queued_rows = self._queued_rows
-            if batch:
-                try:
-                    self._dispatch(batch)
-                except Exception:
-                    # A failed dispatch sheds its own batch, never the
-                    # dispatcher: later requests must still be served.
-                    for request in batch:
-                        if not request.ticket._event.is_set():
-                            request.ticket._resolve(
-                                ServeResult(status=_SHED_STATUS, reason="error")
-                            )
+                batch = self._take()
+            try:
+                self._dispatch(batch)
+            except Exception:
+                # A failed dispatch sheds its own batch, never the
+                # dispatcher: later requests must still be served.
+                self._shed(batch)
 
     def _dispatch(self, requests: list[_Request]) -> None:
         """One coalesced dispatch: pad, forward, gate, fuse, scatter."""
-        start = self._clock()
+        start = time.perf_counter()
         engine = self.dcn.network.engine
         detector = self.dcn.detector
         engines = (engine, detector.network.engine)
@@ -494,7 +478,7 @@ class DCNService:
         if corrected:
             labels[correct_mask] = self.dcn.corrector.correct_fused(rows[correct_mask])
 
-        end = self._clock()
+        end = time.perf_counter()
         offset = 0
         for request in requests:
             size = len(request.x)

@@ -62,6 +62,7 @@ class ServeCounters(Counters):
     slo_shed: int = 0  # sheds decided by the SLO wait estimate (not the backstop)
     slo_degraded: int = 0  # degrades decided by the SLO wait estimate
     deadline_shed: int = 0  # sheds because the request's deadline was un-meetable
+    error_shed: int = 0  # admitted requests shed because their dispatch raised
     respawns: int = 0  # dead serving workers respawned by supervision
     crash_loops: int = 0  # workers abandoned after exhausting the restart budget
     queue_depth: int = 0  # gauge: requests waiting right now

@@ -554,9 +554,11 @@ class DCNServer:
             return self._send_result(conn, request_id, ordinal, result, retryable=False)
         if result.status == "shed":
             # Backend shed (overload / dead workers): no work was done,
-            # so a retry after backoff is safe and may find capacity.
+            # so a retry after backoff is safe and may find capacity.  A
+            # request whose own dispatch raised would only raise again.
             result = ServeResult(status="shed", reason=result.reason or "overload")
-            return self._send_result(conn, request_id, ordinal, result, retryable=True)
+            retryable = result.reason != "error"
+            return self._send_result(conn, request_id, ordinal, result, retryable=retryable)
         return self._send_result(conn, request_id, ordinal, result, retryable=False)
 
     def _send_result(

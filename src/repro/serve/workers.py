@@ -14,8 +14,10 @@ Sharded front end
 
 Pipe liveness
     Each worker's pipe is its only channel to the front end: requests and
-    stats polls go down it; results, stats snapshots, dispatch errors and
-    heartbeats come back up it.  A worker thread sends ``("beat",)`` every
+    stats polls go down it; results (the service's own
+    :class:`~repro.serve.ServeResult`, ``reason`` included), stats
+    snapshots, dispatch errors and heartbeats come back up it.  A worker
+    thread sends ``("beat",)`` every
     ``heartbeat_interval`` seconds — the first as soon as the worker
     runs — under the same send lock as the worker's replies.  The
     front end stamps ``time.monotonic()`` on every message it receives,
@@ -449,13 +451,7 @@ class ServePool:
                     worker.answered = max(worker.answered, seq)
                     self._lock.notify_all()
             if ticket is not None:
-                _, _, status, labels, flagged, latency_s = message
-                ticket._resolve(
-                    ServeResult(
-                        status=status, labels=labels, flagged=flagged,
-                        latency_s=latency_s,
-                    )
-                )
+                ticket._resolve(message[2])
             elif kind == "error":
                 _, error, text = message
                 self._journal(
@@ -602,12 +598,9 @@ def _worker_main(
                         results = service.serve_batch([x for _, x in requests])
                     except Exception as exc:  # tickets must always resolve
                         send(("error", type(exc).__name__, str(exc)))
-                        results = [ServeResult(status="shed")] * len(requests)
+                        results = [ServeResult(status="shed", reason="error")] * len(requests)
                     for (request_id, _), result in zip(requests, results):
-                        send((
-                            "result", request_id, result.status,
-                            result.labels, result.flagged, result.latency_s,
-                        ))
+                        send(("result", request_id, result))
                 for seq in stats_seqs:
                     send(("stats", seq, service.telemetry_snapshot()))
             except (OSError, BrokenPipeError):  # front end went away

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core import DCN, Corrector
 from repro.serve import DCNService
+from repro.serve.service import PLAN_ENTRIES
 from repro.verify import guards
 from repro.zoo import MODEL_CONFIGS, build_network
 
@@ -167,7 +168,6 @@ class TestAdmissionControl:
             {"max_queue": 0},
             {"max_delay": -1.0},
             {"overload": "panic"},
-            {"plan_entries": 0},
         ):
             with pytest.raises(ValueError):
                 DCNService(tiny_dcn, **kwargs)
@@ -176,10 +176,12 @@ class TestAdmissionControl:
         engine = tiny_dcn.network.engine
         original = engine.plan_entries
         try:
-            DCNService(tiny_dcn, plan_entries=64)
-            assert engine.plan_entries >= 64
-            DCNService(tiny_dcn, plan_entries=2)
-            assert engine.plan_entries >= 64  # floor, not a setter
+            engine.plan_entries = 2
+            DCNService(tiny_dcn)
+            assert engine.plan_entries == PLAN_ENTRIES
+            engine.plan_entries = PLAN_ENTRIES + 8
+            DCNService(tiny_dcn)
+            assert engine.plan_entries == PLAN_ENTRIES + 8  # floor, not a setter
         finally:
             engine.plan_entries = original
 
@@ -245,6 +247,81 @@ class TestDispatchFailure:
         service = DCNService(tiny_dcn, max_batch=8)
         with guards.enforce(), pytest.raises(guards.GuardViolation):
             service.serve_batch([self._nan_row(x)])
+
+
+class TestOneRequestPath:
+    """``serve_batch`` runs ``submit``'s admission, the dispatcher's batch
+    former and its failed-dispatch shedding."""
+
+    _PINNED_COUNTERS = ("requests", "examples", "shed", "degraded", "slo_shed",
+                        "batches", "max_queue_depth")
+
+    @pytest.mark.parametrize("policy, kwargs, sizes, statuses, counters", [
+        ("shed", {"max_queue": 4, "overload": "shed"}, [1, 2, 1, 3, 1, 2],
+         ["ok"] * 4 + ["shed"] * 2, (4, 7, 2, 0, 0, 2, 4)),
+        ("degrade", {"max_queue": 2, "overload": "degrade"}, [2, 1, 3, 1, 2, 1],
+         ["ok", "ok", "degraded", "degraded", "shed", "shed"], (4, 7, 2, 2, 0, 2, 4)),
+        # SLO admission behind a cost model warmed by one dispatch: only
+        # the head of the window (zero rows ahead) makes a 1 ns target.
+        ("slo", {"max_queue": 2, "slo_target_s": 1e-9}, [2, 1, 1, 2, 1],
+         ["ok"] + ["shed"] * 4, (2, 4, 4, 0, 4, 2, 1)),
+    ])
+    def test_windows_pin_statuses_labels_and_counters(
+        self, tiny_correct, tiny_dcn, policy, kwargs, sizes, statuses, counters
+    ):
+        network, x, _ = tiny_correct
+        service = DCNService(tiny_dcn, max_batch=4, **kwargs)
+        if policy == "slo":
+            service.serve_batch([x[20:22]])
+        window = _requests(x, sizes)
+        results = service.serve_batch(window)
+        assert [r.status for r in results] == statuses
+        for result, request in zip(results, window):
+            if result.status == "ok":
+                np.testing.assert_array_equal(result.labels, tiny_dcn.classify(request))
+            elif result.status == "degraded":
+                np.testing.assert_array_equal(result.labels, network.predict(request))
+            else:
+                assert result.labels is None
+        got = service.counters.as_dict()
+        assert tuple(got[name] for name in self._PINNED_COUNTERS) == counters
+        assert (service.counters.queue_depth, service.counters.queued_rows) == (0, 0)
+
+    def test_malformed_request_admits_nothing_from_its_window(self, tiny_correct,
+                                                              tiny_dcn):
+        _, x, _ = tiny_correct
+        service = DCNService(tiny_dcn, max_batch=4, max_queue=64)
+        before = service.counters.as_dict()
+        with pytest.raises(ValueError, match="network takes"):
+            service.serve_batch([x[:1], x[1:3], x[3:4, :, :5]])
+        assert service.counters.as_dict() == before
+
+    def test_started_service_refuses_serve_batch(self, tiny_correct, tiny_dcn):
+        _, x, _ = tiny_correct
+        with DCNService(tiny_dcn, max_batch=4) as service:
+            with pytest.raises(RuntimeError, match="started"):
+                service.serve_batch([x[:1]])
+            assert service.classify(x[:1], timeout=10.0).status == "ok"
+
+    def test_failed_middle_dispatch_clears_the_window_and_reraises(
+        self, tiny_correct, tiny_dcn
+    ):
+        _, x, _ = tiny_correct
+        poisoned = x[2:4].copy()
+        poisoned[0, 0, 0, 0] = np.nan
+        service = DCNService(tiny_dcn, max_batch=2, max_queue=64)
+        with guards.enforce(), pytest.raises(guards.GuardViolation):
+            # One dispatch per request: the second one raises.
+            service.serve_batch([x[:2], poisoned, x[4:6]])
+        assert (service.counters.queue_depth, service.counters.queued_rows) == (0, 0)
+        assert len(service._queue) == 0
+        # The failed dispatch and the one still queued behind it shed.
+        assert service.counters.error_shed == 2
+        window = [x[6:8], x[8:10]]
+        results = service.serve_batch(window)
+        assert [r.status for r in results] == ["ok", "ok"]
+        for result, request in zip(results, window):
+            np.testing.assert_array_equal(result.labels, tiny_dcn.classify(request))
 
 
 class TestTelemetry:

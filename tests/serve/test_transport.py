@@ -347,7 +347,37 @@ class TestServerClient:
                     result = client.classify(x[:3])
         assert result.status == "ok"
         np.testing.assert_array_equal(result.labels, tiny_dcn.classify(x[:3]))
+        # The server closed the connection after its error frame; the
+        # client reconnects instead of writing into the dead socket.
+        assert client.counters.retries == 0
+        assert client.counters.torn_replies == 0
         assert [(args.thread.name, args.exc_type) for args in errors] == []
+
+    @pytest.mark.parametrize("backend", ["service", "pool"])
+    def test_poisoned_row_sheds_as_error_without_retry(
+        self, tiny_correct, tiny_dcn, backend, monkeypatch
+    ):
+        """A request whose own dispatch raises (a NaN row under the engine
+        guard) is not overload: retrying it would only raise again."""
+        _, x, _ = tiny_correct
+        poisoned = x[:1].copy()
+        poisoned[0, 0, 0, 0] = np.nan
+        monkeypatch.setenv("REPRO_VERIFY", "1")  # forked pool workers inherit it
+        make = DCNService if backend == "service" else functools.partial(ServePool, workers=1)
+        with make(tiny_dcn, max_batch=8) as served:
+            with DCNServer(served) as server:
+                with DCNClient(server.address, deadline_s=5.0) as client:
+                    bad = client.classify(poisoned)
+                    counters = client.counters.as_dict()
+                    good = client.classify(x[:3])
+                error_shed = served.telemetry_snapshot()["counters"]["error_shed"]
+        assert (bad.status, bad.reason, bad.labels) == ("shed", "error", None)
+        assert counters["retries"] == 0
+        assert counters["server_shed"] == 0
+        assert counters["breaker_opened"] == 0
+        assert error_shed == 1
+        assert good.status == "ok"
+        np.testing.assert_array_equal(good.labels, tiny_dcn.classify(x[:3]))
 
     def test_ping_pong(self, tiny_correct, tiny_dcn):
         with DCNService(tiny_dcn, max_batch=8) as service:

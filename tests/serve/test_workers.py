@@ -481,6 +481,20 @@ class TestPipeLiveness:
             ("serve-worker-error", 0, "RuntimeError", "detector exploded")
         ]
 
+    def test_poisoned_row_resolves_shed_with_the_error_reason(
+        self, tiny_correct, tiny_dcn, monkeypatch
+    ):
+        # The worker replies with the service's ServeResult, so the
+        # reason crosses the pipe.
+        _, x, _ = tiny_correct
+        poisoned = x[:1].copy()
+        poisoned[0, 0, 0, 0] = np.nan
+        monkeypatch.setenv("REPRO_VERIFY", "1")  # the forked worker inherits it
+        with ServePool(tiny_dcn, workers=1, max_batch=8) as pool:
+            result = pool.submit(poisoned).wait(10.0)
+            assert pool.classify(x[:2], timeout=10.0).status == "ok"
+        assert (result.status, result.reason, result.labels) == ("shed", "error", None)
+
 
 class TestBoundedSnapshot:
     def test_wedged_worker_lands_in_stale_workers(self, tiny_correct, tiny_dcn,
