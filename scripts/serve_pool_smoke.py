@@ -25,11 +25,17 @@ operational envelope on the cached ``mnist-fast`` artifacts:
    once it is declared dead, the respawn must kill and reap it before
    forking its replacement, so a SIGCONT finds no process, no receive
    thread dies on the pipe the front end let go of, and the replacement
-   serves labels bitwise-identical to offline ``DCN.classify``.
+   serves labels bitwise-identical to offline ``DCN.classify``;
+7. **poisoned window** — a good request read in one window with a NaN row
+   under the runtime guards: the good request's own dispatch succeeds, so
+   it is served with labels bitwise-identical to offline
+   ``DCN.classify``; only the NaN row sheds (``reason="error"``), and the
+   front end journals exactly one ``serve-worker-error``.
 
 Exit status 0 = all checks passed.
 """
 
+import json
 import multiprocessing
 import os
 import signal
@@ -51,6 +57,7 @@ from repro.serve import (  # noqa: E402
     read_telemetry,
     run_pool,
 )
+from repro.verify import guards  # noqa: E402
 
 
 def check(condition, message):
@@ -214,6 +221,56 @@ def main() -> int:
         )
     threading.excepthook = threading.__excepthook__
     check(errors == [], "respawn: no receive thread died")
+
+    # 7. a good request and a poisoned row read as one window
+    x_test = ctx.dataset.x_test
+    good_x = x_test[:2]
+    poisoned = x_test[2:3].copy()
+    poisoned.reshape(-1)[0] = np.nan
+    entered = tmp / "serve_pool_smoke_entered"
+    release = tmp / "serve_pool_smoke_release"
+    for flag in (entered, release):
+        flag.unlink(missing_ok=True)
+
+    # Hold the first window until the next two requests wait on the
+    # worker's socket, so the worker reads them as one window.
+    def hold_first_window(worker_id, n_requests):
+        if not entered.exists():
+            entered.touch()
+            deadline = time.monotonic() + 30.0
+            while not release.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+
+    ledger = tmp / "serve_pool_smoke_poison.jsonl"
+    ledger.unlink(missing_ok=True)
+    with guards.enforce(), ServePool(
+        dcn, workers=1, max_batch=len(good_x), ledger_path=ledger,
+        dispatch_hook=hold_first_window,
+    ) as pool:
+        first = pool.submit(x_test[3:4])
+        deadline = time.monotonic() + 30.0
+        while not entered.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        good = pool.submit(good_x)
+        bad = pool.submit(poisoned)
+        release.touch()
+        results = [ticket.wait(30.0) for ticket in (first, good, bad)]
+    check(
+        [r.status for r in results[:2]] == ["ok", "ok"]
+        and np.array_equal(results[1].labels, dcn.classify(good_x)),
+        "poison: good request in the poisoned window served, labels offline-equal",
+    )
+    check(
+        (results[2].status, results[2].reason) == ("shed", "error"),
+        "poison: the poisoned row alone sheds with reason 'error'",
+    )
+    events = [json.loads(line) for line in ledger.read_text().splitlines()]
+    check(
+        [e.get("event") for e in events] == ["serve-worker-error"],
+        "poison: one serve-worker-error journaled",
+    )
+    for flag in (entered, release):
+        flag.unlink(missing_ok=True)
     return 0
 
 

@@ -59,6 +59,7 @@ from .transport import (
     decode_body,
     encode_body,
     read_frame,
+    result_from_meta,
     write_frame,
 )
 
@@ -435,24 +436,13 @@ class DCNClient:
             raise RemoteProtocolError(
                 "bad-payload", f"reply id {reply.get('id')} != request id {request_id}"
             )
-        status = str(reply.get("status", "shed"))
-        reason = reply.get("reason")
-        if status == "shed":
-            if bool(reply.get("retryable")) and reason != "deadline":
-                self.counters.server_shed += 1
-                raise _Retryable(reason or "overload")
-            return ServeResult(status="shed", reason=reason)
         try:
-            arrays = decode_body(reply, body)
-            labels = arrays["labels"]
-            flagged = arrays.get("flagged")
-        except (FrameError, KeyError) as exc:
+            if str(reply.get("status", "shed")) != "shed":
+                return result_from_meta(reply, decode_body(reply, body))
+            result = result_from_meta(reply, {})
+        except FrameError as exc:
             raise RemoteProtocolError("bad-payload", f"response body: {exc}")
-        latency = reply.get("latency_s")
-        return ServeResult(
-            status=status,
-            labels=labels,
-            flagged=flagged,
-            latency_s=float(latency) if latency is not None else float("nan"),
-            reason=reason,
-        )
+        if bool(reply.get("retryable")) and result.reason != "deadline":
+            self.counters.server_shed += 1
+            raise _Retryable(result.reason or "overload")
+        return result

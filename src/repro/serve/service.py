@@ -158,10 +158,11 @@ class DCNService:
       past the oldest request before dispatching a partial batch.
     * **synchronous** — ``serve_batch(arrays)`` treats its arguments as
       simultaneous arrivals and serves them deterministically in-process;
-      the benchmark, the pool workers and the equivalence tests use this
-      mode.  It refuses a started service (the dispatcher would race it
-      for the one queue) and validates the whole window before it admits
-      any of it.
+      the benchmark and the equivalence tests use this mode, and pool
+      workers run its two steps (``_admit_window``, ``_drain``) so each
+      request keeps its own result.  It refuses a started service (the
+      dispatcher would race it for the one queue) and validates the whole
+      window before it admits any of it.
 
     Parameters
     ----------
@@ -287,23 +288,8 @@ class DCNService:
         ``RuntimeError`` on a started service, whose dispatcher owns the
         queue.
         """
-        arrays = [self.validate(x) for x in arrays]
-        with self._cond:
-            if self._running:
-                raise RuntimeError("service is started; its dispatcher serves submit()")
-            tickets = [self._enqueue(x) for x in arrays]
-            batch = self._take()
-        while batch:
-            try:
-                self._dispatch(batch)
-            except Exception:
-                while batch:
-                    self._shed(batch)
-                    with self._cond:
-                        batch = self._take()
-                raise
-            with self._cond:
-                batch = self._take()
+        tickets = self._admit_window(arrays)
+        self._drain()
         return [ticket.wait() for ticket in tickets]
 
     def validate(self, x: np.ndarray) -> np.ndarray:
@@ -390,6 +376,34 @@ class DCNService:
         self.counters.max_queue_depth = max(self.counters.max_queue_depth, len(self._queue))
         self._cond.notify_all()  # wake the dispatcher, if one is running
         return request.ticket
+
+    def _admit_window(self, arrays: list[np.ndarray]) -> list[ServeTicket]:
+        """``serve_batch``'s first step: validate the whole window, then
+        admit it in order; one ticket per request."""
+        arrays = [self.validate(x) for x in arrays]
+        with self._cond:
+            if self._running:
+                raise RuntimeError("service is started; its dispatcher serves submit()")
+            return [self._enqueue(x) for x in arrays]
+
+    def _drain(self) -> None:
+        """``serve_batch``'s second step: dispatch the queue inline through
+        the batch former.  A dispatch that raises sheds its batch and the
+        rest of the queue, then re-raises; tickets of earlier batches keep
+        their results."""
+        while True:
+            with self._cond:
+                batch = self._take()
+            if not batch:
+                return
+            try:
+                self._dispatch(batch)
+            except Exception:
+                while batch:
+                    self._shed(batch)
+                    with self._cond:
+                        batch = self._take()
+                raise
 
     def _take(self) -> list[_Request]:
         """Pop the next dispatch — queued requests in order, up to

@@ -2,7 +2,12 @@
 
 The sharding and liveness layers (PR 9) are transport-agnostic on
 purpose; this module gives them a wire.  Everything rides a single
-**length-prefixed framed protocol** over TCP:
+**length-prefixed framed protocol** — over TCP between clients and
+:class:`DCNServer`, and over a socketpair between a
+:class:`~repro.serve.ServePool` and each of its workers.
+:func:`result_to_meta` / :func:`result_from_meta` are the one mapping
+between a :class:`~repro.serve.ServeResult` and a response frame on
+both hops:
 
 Frame format
     ``magic(4) | version(1) | kind(1) | meta_len(4, !I) | body_len(8, !Q)``
@@ -77,6 +82,8 @@ __all__ = [
     "read_frame",
     "pack_frame",
     "write_frame",
+    "result_to_meta",
+    "result_from_meta",
     "DCNServer",
 ]
 
@@ -278,24 +285,60 @@ def write_frame(sock: socket.socket, kind: int, meta: dict, body: bytes = b"") -
     sock.sendall(pack_frame(kind, meta, body))
 
 
-# ---------------------------------------------------------------------------
-# Server
-# ---------------------------------------------------------------------------
-
-
-def _budget(deadline_s) -> float:
-    """A request's ``deadline_s`` as seconds: finite JSON numbers only.
+def _finite(name: str, value) -> float:
+    """Metadata field ``name`` as a float: finite JSON numbers only.
 
     ``Infinity``, ``NaN``, ``1e400`` (which parses to ``inf``), strings,
     lists and booleans are ``bad-payload``.
     """
     if (
-        isinstance(deadline_s, bool)
-        or not isinstance(deadline_s, (int, float))
-        or not abs(deadline_s) <= sys.float_info.max
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not abs(value) <= sys.float_info.max
     ):
-        raise FrameError("bad-payload", f"deadline_s must be a finite number, got {deadline_s!r}")
-    return float(deadline_s)
+        raise FrameError("bad-payload", f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def result_to_meta(request_id, result: ServeResult) -> dict:
+    """A ``KIND_RESPONSE`` frame's metadata for ``result``.
+
+    The arrays travel in the body:
+    ``encode_body(meta, labels=result.labels, flagged=result.flagged)``.
+    A non-finite ``latency_s`` goes as ``null`` (JSON has no NaN).
+    """
+    return {
+        "id": request_id,
+        "status": result.status,
+        "reason": result.reason,
+        "latency_s": result.latency_s if math.isfinite(result.latency_s) else None,
+    }
+
+
+def result_from_meta(meta: dict, arrays: dict[str, np.ndarray]) -> ServeResult:
+    """Inverse of :func:`result_to_meta`, given the body's decoded arrays.
+
+    A served (non-``shed``) status without ``labels``, or a ``latency_s``
+    that is neither ``null`` nor a finite number, raises
+    ``FrameError("bad-payload")``.
+    """
+    status = str(meta.get("status", "shed"))
+    labels = arrays.get("labels")
+    if status != "shed" and labels is None:
+        raise FrameError("bad-payload", f"a {status!r} response carries no labels")
+    latency = meta.get("latency_s")
+    return ServeResult(
+        status=status,
+        labels=labels,
+        flagged=arrays.get("flagged"),
+        latency_s=float("nan") if latency is None else _finite("latency_s", latency),
+        reason=meta.get("reason"),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Server
+# ---------------------------------------------------------------------------
 
 
 class DCNServer:
@@ -506,7 +549,10 @@ class DCNServer:
         try:
             arrays = decode_body(meta, body)
             x = arrays["x"]
-            budget = self.default_deadline_s if deadline_s is None else _budget(deadline_s)
+            budget = (
+                self.default_deadline_s if deadline_s is None
+                else _finite("deadline_s", deadline_s)
+            )
         except (FrameError, KeyError) as exc:
             with self._lock:
                 self.frame_errors += 1
@@ -569,13 +615,8 @@ class DCNServer:
         result: ServeResult,
         retryable: bool,
     ) -> bool:
-        meta = {
-            "id": request_id,
-            "status": result.status,
-            "reason": result.reason,
-            "retryable": retryable,
-            "latency_s": result.latency_s if np.isfinite(result.latency_s) else None,
-        }
+        meta = result_to_meta(request_id, result)
+        meta["retryable"] = retryable
         body = b""
         if result.labels is not None:
             body = encode_body(meta, labels=result.labels, flagged=result.flagged)

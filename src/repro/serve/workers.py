@@ -12,29 +12,37 @@ Sharded front end
     a request lands on: the per-input corrector noise streams make the
     label a pure function of the row.
 
-Pipe liveness
-    Each worker's pipe is its only channel to the front end: requests and
-    stats polls go down it; results (the service's own
-    :class:`~repro.serve.ServeResult`, ``reason`` included), stats
-    snapshots, dispatch errors and heartbeats come back up it.  A worker
-    thread sends ``("beat",)`` every
-    ``heartbeat_interval`` seconds — the first as soon as the worker
-    runs — under the same send lock as the worker's replies.  The
-    front end stamps ``time.monotonic()`` on every message it receives,
+Frames over a socketpair
+    Each worker's only channel to the front end is one
+    ``socket.socketpair()`` carrying the same frames as the TCP edge
+    (:mod:`repro.serve.transport`): one codec, one ``max_frame_bytes``
+    cap, one :class:`~repro.serve.transport.FrameError` path.  Down it
+    go ``KIND_REQUEST {id}`` + ``x`` and stats polls ``KIND_PING {id:
+    seq}``; up it come ``KIND_RESPONSE`` (the service's own
+    :class:`~repro.serve.ServeResult`, ``reason`` included, mapped by
+    :func:`~repro.serve.transport.result_to_meta`), ``KIND_PONG {id: seq,
+    telemetry}`` answers, ``KIND_ERROR`` dispatch errors and heartbeats —
+    an unsolicited ``KIND_PONG {id: null}`` sent every
+    ``heartbeat_interval`` seconds, the first as soon as the worker
+    runs, under the same send lock as the worker's replies.  The
+    front end stamps ``time.monotonic()`` on every frame it receives,
     and its monitor marks a worker dead when its process exits *or*
     nothing has arrived from it for ``lease_ttl`` seconds (alive but
-    wedged).  A dead worker's in-flight requests **resolve as shed** —
-    callers blocked in ``ticket.wait()`` unblock immediately instead of
-    hanging, and later requests route around the corpse.  SIGKILL is
-    additionally caught fast through pipe EOF.  One receive thread reads
-    each pipe and alone closes it, once the pipe reaches EOF.
+    wedged).  A dead worker's in-flight requests **resolve as shed**
+    (``reason="unavailable"``) — callers blocked in ``ticket.wait()``
+    unblock immediately instead of hanging, and later requests route
+    around the corpse.  SIGKILL is additionally caught fast through
+    socket EOF; a frame that fails to decode counts as EOF.  One receive
+    thread reads each socket and alone closes it, once it reaches EOF.
+    ``stop()`` ends each request stream with ``shutdown(SHUT_WR)``: the
+    worker serves what it has already read, then exits at EOF.
 
 Bounded respawn supervision
     With ``max_restarts > 0`` the monitor **respawns** a dead worker.  It
     first ends the corpse — SIGKILL (a wedged worker may still be alive),
-    reap, then join the corpse's receive thread, which returns on pipe
+    reap, then join the corpse's receive thread, which returns on socket
     EOF — and only then forks the replacement, the slot's next
-    *generation*, over a fresh pipe.  Each generation is its own record,
+    *generation*, over a fresh socketpair.  Each generation is its own record,
     so nothing the corpse sent can vouch for its replacement, and because
     labels are a pure function of the row, a respawned worker serves
     bitwise-identically to the one it replaced.
@@ -48,8 +56,8 @@ Event journal
     ``ledger_path`` optionally names a JSONL journal in the runner's
     :class:`~repro.runner.ledger.Ledger` format, written by the front end
     alone: ``serve-worker-respawn``, ``serve-worker-crash-loop`` and
-    ``serve-worker-error`` (a dispatch error a worker reported over its
-    pipe).  Without it the pool writes no file.
+    ``serve-worker-error`` (a dispatch error a worker reported in a
+    ``KIND_ERROR`` frame).  Without it the pool writes no file.
 
 Merged telemetry
     Workers ship :class:`~repro.serve.telemetry.ServeCounters` snapshots
@@ -75,6 +83,8 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import select
+import socket
 import threading
 import time
 from pathlib import Path
@@ -82,6 +92,20 @@ from pathlib import Path
 from ..runner.ledger import Ledger
 from .service import DCNService, ServeResult, ServeTicket
 from .telemetry import LatencySketch, ServeCounters
+from .transport import (
+    KIND_ERROR,
+    KIND_PING,
+    KIND_PONG,
+    KIND_REQUEST,
+    KIND_RESPONSE,
+    FrameError,
+    decode_body,
+    encode_body,
+    read_frame,
+    result_from_meta,
+    result_to_meta,
+    write_frame,
+)
 
 __all__ = ["ServePool"]
 
@@ -94,15 +118,15 @@ class _Worker:
     """
 
     __slots__ = (
-        "slot", "generation", "proc", "conn", "send_lock", "inflight",
+        "slot", "generation", "proc", "sock", "send_lock", "inflight",
         "last_seen", "snapshot", "answered", "dead", "reader",
     )
 
-    def __init__(self, slot: int, generation: int, proc, conn):
+    def __init__(self, slot: int, generation: int, proc, sock: socket.socket):
         self.slot = slot
         self.generation = generation
         self.proc = proc
-        self.conn = conn
+        self.sock = sock
         self.send_lock = threading.Lock()
         self.inflight: dict[int, ServeTicket] = {}
         # Monotonic time of the last message; None until the first one
@@ -130,7 +154,7 @@ class ServePool:
         Seconds without a message from a worker before it counts as
         wedged and its in-flight requests shed.
     heartbeat_interval:
-        Seconds between a worker's heartbeats on its pipe (default
+        Seconds between a worker's heartbeats on its socket (default
         ``lease_ttl / 4``); must be finite and > 0.
     max_restarts:
         Respawn budget per worker slot within ``restart_window_s``.
@@ -227,23 +251,23 @@ class ServePool:
 
         Workers are forked one at a time, so a new child inherits exactly
         the parent ends the front end holds — it closes all of them (its
-        own included) so a SIGKILLed sibling's pipe still reaches EOF in
+        own included) so a SIGKILLed sibling's socket still reaches EOF in
         the parent.
         """
         ctx = multiprocessing.get_context("fork")
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
-        inherited = [worker.conn for worker in self._slots] + [parent_conn]
+        parent_sock, child_sock = socket.socketpair()
+        inherited = [worker.sock for worker in self._slots] + [parent_sock]
         proc = ctx.Process(
             target=_worker_main,
             args=(
-                slot, child_conn, inherited, self.service,
+                slot, child_sock, inherited, self.service,
                 self.heartbeat_interval, self.dispatch_hook,
             ),
             daemon=True,
         )
         proc.start()
-        child_conn.close()
-        worker = _Worker(slot, generation, proc, parent_conn)
+        child_sock.close()
+        worker = _Worker(slot, generation, proc, parent_sock)
         worker.reader = threading.Thread(
             target=self._receive_loop, args=(worker,),
             name=f"serve-pool-recv-{slot}.g{generation}", daemon=True,
@@ -265,13 +289,14 @@ class ServePool:
             self._running = False
         self._monitor_stop.set()
         self._monitor.join()  # no respawn can race the shutdown below
-        # Bypass _send's dead-worker check: a worker marked dead for
-        # going silent may still be alive and must still see the stop.
+        # End each request stream; a worker serves what it has read, then
+        # exits at EOF.  Bypass _send's dead-worker check: a worker marked
+        # dead for going silent may still be alive and must still stop.
         for worker in self._slots:
             try:
                 with worker.send_lock:
-                    worker.conn.send(("stop",))
-            except (OSError, ValueError):
+                    worker.sock.shutdown(socket.SHUT_WR)
+            except OSError:  # already closed by its receive thread
                 pass
         for worker in self._slots:
             worker.proc.join(timeout=10.0)
@@ -309,9 +334,12 @@ class ServePool:
         """Route one request to its shard; returns immediately.
 
         If every worker is dead the ticket resolves as shed — the pool
-        never blocks a caller on a corpse.
+        never blocks a caller on a corpse.  Raises ``ValueError`` for a
+        request that fails ``DCNService.validate`` or whose dtype cannot
+        travel in a frame.
         """
-        x = self.service.validate(x)
+        meta: dict = {}
+        body = encode_body(meta, x=self.service.validate(x))
         with self._lock:
             if not self._running:
                 raise RuntimeError("pool is not started; use start() or a with block")
@@ -324,13 +352,13 @@ class ServePool:
             else:
                 self.front_shed += 1
                 return ServeTicket(ServeResult(status="shed", reason="unavailable"))
-            request_id = self._next_id
+            meta["id"] = self._next_id
             self._next_id += 1
             ticket = ServeTicket()
-            worker.inflight[request_id] = ticket
+            worker.inflight[meta["id"]] = ticket
         # A send that races the worker dying marks it dead, which
         # resolves the ticket as shed.
-        self._send(worker, ("req", request_id, x))
+        self._send(worker, KIND_REQUEST, meta, body)
         return ticket
 
     def classify(self, x, timeout: float | None = 30.0) -> ServeResult:
@@ -360,7 +388,7 @@ class ServePool:
             seq = self._stats_seq
             self._stats_seq += 1
         for worker in polled:
-            self._send(worker, ("stats", seq))
+            self._send(worker, KIND_PING, {"id": seq})
         with self._lock:
             self._lock.wait_for(
                 lambda: all(w.answered >= seq or w.dead for w in polled), timeout
@@ -405,17 +433,18 @@ class ServePool:
 
     # -- internals -------------------------------------------------------------
 
-    def _send(self, worker: _Worker, message) -> None:
+    def _send(self, worker: _Worker, kind: int, meta: dict, body: bytes = b"") -> None:
         if worker.dead:
             return
         try:
             with worker.send_lock:
-                worker.conn.send(message)
-        except (OSError, ValueError):
+                write_frame(worker.sock, kind, meta, body)
+        except OSError:
             self._mark_dead(worker)
 
     def _mark_dead(self, worker: _Worker, shutdown: bool = False) -> None:
-        """Dead/wedged worker: shed its in-flight requests, stop routing."""
+        """Dead/wedged worker: shed its in-flight requests as
+        ``reason="unavailable"``, stop routing to it."""
         with self._lock:
             if not worker.dead:
                 worker.dead = True
@@ -426,40 +455,45 @@ class ServePool:
             self.front_shed += len(orphans)
             self._lock.notify_all()
         for ticket in orphans:
-            ticket._resolve(ServeResult(status="shed"))
+            ticket._resolve(ServeResult(status="shed", reason="unavailable"))
 
     def _receive_loop(self, worker: _Worker) -> None:
-        """Read one generation's pipe until EOF, then close it.
+        """Read one generation's frames until EOF, then close its socket.
 
-        This thread is the pipe's only reader and its only closer, so no
-        other thread ever closes the pipe under a blocked ``recv()``.
+        This thread is the socket's only reader and its only closer, so no
+        other thread ever closes the socket under a blocked read.  A frame
+        that fails to decode ends the stream exactly as EOF does.
         """
-        conn = worker.conn
+        sock = worker.sock
         while True:
             try:
-                message = conn.recv()
-            except (EOFError, OSError):
+                frame = read_frame(sock)
+                if frame is None:
+                    break
+                kind, meta, body = frame
+                if kind == KIND_RESPONSE:
+                    result = result_from_meta(meta, decode_body(meta, body))
+            except FrameError:
                 break
-            kind = message[0]
             ticket = None
             with self._lock:
                 worker.last_seen = time.monotonic()
-                if kind == "result":
-                    ticket = worker.inflight.pop(message[1], None)
-                elif kind == "stats":
-                    _, seq, worker.snapshot = message
-                    worker.answered = max(worker.answered, seq)
+                if kind == KIND_RESPONSE:
+                    ticket = worker.inflight.pop(meta.get("id"), None)
+                elif kind == KIND_PONG and meta.get("id") is not None:
+                    worker.snapshot = meta["telemetry"]
+                    worker.answered = max(worker.answered, meta["id"])
                     self._lock.notify_all()
             if ticket is not None:
-                ticket._resolve(message[2])
-            elif kind == "error":
-                _, error, text = message
+                ticket._resolve(result)
+            elif kind == KIND_ERROR:
                 self._journal(
                     "serve-worker-error", worker=worker.slot,
-                    generation=worker.generation, error=error, message=text,
+                    generation=worker.generation,
+                    error=meta.get("code"), message=meta.get("message"),
                 )
         with worker.send_lock:
-            conn.close()
+            sock.close()
         with self._lock:
             shutting_down = not self._running
         self._mark_dead(worker, shutdown=shutting_down)
@@ -473,7 +507,7 @@ class ServePool:
     def _monitor_loop(self) -> None:
         """Liveness watchdog and respawn supervisor.
 
-        Process death is caught fast by pipe EOF; this thread catches the
+        Process death is caught fast by socket EOF; this thread catches the
         uglier case — a worker that is alive but has sent nothing, not
         even a heartbeat, for ``lease_ttl`` seconds (stopped, paged out,
         livelocked).  A worker that has not sent its first message yet is
@@ -523,7 +557,7 @@ class ServePool:
                 # a respawned worker with a stale counter.
                 self.respawns += 1
             # End the corpse before its replacement forks: a wedged one
-            # may still be alive, and its receive thread closes the pipe
+            # may still be alive, and its receive thread closes the socket
             # once the kill brings EOF.
             corpse.proc.kill()
             corpse.proc.join()
@@ -541,28 +575,32 @@ class ServePool:
 
 def _worker_main(
     worker_id: int,
-    conn,
-    inherited_conns,
+    sock: socket.socket,
+    inherited_socks,
     service: DCNService,
     heartbeat_interval: float,
     dispatch_hook,
 ) -> None:
-    """One forked serving worker: recv, coalesce, serve, reply, heartbeat."""
-    for other in inherited_conns:
+    """One forked serving worker: read, coalesce, serve, reply, heartbeat.
+
+    Exits at the end of its request stream, once the window read before it
+    is served.
+    """
+    for other in inherited_socks:
         other.close()
     send_lock = threading.Lock()
 
-    def send(message) -> None:
+    def send(kind: int, meta: dict, body: bytes = b"") -> None:
         with send_lock:
-            conn.send(message)
+            write_frame(sock, kind, meta, body)
 
     stop_beating = threading.Event()
 
     def beat():
         try:
-            send(("beat",))
+            send(KIND_PONG, {"id": None})
             while not stop_beating.wait(heartbeat_interval):
-                send(("beat",))
+                send(KIND_PONG, {"id": None})
         except OSError:  # front end went away
             pass
 
@@ -571,46 +609,64 @@ def _worker_main(
     try:
         while True:
             try:
-                messages = [conn.recv()]
-            except (EOFError, OSError, KeyboardInterrupt):
+                window = _read_window(sock)
+            except KeyboardInterrupt:
                 break
+            if window is None:
+                break
+            request_ids, xs, polls = window
             try:
-                while conn.poll():
-                    messages.append(conn.recv())
-            except (EOFError, OSError):
-                pass
-            stopping = False
-            requests: list[tuple[int, object]] = []
-            stats_seqs: list[int] = []
-            for message in messages:
-                kind = message[0]
-                if kind == "req":
-                    requests.append((message[1], message[2]))
-                elif kind == "stats":
-                    stats_seqs.append(message[1])
-                elif kind == "stop":
-                    stopping = True
-            try:
-                if requests:
+                if xs:
                     if dispatch_hook is not None:
-                        dispatch_hook(worker_id, len(requests))
+                        dispatch_hook(worker_id, len(xs))
+                    # The front end validated every request against this
+                    # same service, so admission cannot refuse the window.
+                    tickets = service._admit_window(xs)
                     try:
-                        results = service.serve_batch([x for _, x in requests])
-                    except Exception as exc:  # tickets must always resolve
-                        send(("error", type(exc).__name__, str(exc)))
-                        results = [ServeResult(status="shed", reason="error")] * len(requests)
-                    for (request_id, _), result in zip(requests, results):
-                        send(("result", request_id, result))
-                for seq in stats_seqs:
-                    send(("stats", seq, service.telemetry_snapshot()))
-            except (OSError, BrokenPipeError):  # front end went away
-                break
-            if stopping:
+                        service._drain()
+                    except Exception as exc:  # its batch and the rest shed
+                        send(KIND_ERROR, {"id": None, "code": type(exc).__name__,
+                                          "message": str(exc)})
+                    for request_id, ticket in zip(request_ids, tickets):
+                        result = ticket.wait()
+                        meta = result_to_meta(request_id, result)
+                        body = encode_body(meta, labels=result.labels, flagged=result.flagged)
+                        send(KIND_RESPONSE, meta, body)
+                for seq in polls:
+                    send(KIND_PONG, {"id": seq, "telemetry": service.telemetry_snapshot()})
+            except OSError:  # front end went away
                 break
     finally:
         stop_beating.set()
         heartbeat.join(timeout=2.0)
         try:
-            conn.close()
+            sock.close()
         except OSError:  # pragma: no cover
             pass
+
+
+def _read_window(sock: socket.socket) -> tuple[list, list, list] | None:
+    """Block for one frame, then take every frame already waiting: the
+    window's request ids, request arrays and stats-poll sequence numbers.
+
+    ``None`` at the end of the stream: EOF, or a frame that cannot be read
+    or decoded.  A window cut short by EOF is still returned, served first.
+    """
+    request_ids, xs, polls = [], [], []
+    try:
+        frame = read_frame(sock)
+        if frame is None:
+            return None
+        while frame is not None:
+            kind, meta, body = frame
+            if kind == KIND_REQUEST:
+                xs.append(decode_body(meta, body)["x"])
+                request_ids.append(meta["id"])
+            elif kind == KIND_PING:
+                polls.append(meta["id"])
+            if not select.select([sock], [], [], 0)[0]:
+                break
+            frame = read_frame(sock)
+    except (FrameError, KeyError, OSError):
+        return None
+    return request_ids, xs, polls

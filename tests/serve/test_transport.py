@@ -21,8 +21,11 @@ from repro.serve import (
     DCNClient,
     DCNServer,
     DCNService,
+    LatencySketch,
     RemoteProtocolError,
+    ServeCounters,
     ServePool,
+    ServeResult,
     StreamSpec,
     build_stream,
     run_offline,
@@ -31,6 +34,7 @@ from repro.serve import (
 from repro.serve.transport import (
     KIND_ERROR,
     KIND_PING,
+    KIND_PONG,
     KIND_REQUEST,
     KIND_RESPONSE,
     PROTOCOL_MAGIC,
@@ -41,6 +45,8 @@ from repro.serve.transport import (
     decode_body,
     encode_body,
     read_frame,
+    result_from_meta,
+    result_to_meta,
     write_frame,
 )
 
@@ -261,6 +267,92 @@ class TestFrameCodec:
         assert excinfo.value.code == "timeout"
         a.close()
         b.close()
+
+
+def _cross(kind, meta, body=b""):
+    """``(meta, body)`` as a peer reads them after one frame over a socketpair."""
+    a, b = _pair()
+    try:
+        write_frame(a, kind, meta, body)
+        got_kind, got_meta, got_body = read_frame(b)
+    finally:
+        a.close()
+        b.close()
+    assert got_kind == kind
+    return got_meta, got_body
+
+
+def _bits(value):
+    """Bitwise identity of an optional array or a float (NaN included)."""
+    if value is None:
+        return None
+    value = np.asarray(value)
+    return value.dtype.str, value.shape, value.tobytes()
+
+
+_LABELS = np.array([3, 0, 7], dtype=np.int64)
+_FLAGGED = np.array([True, False, True])
+_RESULTS = {
+    "ok": ServeResult("ok", _LABELS, _FLAGGED, 0.012345678901234567),
+    "degraded": ServeResult("degraded", _LABELS, _FLAGGED, 2.5e-05),
+    "ok-nan-latency": ServeResult("ok", _LABELS, _FLAGGED),
+    "shed": ServeResult("shed"),
+    **{
+        f"shed-{reason}": ServeResult("shed", latency_s=0.5, reason=reason)
+        for reason in ("deadline", "breaker", "overload", "unavailable", "error")
+    },
+}
+
+
+class TestResultCodec:
+    """The one ServeResult <-> response-frame mapping every serving hop uses."""
+
+    @pytest.mark.parametrize("name", sorted(_RESULTS))
+    def test_every_result_shape_round_trips_bitwise(self, name):
+        sent = _RESULTS[name]
+        meta = result_to_meta(11, sent)
+        body = encode_body(meta, labels=sent.labels, flagged=sent.flagged)
+        got_meta, got_body = _cross(KIND_RESPONSE, meta, body)
+        assert got_meta["id"] == 11
+        got = result_from_meta(got_meta, decode_body(got_meta, got_body))
+        assert (got.status, got.reason) == (sent.status, sent.reason)
+        assert _bits(got.labels) == _bits(sent.labels)
+        assert _bits(got.flagged) == _bits(sent.flagged)
+        assert _bits(got.latency_s) == _bits(sent.latency_s)
+
+    @pytest.mark.parametrize(
+        "meta",
+        [
+            {"status": "ok", "arrays": []},
+            {"status": "ok", "latency_s": "1.0", "arrays": [["labels", "<i8", [0]]]},
+            {"status": "ok", "latency_s": True, "arrays": [["labels", "<i8", [0]]]},
+            {"status": "ok", "latency_s": 10**400, "arrays": [["labels", "<i8", [0]]]},
+        ],
+        ids=["served-without-labels", "string-latency", "bool-latency", "huge-latency"],
+    )
+    def test_malformed_response_meta_is_bad_payload(self, meta):
+        with pytest.raises(FrameError) as excinfo:
+            result_from_meta(meta, decode_body(meta, b""))
+        assert excinfo.value.code == "bad-payload"
+
+    @pytest.mark.parametrize("requests", [0, 6], ids=["fresh", "served"])
+    def test_telemetry_snapshot_survives_a_frame(self, tiny_correct, tiny_dcn, requests):
+        _, x, _ = tiny_correct
+        service = DCNService(tiny_dcn, max_batch=4)
+        service.serve_batch([x[i : i + 1] for i in range(requests)])
+        snapshot = service.telemetry_snapshot()
+        got, _ = _cross(KIND_PONG, {"id": 5, "telemetry": snapshot})
+        assert got["id"] == 5
+        crossed = got["telemetry"]
+        assert (
+            ServeCounters.merged([crossed["counters"]]).as_dict()
+            == ServeCounters.merged([snapshot["counters"]]).as_dict()
+        )
+        assert (
+            LatencySketch.from_state(crossed["sketch"]).state()
+            == LatencySketch.from_state(snapshot["sketch"]).state()
+        )
+        assert crossed["cost"] == snapshot["cost"]
 
 
 class TestServerClient:

@@ -1,6 +1,6 @@
 """ServePool: sharded serving equivalence, merged telemetry, worker death.
 
-The chaos tests (SIGKILL, a wedged worker going silent on its pipe) pin
+The chaos tests (SIGKILL, a wedged worker going silent on its socket) pin
 the pool's core guarantee: a dead worker's in-flight tickets must resolve
 as shed — never hang a caller — and the survivors must finish the stream.
 """
@@ -28,6 +28,7 @@ from repro.serve import (
     read_telemetry,
     run_pool,
 )
+from repro.verify import guards
 
 
 def _lease_records(journal):
@@ -109,6 +110,36 @@ class TestShardedServing:
         assert [proc.exitcode for proc in pool.processes] == [0, 0]
         assert _lease_records(ledger_path) == []
 
+    def test_stop_serves_the_requests_already_sent(self, tiny_correct, tiny_dcn,
+                                                   tmp_path, monkeypatch):
+        """stop() ends each worker's request stream; a worker serves every
+        request it was sent before the end of the stream, then exits."""
+        _, x, _ = tiny_correct
+        entered = tmp_path / "entered"
+
+        # The first window stalls past the stop's bounded stats poll, so
+        # the rest of the requests are still unread when the stream ends.
+        def stall_first_window(worker_id, n_requests):
+            if not entered.exists():
+                entered.touch()
+                time.sleep(1.0)
+
+        monkeypatch.setattr(ServePool, "_STATS_TIMEOUT", 0.2)
+        pool = ServePool(tiny_dcn, workers=1, max_batch=8,
+                         dispatch_hook=stall_first_window)
+        with pool:
+            tickets = [pool.submit(x[:1])]
+            deadline = time.monotonic() + 10.0
+            while not entered.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            tickets += [pool.submit(x[i : i + 2]) for i in range(1, 9, 2)]
+        results = [ticket.wait(10.0) for ticket in tickets]
+        assert [r.status for r in results] == ["ok"] * len(tickets)
+        requests = [x[:1]] + [x[i : i + 2] for i in range(1, 9, 2)]
+        for result, request in zip(results, requests):
+            np.testing.assert_array_equal(result.labels, tiny_dcn.classify(request))
+        assert [proc.exitcode for proc in pool.processes] == [0]
+
     def test_pool_without_ledger_path_writes_no_file(self, tiny_correct, tiny_dcn):
         _, x, _ = tiny_correct
         scratch = Path(tempfile.gettempdir())
@@ -124,6 +155,17 @@ class TestShardedServing:
             pool.submit(np.zeros((1, 1, 6, 6), dtype=np.float32))
         with pytest.raises(ValueError):
             ServePool(tiny_dcn, workers=0)
+
+    def test_unsendable_dtype_is_refused_at_submit(self, tiny_correct, tiny_dcn):
+        # Requests travel to workers as frames: a dtype outside the wire
+        # table raises at the caller, and the pool keeps serving.
+        _, x, _ = tiny_correct
+        with ServePool(tiny_dcn, workers=1, max_batch=8) as pool:
+            with pytest.raises(ValueError, match="cannot be sent"):
+                pool.submit(x[:1].astype(">f4"))
+            result = pool.classify(x[:1], timeout=10.0)
+        assert result.status == "ok"
+        np.testing.assert_array_equal(result.labels, tiny_dcn.classify(x[:1]))
 
     def test_telemetry_exporter_over_pool(self, tiny_correct, tiny_dcn, tmp_path):
         _, x, _ = tiny_correct
@@ -164,9 +206,10 @@ class TestWorkerDeath:
             assert [r.status for r in healthy] == ["ok"] * 3
             pool.processes[0].kill()
             # The dead worker's in-flight tickets resolve as shed --
-            # promptly, via pipe EOF, not via a timeout.
+            # promptly, via socket EOF, not via a timeout.
             doomed = [tickets[i].wait(5.0) for i in (0, 2, 4)]
             assert [r.status for r in doomed] == ["shed"] * 3
+            assert [r.reason for r in doomed] == ["unavailable"] * 3
             assert pool.live_workers() == [1]
             assert pool.worker_deaths == 1
             # Later requests route around the corpse and the stream
@@ -184,7 +227,7 @@ class TestWorkerDeath:
 
     def test_wedged_worker_dies_by_lease_expiry(self, tiny_correct, tiny_dcn,
                                                 tmp_path):
-        """Alive-but-stuck worker: pipe stays open, so only its silence
+        """Alive-but-stuck worker: socket stays open, so only its silence
         outlasting ``lease_ttl`` can unstick its callers."""
         _, x, _ = tiny_correct
         release = multiprocessing.get_context("fork").Event()
@@ -365,7 +408,7 @@ class TestSupervision:
     ):
         """SIGSTOP -> lease expiry -> respawn -> SIGCONT.  The respawn kills
         and reaps the silent worker, so it can never wake up and reply on
-        a pipe the front end has let go of, and no receive thread dies."""
+        a socket the front end has let go of, and no receive thread dies."""
         _, x, _ = tiny_correct
         errors = []
         monkeypatch.setattr(threading, "excepthook", errors.append)
@@ -434,7 +477,7 @@ class TestSupervision:
 
 
 class TestPipeLiveness:
-    """Liveness rides the worker pipe: heartbeats and replies are messages,
+    """Liveness rides the worker socket: heartbeats and replies are frames,
     and the journal only ever holds front-end events."""
 
     def test_fast_heartbeats_keep_a_busy_worker_live_and_journal_nothing(
@@ -485,7 +528,7 @@ class TestPipeLiveness:
         self, tiny_correct, tiny_dcn, monkeypatch
     ):
         # The worker replies with the service's ServeResult, so the
-        # reason crosses the pipe.
+        # reason crosses the socket.
         _, x, _ = tiny_correct
         poisoned = x[:1].copy()
         poisoned[0, 0, 0, 0] = np.nan
@@ -494,6 +537,49 @@ class TestPipeLiveness:
             result = pool.submit(poisoned).wait(10.0)
             assert pool.classify(x[:2], timeout=10.0).status == "ok"
         assert (result.status, result.reason, result.labels) == ("shed", "error", None)
+
+    def test_good_request_sharing_a_window_with_a_poisoned_row_is_served(
+        self, tiny_correct, tiny_dcn, tmp_path
+    ):
+        """Only the failed dispatch sheds: a request whose own dispatch
+        succeeded keeps its result even when a later batch of the same
+        window raises."""
+        _, x, _ = tiny_correct
+        entered, release = tmp_path / "entered", tmp_path / "release"
+
+        # Hold the first window until the next two requests wait on the
+        # worker's socket, so the worker reads them as one window.
+        def hold_first_window(worker_id, n_requests):
+            if not entered.exists():
+                entered.touch()
+                deadline = time.monotonic() + 10.0
+                while not release.exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+
+        poisoned = x[3:4].copy()
+        poisoned[0, 0, 0, 0] = np.nan
+        ledger_path = tmp_path / "pool.jsonl"
+        with guards.enforce(), ServePool(
+            tiny_dcn, workers=1, max_batch=2, ledger_path=ledger_path,
+            dispatch_hook=hold_first_window,
+        ) as pool:
+            first = pool.submit(x[:1])
+            deadline = time.monotonic() + 10.0
+            while not entered.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            good = pool.submit(x[1:3])
+            bad = pool.submit(poisoned)
+            release.touch()
+            results = [ticket.wait(10.0) for ticket in (first, good, bad)]
+            counters = pool.fleet_snapshot()["counters"]
+        assert [r.status for r in results] == ["ok", "ok", "shed"]
+        np.testing.assert_array_equal(results[1].labels, tiny_dcn.classify(x[1:3]))
+        assert (results[2].reason, results[2].labels) == ("error", None)
+        assert (counters["batches"], counters["error_shed"]) == (2, 1)
+        events = [json.loads(line) for line in ledger_path.read_text().splitlines()]
+        assert [(e["event"], e["error"]) for e in events] == [
+            ("serve-worker-error", "GuardViolation")
+        ]
 
 
 class TestBoundedSnapshot:
