@@ -93,7 +93,6 @@ from repro.serve import (
     run_coalesced,
     run_offline,
     run_remote,
-    summarize_latencies,
 )
 
 FRACTIONS = (0.0, 0.05, 0.10)
@@ -130,7 +129,7 @@ def _measure(dcn, stream, pairs: int, max_batch: int, window: int) -> dict:
 
     off_seconds = statistics.median(r.seconds for r in offs)
     co_seconds = statistics.median(r.seconds for r in cos)
-    co_latencies = summarize_latencies(cos[-1].latencies_s)
+    co_latencies = cos[-1].latencies.summary()
     return {
         "requests": len(stream),
         "examples": int(sum(len(r.x) for r in stream)),
@@ -240,7 +239,7 @@ def _measure_remote_stream(dcn, stream, pairs: int, max_batch: int) -> dict:
     rows = int(sum(len(r.x) for r in stream))
     inp_seconds = statistics.median(r.seconds for r in inp_runs)
     rem_seconds = statistics.median(r.seconds for r in rem_runs)
-    latencies = summarize_latencies(rem_runs[-1].latencies_s)
+    latencies = rem_runs[-1].latencies.summary()
     return {
         "requests": len(stream),
         "rows_per_request": rows // len(stream),
@@ -299,7 +298,7 @@ def _overloaded_run(dcn, stream, max_batch: int, max_queue: int, window: int,
             assert np.array_equal(labels, dcn.classify(request.x)), (
                 "served labels diverged from offline under overload"
             )
-    latencies = summarize_latencies(stats.latencies_s)
+    latencies = stats.latencies.summary()
     return {
         "served": stats.served,
         "shed": stats.shed,
@@ -323,7 +322,7 @@ def _overload_sweep(dcn, stream, max_batch: int, max_queue: int) -> dict:
     cal_stats = run_coalesced(calibration, stream, window=2 * max_queue)
     assert calibration.counters.shed == 0
     row_cost = calibration.counters.seconds / max(1, calibration.counters.examples)
-    full_window_p95 = summarize_latencies(cal_stats.latencies_s)["p95_ms"] / 1e3
+    full_window_p95 = cal_stats.latencies.percentile(95)
     loose_target = 2.0 * max(full_window_p95, 1e-9)
     tight_target = 0.5 * max_queue * max(row_cost, 1e-9)
 

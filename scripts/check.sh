@@ -62,6 +62,12 @@ python scripts/serve_pool_smoke.py
 echo "== serve-remote smoke (framed TCP, chaos retries, deadline shed, server SIGKILL) =="
 python scripts/serve_remote_smoke.py
 
+echo "== serve + loadgen CLI (mnist-fast; loadgen exits 1 on a label mismatch) =="
+python -m repro loadgen --requests 32 > /dev/null
+python -m repro serve --requests 64 > /dev/null
+python -m repro serve --requests 64 --workers 2 > /dev/null
+echo "ok"
+
 echo "== serve-latency benchmark (smoke) =="
 python benchmarks/bench_serve_latency.py --smoke > /dev/null
 echo "ok"

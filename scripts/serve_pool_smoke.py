@@ -55,7 +55,7 @@ from repro.serve import (  # noqa: E402
     TelemetryExporter,
     build_stream,
     read_telemetry,
-    run_pool,
+    run_windowed,
 )
 from repro.verify import guards  # noqa: E402
 
@@ -87,7 +87,7 @@ def main() -> int:
         max_batch=32, max_queue=256, slo_target_s=30.0,
     ) as pool:
         with TelemetryExporter(pool, journal, interval_s=60.0):
-            stats = run_pool(pool, stream, window=8)
+            stats = run_windowed(pool, stream, window=8)
             snapshot = pool.fleet_snapshot()
     check(stats.statuses == ["ok"] * len(stream), "pool: all requests served")
     check(

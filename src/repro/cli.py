@@ -24,7 +24,8 @@ Commands
   lease-based liveness, and ``--telemetry PATH`` journals streaming
   counter/percentile snapshots as JSONL.
 * ``loadgen`` — deterministic offline-vs-coalesced comparison at a given
-  adversarial fraction, asserting served labels match ``DCN.classify``.
+  adversarial fraction, asserting served labels match ``DCN.classify``
+  (``--connect`` replays the stream against a live ``serve --listen``).
 
 All heavy artifacts go through the ``.artifacts`` cache, so repeated
 invocations are fast.
@@ -137,19 +138,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser("serve", help="run the threaded online service on a synthetic stream")
     serve.add_argument("--dataset", default=None, help="defaults to the scale's MNIST substitute")
-    serve.add_argument("--requests", type=int, default=256)
+    serve.add_argument("--requests", type=_positive_int, default=256)
     serve.add_argument("--adv-fraction", type=float, default=0.05)
     serve.add_argument("--min-size", type=int, default=1, help="smallest request, in rows")
     serve.add_argument("--max-size", type=int, default=4, help="largest request, in rows")
     serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--max-batch", type=int, default=64, help="row budget per coalesced dispatch")
-    serve.add_argument("--max-queue", type=int, default=128, help="admission bound, in requests")
+    serve.add_argument(
+        "--max-batch", type=_positive_int, default=64, help="row budget per coalesced dispatch"
+    )
+    serve.add_argument(
+        "--max-queue", type=_positive_int, default=128, help="admission bound, in requests"
+    )
     serve.add_argument(
         "--max-delay", type=float, default=0.002,
         help="seconds the dispatcher holds a partial batch open",
     )
     serve.add_argument("--overload", choices=("shed", "degrade"), default="shed")
-    serve.add_argument("--burst", type=int, default=32, help="requests submitted per arrival burst")
+    serve.add_argument(
+        "--burst", type=_positive_int, default=32, help="requests submitted per arrival burst"
+    )
     serve.add_argument(
         "--slo-target-ms",
         type=float,
@@ -158,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=1,
         help="forked serving workers behind the sharding front end (1: in-process service)",
     )
@@ -204,13 +211,15 @@ def build_parser() -> argparse.ArgumentParser:
         "loadgen", help="offline vs coalesced serving comparison on a deterministic stream"
     )
     loadgen.add_argument("--dataset", default=None, help="defaults to the scale's MNIST substitute")
-    loadgen.add_argument("--requests", type=int, default=192)
+    loadgen.add_argument("--requests", type=_positive_int, default=192)
     loadgen.add_argument("--adv-fraction", type=float, default=0.05)
     loadgen.add_argument("--min-size", type=int, default=1, help="smallest request, in rows")
     loadgen.add_argument("--max-size", type=int, default=1, help="largest request, in rows")
     loadgen.add_argument("--seed", type=int, default=7)
-    loadgen.add_argument("--max-batch", type=int, default=64)
-    loadgen.add_argument("--window", type=int, default=64, help="simultaneous arrivals per window")
+    loadgen.add_argument("--max-batch", type=_positive_int, default=64)
+    loadgen.add_argument(
+        "--window", type=_positive_int, default=64, help="simultaneous arrivals per window"
+    )
     loadgen.add_argument(
         "--connect",
         default=None,
@@ -219,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
         "instead of an in-process service",
     )
     loadgen.add_argument(
-        "--clients", type=int, default=4, help="concurrent client connections (with --connect)"
+        "--clients", type=_positive_int, default=4,
+        help="concurrent client connections (with --connect)",
     )
     loadgen.add_argument(
         "--deadline-ms", type=float, default=30_000.0,
@@ -586,10 +596,10 @@ def _cmd_serve(dataset_name: str | None, requests: int, adv_fraction: float,
                slo_target_ms: float | None, workers: int, lease_ttl: float,
                max_restarts: int, restart_window: float,
                telemetry: str | None) -> int:
+    import collections
     import contextlib
-    import time
 
-    from .serve import TelemetryExporter
+    from .serve import TelemetryExporter, run_windowed
 
     dcn, stream = _serve_stream(
         dataset_name, requests, adv_fraction, min_size, max_size, seed
@@ -599,29 +609,22 @@ def _cmd_serve(dataset_name: str | None, requests: int, adv_fraction: float,
         dcn, max_batch, max_queue, max_delay, overload, slo_target_s,
         workers, lease_ttl, max_restarts, restart_window,
     )
-    statuses: dict[str, int] = {}
-    start = time.perf_counter()
     with front:
         exporter = (
             TelemetryExporter(front, telemetry) if telemetry is not None
             else contextlib.nullcontext()
         )
         with exporter:
-            for begin in range(0, len(stream), max(1, burst)):
-                tickets = [front.submit(req.x) for req in stream[begin : begin + max(1, burst)]]
-                for ticket in tickets:
-                    result = ticket.wait(60.0)
-                    statuses[result.status] = statuses.get(result.status, 0) + 1
-        snapshot = front.telemetry_snapshot()
-    counters, latencies = snapshot["counters"], snapshot["latency"]
-    seconds = time.perf_counter() - start
+            stats = run_windowed(front, stream, window=burst)
+        counters = front.telemetry_snapshot()["counters"]
 
-    served = sum(n for status, n in statuses.items() if status != "shed")
-    print(f"served {served}/{requests} requests in {seconds:.3f}s "
-          f"({served / seconds:.0f} req/s, {counters['examples'] / seconds:.0f} examples/s)"
+    latency = stats.latencies.summary()
+    statuses = collections.Counter(stats.statuses)
+    print(f"served {stats.served}/{len(stream)} requests in {stats.seconds:.3f}s "
+          f"({stats.requests_per_sec:.0f} req/s, {stats.examples_per_sec:.0f} examples/s)"
           + (f" [{workers} workers]" if workers > 1 else ""))
     print("statuses: " + ", ".join(f"{k}={v}" for k, v in sorted(statuses.items())))
-    print(f"latency: p50 {latencies['p50_ms']:.2f} ms, p95 {latencies['p95_ms']:.2f} ms")
+    print(f"latency: p50 {latency['p50_ms']:.2f} ms, p95 {latency['p95_ms']:.2f} ms")
     if telemetry is not None:
         print(f"telemetry journal: {telemetry}")
     for key, value in counters.items():
@@ -629,64 +632,47 @@ def _cmd_serve(dataset_name: str | None, requests: int, adv_fraction: float,
     return 0
 
 
-def _cmd_loadgen_remote(dataset_name: str | None, requests: int,
-                        adv_fraction: float, min_size: int, max_size: int,
-                        seed: int, connect: str, clients: int,
-                        deadline_ms: float, retries: int) -> int:
-    from .serve import DCNClient, run_offline, run_remote, summarize_latencies
-
-    address = _parse_hostport(connect)
-    dcn, stream = _serve_stream(
-        dataset_name, requests, adv_fraction, min_size, max_size, seed
-    )
-    offline = run_offline(dcn, stream)
-    fleet = [
-        DCNClient(address, deadline_s=deadline_ms / 1e3, retries=retries,
-                  backoff_seed=c)
-        for c in range(max(1, clients))
-    ]
-    try:
-        remote = run_remote(fleet, stream)
-    finally:
-        for client in fleet:
-            client.close()
-    equal = all(
-        a is not None and np.array_equal(a, b)
-        for a, b, status in zip(remote.labels, offline.labels, remote.statuses)
-        if status != "shed"
-    )
-    lat = summarize_latencies(remote.latencies_s)
-    print(f"offline: {offline.seconds:.3f}s ({offline.requests_per_sec:.0f} req/s)")
-    print(f"remote:  {remote.seconds:.3f}s ({remote.requests_per_sec:.0f} req/s, "
-          f"{len(fleet)} clients)  p50 {lat['p50_ms']:.2f} ms  p95 {lat['p95_ms']:.2f} ms")
-    print(f"statuses: served={remote.served} shed={remote.shed}")
-    print(f"served labels bitwise-identical to offline DCN.classify: {equal}")
-    return 0 if equal else 1
-
-
 def _cmd_loadgen(dataset_name: str | None, requests: int, adv_fraction: float,
                  min_size: int, max_size: int, seed: int, max_batch: int,
-                 window: int) -> int:
-    from .serve import DCNService, run_coalesced, run_offline, summarize_latencies
+                 window: int, connect: str | None, clients: int,
+                 deadline_ms: float, retries: int) -> int:
+    from .serve import DCNClient, DCNService, run_coalesced, run_offline, run_remote
 
+    address = _parse_hostport(connect) if connect is not None else None
     dcn, stream = _serve_stream(
         dataset_name, requests, adv_fraction, min_size, max_size, seed
     )
     offline = run_offline(dcn, stream)
-    service = DCNService(dcn, max_batch=max_batch, max_queue=4 * len(stream))
-    coalesced = run_coalesced(service, stream, window=window)
+    service = None
+    if address is None:
+        service = DCNService(dcn, max_batch=max_batch, max_queue=4 * len(stream))
+        served, name = run_coalesced(service, stream, window=window), "coalesced"
+    else:
+        fleet = [
+            DCNClient(address, deadline_s=deadline_ms / 1e3, retries=retries,
+                      backoff_seed=c)
+            for c in range(clients)
+        ]
+        try:
+            served, name = run_remote(fleet, stream), f"remote ({clients} clients)"
+        finally:
+            for client in fleet:
+                client.close()
     equal = all(
-        a is not None and b is not None and np.array_equal(a, b)
-        for a, b in zip(offline.labels, coalesced.labels)
+        status == "shed" or np.array_equal(got, want)
+        for got, want, status in zip(served.labels, offline.labels, served.statuses)
     )
-    lat = summarize_latencies(coalesced.latencies_s)
-    print(f"offline:   {offline.seconds:.3f}s ({offline.requests_per_sec:.0f} req/s)")
-    print(f"coalesced: {coalesced.seconds:.3f}s ({coalesced.requests_per_sec:.0f} req/s)"
-          f"  p50 {lat['p50_ms']:.2f} ms  p95 {lat['p95_ms']:.2f} ms")
-    print(f"speedup:   {offline.seconds / coalesced.seconds:.2f}x")
-    print(f"labels bitwise-identical to offline DCN.classify: {equal}")
-    print(f"flagged {service.counters.flagged} rows across {service.counters.batches} dispatches "
-          f"(plan hits/misses {service.counters.plan_hits}/{service.counters.plan_misses})")
+    latency = served.latencies.summary()
+    print(f"offline: {offline.seconds:.3f}s ({offline.requests_per_sec:.0f} req/s)")
+    print(f"{name}: {served.seconds:.3f}s ({served.requests_per_sec:.0f} req/s)"
+          f"  p50 {latency['p50_ms']:.2f} ms  p95 {latency['p95_ms']:.2f} ms")
+    print(f"speedup: {offline.seconds / served.seconds:.2f}x")
+    print(f"statuses: served={served.served} shed={served.shed}")
+    print(f"served labels bitwise-identical to offline DCN.classify: {equal}")
+    if service is not None:
+        counters = service.counters
+        print(f"flagged {counters.flagged} rows across {counters.batches} dispatches "
+              f"(plan hits/misses {counters.plan_hits}/{counters.plan_misses})")
     return 0 if equal else 1
 
 
@@ -737,15 +723,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.restart_window, args.telemetry,
         )
     if args.command == "loadgen":
-        if args.connect is not None:
-            return _cmd_loadgen_remote(
-                args.dataset, args.requests, args.adv_fraction, args.min_size,
-                args.max_size, args.seed, args.connect, args.clients,
-                args.deadline_ms, args.retries,
-            )
         return _cmd_loadgen(
             args.dataset, args.requests, args.adv_fraction, args.min_size,
             args.max_size, args.seed, args.max_batch, args.window,
+            args.connect, args.clients, args.deadline_ms, args.retries,
         )
     raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover
 

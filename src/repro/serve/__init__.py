@@ -18,9 +18,8 @@ from .loadgen import (
     build_stream,
     run_coalesced,
     run_offline,
-    run_pool,
     run_remote,
-    summarize_latencies,
+    run_windowed,
 )
 from .service import OVERLOAD_POLICIES, DCNService, ServeResult, ServeTicket
 from .slo import AdmissionDecision, DispatchCostModel, SloAdmission
@@ -74,7 +73,6 @@ __all__ = [
     "build_stream",
     "run_offline",
     "run_coalesced",
-    "run_pool",
+    "run_windowed",
     "run_remote",
-    "summarize_latencies",
 ]

@@ -7,6 +7,16 @@ classify requests whose rows are drawn benign or adversarial with a
 configurable probability, so the same runtime-vs-fraction story can be
 told in throughput and latency-percentile terms against the live service.
 
+Three drivers replay a stream, one per request surface:
+:func:`run_coalesced` through ``serve_batch`` (synchronous windows),
+:func:`run_windowed` through ``submit``/ticket (a started
+:class:`~repro.serve.service.DCNService` or a
+:class:`~repro.serve.workers.ServePool`) and :func:`run_remote` through
+client ``classify`` calls; :func:`run_offline` is the per-request
+baseline.  Every driver records served latencies into a
+:class:`~repro.serve.telemetry.LatencySketch`, the same estimator the
+service's telemetry reports, so there is one percentile definition.
+
 Everything is a pure function of ``(pools, StreamSpec)`` — same seed,
 same stream, byte for byte — which is what lets the benchmark assert
 bitwise equivalence between served and offline labels.
@@ -22,6 +32,7 @@ import numpy as np
 
 from ..core.dcn import DCN
 from .service import DCNService, ServeResult
+from .telemetry import LatencySketch
 
 __all__ = [
     "StreamSpec",
@@ -30,9 +41,8 @@ __all__ = [
     "build_stream",
     "run_offline",
     "run_coalesced",
-    "run_pool",
+    "run_windowed",
     "run_remote",
-    "summarize_latencies",
 ]
 
 
@@ -104,15 +114,16 @@ class RunStats:
     """Wall-clock outcome of one stream run.
 
     ``labels``/``statuses`` keep one entry per *request* (``labels`` is
-    ``None`` where the request shed); ``latencies_s`` holds served
+    ``None`` where the request shed); ``latencies`` holds served
     requests only — a shed request has no service latency, and its
-    ``NaN`` placeholder used to poison every percentile downstream.
+    ``NaN`` placeholder used to poison every percentile downstream
+    (the sketch drops non-finite values as well).
     """
 
     labels: list[np.ndarray] = field(default_factory=list)
     statuses: list[str] = field(default_factory=list)
     seconds: float = 0.0
-    latencies_s: list[float] = field(default_factory=list)
+    latencies: LatencySketch = field(default_factory=LatencySketch)
 
     @property
     def served(self) -> int:
@@ -135,6 +146,12 @@ class RunStats:
         rows = sum(len(l) for l in self.labels if l is not None)
         return rows / self.seconds if self.seconds > 0 else float("inf")
 
+    def _add(self, result: ServeResult, latency_s: float) -> None:
+        self.labels.append(result.labels)
+        self.statuses.append(result.status)
+        if result.ok:
+            self.latencies.record(latency_s)
+
 
 def run_offline(dcn: DCN, stream: list[GeneratedRequest]) -> RunStats:
     """Per-request baseline: each request dispatched alone via ``DCN.classify``.
@@ -147,8 +164,27 @@ def run_offline(dcn: DCN, stream: list[GeneratedRequest]) -> RunStats:
     for request in stream:
         t0 = time.perf_counter()
         stats.labels.append(dcn.classify(request.x))
-        stats.latencies_s.append(time.perf_counter() - t0)
+        stats.latencies.record(time.perf_counter() - t0)
         stats.statuses.append("ok")
+    stats.seconds = time.perf_counter() - start
+    return stats
+
+
+def _run_windows(stream: list[GeneratedRequest], window: int, serve) -> RunStats:
+    """Feed ``stream`` to ``serve`` ``window`` requests at a time.
+
+    ``serve`` maps one window's inputs to their results, in order.  Each
+    result's own ``latency_s`` is what the front's telemetry sketch
+    records, so the two report the same percentiles.
+    """
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    stats = RunStats()
+    start = time.perf_counter()
+    for begin in range(0, len(stream), window):
+        arrivals = [request.x for request in stream[begin : begin + window]]
+        for result in serve(arrivals):
+            stats._add(result, result.latency_s)
     stats.seconds = time.perf_counter() - start
     return stats
 
@@ -164,51 +200,32 @@ def run_coalesced(
     service coalesces them into bucketed dispatches.  Deterministic, so
     the benchmark can assert served labels equal the offline baseline's.
     """
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    stats = RunStats()
-    start = time.perf_counter()
-    for begin in range(0, len(stream), window):
-        arrivals = stream[begin : begin + window]
-        results = service.serve_batch([request.x for request in arrivals])
-        for result in results:
-            stats.labels.append(result.labels)
-            stats.statuses.append(result.status)
-            if result.ok:
-                stats.latencies_s.append(result.latency_s)
-    stats.seconds = time.perf_counter() - start
-    return stats
+    return _run_windows(stream, window, service.serve_batch)
 
 
-def run_pool(
-    pool,
+def run_windowed(
+    front,
     stream: list[GeneratedRequest],
     window: int = 16,
     timeout: float | None = 60.0,
 ) -> RunStats:
-    """Drive a :class:`~repro.serve.workers.ServePool` in arrival windows.
+    """Drive a started front in arrival windows through ``submit``/tickets.
 
-    ``window`` requests are submitted concurrently, then all their
-    tickets awaited before the next window — the multi-worker analogue of
-    :func:`run_coalesced`.  Sharding is deterministic (sequence modulo
-    worker count), so per-request labels still match the offline
+    ``front`` is anything with ``submit(x) -> ticket`` — a started
+    :class:`~repro.serve.service.DCNService` or a
+    :class:`~repro.serve.workers.ServePool`.  ``window`` requests are
+    submitted concurrently, then all their tickets awaited (``timeout``
+    each) before the next window — the threaded analogue of
+    :func:`run_coalesced`.  Pool sharding is deterministic (sequence
+    modulo worker count), so per-request labels still match the offline
     baseline's exactly; only the grouping into dispatches differs.
     """
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    stats = RunStats()
-    start = time.perf_counter()
-    for begin in range(0, len(stream), window):
-        arrivals = stream[begin : begin + window]
-        tickets = [pool.submit(request.x) for request in arrivals]
-        for ticket in tickets:
-            result = ticket.wait(timeout)
-            stats.labels.append(result.labels)
-            stats.statuses.append(result.status)
-            if result.ok:
-                stats.latencies_s.append(result.latency_s)
-    stats.seconds = time.perf_counter() - start
-    return stats
+
+    def serve(arrivals):
+        tickets = [front.submit(x) for x in arrivals]
+        return [ticket.wait(timeout) for ticket in tickets]
+
+    return _run_windows(stream, window, serve)
 
 
 def run_remote(clients, stream: list[GeneratedRequest]) -> RunStats:
@@ -226,21 +243,28 @@ def run_remote(clients, stream: list[GeneratedRequest]) -> RunStats:
 
     Every entry in ``statuses`` resolves — ``ok``/``degraded``/``shed`` —
     because :meth:`DCNClient.classify` converts transport failures into
-    sheds or structured errors rather than hanging.  Latencies are timed
-    around each ``classify`` call, so they include the transport and
-    client time the server-reported ``latency_s`` leaves out.
+    sheds or structured errors rather than hanging.  An exception a
+    client does raise (e.g. ``RemoteProtocolError``) stops that client's
+    thread; once every thread has joined, the first one is re-raised
+    here.  Latencies are timed around each ``classify`` call, so they
+    include the transport and client time the server-reported
+    ``latency_s`` leaves out.
     """
     if not clients:
         raise ValueError("need at least one client")
     results: list[ServeResult | None] = [None] * len(stream)
     latencies = [0.0] * len(stream)
+    errors: list[Exception] = []
 
     def drive(client_index: int) -> None:
         client = clients[client_index]
-        for i in range(client_index, len(stream), len(clients)):
-            sent = time.perf_counter()
-            results[i] = client.classify(stream[i].x)
-            latencies[i] = time.perf_counter() - sent
+        try:
+            for i in range(client_index, len(stream), len(clients)):
+                sent = time.perf_counter()
+                results[i] = client.classify(stream[i].x)
+                latencies[i] = time.perf_counter() - sent
+        except Exception as exc:  # re-raised by the caller after every join
+            errors.append(exc)
 
     stats = RunStats()
     start = time.perf_counter()
@@ -253,29 +277,8 @@ def run_remote(clients, stream: list[GeneratedRequest]) -> RunStats:
     for thread in threads:
         thread.join()
     stats.seconds = time.perf_counter() - start
+    if errors:
+        raise errors[0]
     for result, latency in zip(results, latencies):
-        stats.labels.append(result.labels)
-        stats.statuses.append(result.status)
-        if result.ok:
-            stats.latencies_s.append(latency)
+        stats._add(result, latency)
     return stats
-
-
-def summarize_latencies(latencies_s: list[float]) -> dict[str, float]:
-    """p50/p95/mean in milliseconds (benchcmp lower-is-better naming).
-
-    Non-finite entries (e.g. a shed request's ``NaN`` placeholder from an
-    older caller) are dropped rather than allowed to poison every
-    percentile; ``count`` reflects the finite entries actually summarised.
-    """
-    finite = [t for t in latencies_s if np.isfinite(t)]
-    if not finite:
-        return {"count": 0.0, "p50_ms": float("nan"), "p95_ms": float("nan"),
-                "mean_ms": float("nan")}
-    arr = np.asarray(finite, dtype=np.float64)
-    return {
-        "count": float(arr.size),
-        "p50_ms": float(np.percentile(arr, 50) * 1e3),
-        "p95_ms": float(np.percentile(arr, 95) * 1e3),
-        "mean_ms": float(arr.mean() * 1e3),
-    }

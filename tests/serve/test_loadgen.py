@@ -5,19 +5,17 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import DCN, Corrector
 from repro.serve import (
     DCNService,
+    LatencySketch,
+    RemoteProtocolError,
     StreamSpec,
     build_stream,
     ServeResult,
     run_coalesced,
     run_offline,
     run_remote,
-    summarize_latencies,
 )
-
-from .test_service import _RuleDetector, _flag_even
 
 
 @pytest.fixture()
@@ -95,14 +93,9 @@ class TestBuildStream:
 
 
 class TestRunners:
-    def test_offline_and_coalesced_agree_bitwise(self, tiny_correct, pools):
-        network, _, _ = tiny_correct
+    def test_offline_and_coalesced_agree_bitwise(self, tiny_dcn, pools):
+        dcn = tiny_dcn
         benign, adv = pools
-        dcn = DCN(
-            network,
-            _RuleDetector(network, _flag_even),
-            Corrector(network, radius=0.1, samples=20, seed=0),
-        )
         stream = build_stream(benign, adv, StreamSpec(requests=12, adv_fraction=0.25, max_size=3, seed=4))
         off = run_offline(dcn, stream)
         co = run_coalesced(DCNService(dcn, max_batch=16, max_queue=64), stream, window=6)
@@ -110,30 +103,35 @@ class TestRunners:
         for a, b in zip(off.labels, co.labels):
             np.testing.assert_array_equal(a, b)
         assert off.seconds > 0 and co.seconds > 0
-        assert len(co.latencies_s) == 12
+        assert co.latencies.count == 12
         assert off.requests_per_sec > 0 and co.examples_per_sec > 0
 
-    def test_coalesced_window_validation(self, tiny_correct):
-        network, _, _ = tiny_correct
-        dcn = DCN(
-            network,
-            _RuleDetector(network, _flag_even),
-            Corrector(network, radius=0.1, samples=20, seed=0),
-        )
+    def test_coalesced_window_validation(self, tiny_dcn):
         with pytest.raises(ValueError):
-            run_coalesced(DCNService(dcn), [], window=0)
+            run_coalesced(DCNService(tiny_dcn), [], window=0)
 
 
-class TestSummarizeLatencies:
+def _sketch(values):
+    sketch = LatencySketch()
+    for value in values:
+        sketch.record(value)
+    return sketch
+
+
+class TestSketchSummary:
+    """``RunStats.latencies`` reports through ``LatencySketch.summary()``."""
+
     def test_percentiles_in_milliseconds(self):
-        summary = summarize_latencies([0.001, 0.003])
-        assert summary["count"] == 2.0
-        assert summary["p50_ms"] == pytest.approx(2.0)
+        # Odd count: the sketch reads the lower neighbouring rank where
+        # np.percentile interpolates, so p50 of [1, 2, 3] ms is 2 ms on both.
+        summary = _sketch([0.001, 0.002, 0.003]).summary()
+        assert summary["count"] == 3.0
+        assert summary["p50_ms"] == pytest.approx(2.0, rel=0.01)
         assert summary["mean_ms"] == pytest.approx(2.0)
         assert summary["p95_ms"] <= 3.0
 
     def test_empty_is_nan_not_crash(self):
-        summary = summarize_latencies([])
+        summary = LatencySketch().summary()
         assert summary["count"] == 0.0
         assert np.isnan(summary["p50_ms"])
 
@@ -148,28 +146,22 @@ class TestShedAccounting:
             labels=[np.zeros(1, dtype=np.int64), None, None],
             statuses=["ok", "shed", "shed"],
             seconds=2.0,
-            latencies_s=[0.001],
+            latencies=_sketch([0.001]),
         )
         assert stats.served == 1
         assert stats.shed == 2
         assert stats.requests_per_sec == pytest.approx(0.5)  # 1 served / 2s
 
-    def test_summarize_latencies_drops_nan(self):
-        summary = summarize_latencies([0.001, float("nan"), 0.003, float("inf")])
+    def test_sketch_summary_drops_nan(self):
+        summary = _sketch([0.001, float("nan"), 0.003, float("inf")]).summary()
         assert summary["count"] == 2.0
         assert np.isfinite(summary["p50_ms"])
         assert np.isfinite(summary["p95_ms"])
         assert summary["mean_ms"] == pytest.approx(2.0)
 
-    def test_run_coalesced_under_shedding_keeps_finite_stats(self, tiny_correct,
-                                                             pools):
-        network, _, _ = tiny_correct
+    def test_run_coalesced_under_shedding_keeps_finite_stats(self, tiny_dcn, pools):
+        dcn = tiny_dcn
         benign, _ = pools
-        dcn = DCN(
-            network,
-            _RuleDetector(network, _flag_even),
-            Corrector(network, radius=0.1, samples=20, seed=0),
-        )
         stream = build_stream(
             benign, None, StreamSpec(requests=8, max_size=1, seed=9)
         )
@@ -178,8 +170,8 @@ class TestShedAccounting:
         assert stats.statuses == ["ok"] * 2 + ["shed"] * 6
         assert stats.served == 2 and stats.shed == 6
         # Only served requests contribute latencies; every stat is finite.
-        assert len(stats.latencies_s) == 2
-        summary = summarize_latencies(stats.latencies_s)
+        assert stats.latencies.count == 2
+        summary = stats.latencies.summary()
         assert summary["count"] == 2.0
         assert np.isfinite(summary["p95_ms"])
         assert all(
@@ -202,5 +194,23 @@ class TestRunRemote:
 
         stats = run_remote([SlowClient(), SlowClient()], stream)
         assert stats.statuses == ["ok"] * len(stream)
-        assert len(stats.latencies_s) == len(stream)
-        assert min(stats.latencies_s) >= 0.02
+        assert stats.latencies.count == len(stream)
+        assert stats.latencies.min >= 0.02
+
+    def test_client_exception_reaches_the_caller(self, pools):
+        benign, _ = pools
+        stream = build_stream(benign, None, StreamSpec(requests=6, adv_fraction=0.0, seed=0))
+
+        class GoodClient:
+            def classify(self, x):
+                return ServeResult("ok", labels=np.zeros(len(x), dtype=np.int64), latency_s=0.0)
+
+        class WrongServerClient:
+            """A server for another dataset refuses every payload."""
+
+            def classify(self, x):
+                raise RemoteProtocolError("bad-payload", "input shape mismatch")
+
+        with pytest.raises(RemoteProtocolError) as exc:
+            run_remote([GoodClient(), WrongServerClient()], stream)
+        assert exc.value.code == "bad-payload"

@@ -19,28 +19,7 @@ from repro.serve.service import PLAN_ENTRIES
 from repro.verify import guards
 from repro.zoo import MODEL_CONFIGS, build_network
 
-
-class _RuleDetector:
-    """Deterministic detector stand-in: flags rows by a pure logits rule."""
-
-    def __init__(self, network, rule):
-        self.network = network
-        self._rule = rule
-
-    def is_adversarial(self, logits):
-        return self._rule(np.asarray(logits))
-
-
-def _flag_even(logits):
-    return logits.argmax(axis=-1) % 2 == 0
-
-
-@pytest.fixture()
-def tiny_dcn(tiny_correct):
-    """DCN whose detector flags every even-labelled row (pinned seed)."""
-    network, _, _ = tiny_correct
-    detector = _RuleDetector(network, _flag_even)
-    return DCN(network, detector, Corrector(network, radius=0.1, samples=20, seed=0))
+from .conftest import RuleDetector, flag_even
 
 
 def _requests(x, sizes):
@@ -87,7 +66,7 @@ class TestServeBatchEquivalence:
         network, x, _ = tiny_correct
         dcn = DCN(
             network,
-            _RuleDetector(network, lambda logits: np.ones(len(logits), dtype=bool)),
+            RuleDetector(network, lambda logits: np.ones(len(logits), dtype=bool)),
             Corrector(network, radius=0.05, samples=20, seed=0),
         )
         rows = x[:12]
@@ -114,7 +93,7 @@ class TestServeBatchEquivalence:
             seen.append(logits[0].copy())
             return logits[:, 0] >= threshold
 
-        detector = _RuleDetector(network, on_threshold)
+        detector = RuleDetector(network, on_threshold)
         dcn = DCN(network, detector, Corrector(network, radius=0.1, samples=20, seed=0))
         service = DCNService(dcn, max_batch=8, max_queue=64)
         alone = service.serve_batch([x[:1]])[0]

@@ -3,28 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import DCN, Corrector
 from repro.serve import DCNService, DispatchCostModel, SloAdmission
-
-
-class _RuleDetector:
-    def __init__(self, network, rule):
-        self.network = network
-        self._rule = rule
-
-    def is_adversarial(self, logits):
-        return self._rule(np.asarray(logits))
-
-
-def _flag_even(logits):
-    return logits.argmax(axis=-1) % 2 == 0
-
-
-@pytest.fixture()
-def tiny_dcn(tiny_correct):
-    network, _, _ = tiny_correct
-    detector = _RuleDetector(network, _flag_even)
-    return DCN(network, detector, Corrector(network, radius=0.1, samples=20, seed=0))
 
 
 def _requests(x, sizes):

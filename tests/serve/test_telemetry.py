@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import DCN, Corrector
 from repro.serve import (
     DCNService,
     LatencySketch,
@@ -14,22 +13,6 @@ from repro.serve import (
     TelemetryExporter,
     read_telemetry,
 )
-
-
-class _RuleDetector:
-    def __init__(self, network, rule):
-        self.network = network
-        self._rule = rule
-
-    def is_adversarial(self, logits):
-        return self._rule(np.asarray(logits))
-
-
-@pytest.fixture()
-def tiny_dcn(tiny_correct):
-    network, _, _ = tiny_correct
-    detector = _RuleDetector(network, lambda lg: lg.argmax(axis=-1) % 2 == 0)
-    return DCN(network, detector, Corrector(network, radius=0.1, samples=20, seed=0))
 
 
 class TestServeCountersMerged:

@@ -15,7 +15,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import DCN, Corrector
 from repro.runner.faultinject import Fault, FaultPlan, TransportChaos
 from repro.serve import (
     DCNClient,
@@ -49,22 +48,6 @@ from repro.serve.transport import (
     result_to_meta,
     write_frame,
 )
-
-
-class _RuleDetector:
-    def __init__(self, network, rule):
-        self.network = network
-        self._rule = rule
-
-    def is_adversarial(self, logits):
-        return self._rule(np.asarray(logits))
-
-
-@pytest.fixture()
-def tiny_dcn(tiny_correct):
-    network, _, _ = tiny_correct
-    detector = _RuleDetector(network, lambda lg: lg.argmax(axis=-1) % 2 == 0)
-    return DCN(network, detector, Corrector(network, radius=0.1, samples=20, seed=0))
 
 
 def _pair():
@@ -392,7 +375,7 @@ class TestServerClient:
         assert remote.statuses == ["ok"] * len(stream)
         for got, want in zip(remote.labels, offline.labels):
             np.testing.assert_array_equal(got, want)
-        assert len(remote.latencies_s) == len(stream)
+        assert remote.latencies.count == len(stream)
 
     def test_oversized_request_rejected_structurally(self, tiny_correct, tiny_dcn):
         _, x, _ = tiny_correct

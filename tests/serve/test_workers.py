@@ -26,9 +26,11 @@ from repro.serve import (
     TelemetryExporter,
     build_stream,
     read_telemetry,
-    run_pool,
+    run_windowed,
 )
 from repro.verify import guards
+
+from .conftest import RuleDetector
 
 
 def _lease_records(journal):
@@ -39,22 +41,6 @@ def _lease_records(journal):
     return [rec for rec in records if rec.get("kind") == "lease"]
 
 
-class _RuleDetector:
-    def __init__(self, network, rule):
-        self.network = network
-        self._rule = rule
-
-    def is_adversarial(self, logits):
-        return self._rule(np.asarray(logits))
-
-
-@pytest.fixture()
-def tiny_dcn(tiny_correct):
-    network, _, _ = tiny_correct
-    detector = _RuleDetector(network, lambda lg: lg.argmax(axis=-1) % 2 == 0)
-    return DCN(network, detector, Corrector(network, radius=0.1, samples=20, seed=0))
-
-
 class TestShardedServing:
     def test_labels_bitwise_identical_to_offline(self, tiny_correct, tiny_dcn,
                                                  tmp_path):
@@ -62,7 +48,7 @@ class TestShardedServing:
         stream = build_stream(x, None, StreamSpec(requests=12, max_size=3, seed=7))
         with ServePool(tiny_dcn, workers=2, ledger_path=tmp_path / "pool.jsonl",
                        max_batch=8, max_queue=64) as pool:
-            stats = run_pool(pool, stream, window=6)
+            stats = run_windowed(pool, stream, window=6)
         assert stats.statuses == ["ok"] * len(stream)
         for labels, request in zip(stats.labels, stream):
             np.testing.assert_array_equal(labels, tiny_dcn.classify(request.x))
@@ -74,7 +60,7 @@ class TestShardedServing:
         rows = sum(len(r.x) for r in stream)
         with ServePool(tiny_dcn, workers=3, ledger_path=tmp_path / "pool.jsonl",
                        max_batch=8, max_queue=64) as pool:
-            run_pool(pool, stream, window=5)
+            run_windowed(pool, stream, window=5)
             snapshot = pool.fleet_snapshot()
             # Deterministic sharding: every worker got traffic and
             # reported a snapshot.
@@ -96,7 +82,7 @@ class TestShardedServing:
         pool = ServePool(tiny_dcn, workers=2, ledger_path=tmp_path / "pool.jsonl",
                          max_batch=8, max_queue=64)
         with pool:
-            run_pool(pool, stream, window=3)
+            run_windowed(pool, stream, window=3)
         # stop() snapshots before shutdown; post-stop queries still work.
         assert pool.counters().requests == len(stream)
 
@@ -512,7 +498,7 @@ class TestPipeLiveness:
         def explode(logits):
             raise RuntimeError("detector exploded")
 
-        dcn = DCN(network, _RuleDetector(network, explode),
+        dcn = DCN(network, RuleDetector(network, explode),
                   Corrector(network, radius=0.1, samples=20, seed=0))
         ledger_path = tmp_path / "pool.jsonl"
         with ServePool(dcn, workers=1, ledger_path=ledger_path, max_batch=8) as pool:

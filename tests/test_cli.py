@@ -7,6 +7,8 @@ import pytest
 from repro import cli
 from repro.cli import build_parser, main
 
+from .serve.conftest import make_tiny_dcn
+
 
 class TestParser:
     def test_requires_command(self):
@@ -153,6 +155,29 @@ class TestVerifyCommand:
         assert "agree" not in out + err
 
 
+_COUNT_FLAGS = [
+    ("serve", "--requests"),
+    ("serve", "--burst"),
+    ("serve", "--workers"),
+    ("serve", "--max-batch"),
+    ("serve", "--max-queue"),
+    ("loadgen", "--requests"),
+    ("loadgen", "--window"),
+    ("loadgen", "--clients"),
+    ("loadgen", "--max-batch"),
+]
+
+
+class TestCountFlags:
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    @pytest.mark.parametrize("command,flag", _COUNT_FLAGS)
+    def test_refuses_non_positive_counts(self, command, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+
 class _StubFront:
     """Stands in for the serving backend: no stream, zero counters."""
 
@@ -183,6 +208,43 @@ class TestServeCommand:
         assert seen.get("max_restarts") == 3
         assert seen.get("restart_window_s") == 12.0
         assert "[2 workers]" in capsys.readouterr().out
+
+
+@pytest.fixture()
+def tiny_cli_dcn(tiny_correct, monkeypatch):
+    """Point serve/loadgen at the tiny test DCN and a 12-request stream."""
+    from repro.serve import StreamSpec, build_stream
+
+    network, x, _ = tiny_correct
+    dcn = make_tiny_dcn(network)
+    stream = build_stream(x, None, StreamSpec(requests=12, max_size=3, seed=7))
+    monkeypatch.setattr(cli, "_serve_stream", lambda *args: (dcn, stream))
+    return dcn
+
+
+class TestServeEndToEnd:
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_serve_reports_every_request(self, tiny_cli_dcn, workers, capsys):
+        assert main(["serve", "--workers", workers, "--burst", "5"]) == 0
+        out = capsys.readouterr().out
+        assert "served 12/12" in out
+        assert "statuses: ok=12" in out
+
+    def test_loadgen_in_process(self, tiny_cli_dcn, capsys):
+        assert main(["loadgen"]) == 0
+        assert "bitwise-identical to offline DCN.classify: True" in capsys.readouterr().out
+
+    def test_loadgen_connect(self, tiny_cli_dcn, capsys):
+        from repro.serve import DCNServer, DCNService
+
+        with DCNService(tiny_cli_dcn, max_batch=8) as service:
+            with DCNServer(service) as server:
+                host, port = server.address
+                code = main(["loadgen", "--connect", f"{host}:{port}", "--clients", "2"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "statuses: served=12 shed=0" in out
+        assert "bitwise-identical to offline DCN.classify: True" in out
 
 
 class TestPaperArtifactCommands:
