@@ -22,7 +22,7 @@ import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
-__all__ = ["REPO_ROOT", "bench_context", "dataset_fingerprint", "write_payload"]
+__all__ = ["REPO_ROOT", "bench_context", "dataset_fingerprint", "floor_gates", "write_payload"]
 
 
 def _git_sha() -> str:
@@ -62,6 +62,28 @@ def bench_context(**extra) -> dict:
     }
     context.update(extra)
     return context
+
+
+def floor_gates(results: dict, floors: dict[str, float]) -> dict:
+    """Each absolute floor next to the value it gates.
+
+    ``floors`` maps a dotted path into ``results`` (the name ``repro bench
+    --compare`` gives the metric, e.g. ``"plan-batch.examples_per_sec"``) to
+    the least value a full run accepts; ``margin`` is the measured value's
+    relative distance above its floor.
+    """
+    gates = {}
+    for name, floor in floors.items():
+        measured = results
+        for key in name.split("."):
+            measured = measured[key]
+        gates[name] = {
+            "floor": floor,
+            "measured": measured,
+            "margin": measured / floor - 1.0,
+            "holds": bool(measured >= floor),
+        }
+    return gates
 
 
 def write_payload(name: str, payload: dict, out: Path | None = None) -> Path:

@@ -1,16 +1,10 @@
 """Throughput benchmark for the compiled-plan layer (standalone, JSON output).
 
 Measures the serving-shaped hot path — *repeated same-shape batched
-inference* on the digits CNN — two ways:
-
-* ``percall``  — the pre-plan engine execution: one allocating closure per
-  layer, shapes re-decided and every temporary re-allocated on each call,
-  convolution as row-major ``cols @ w_mat.T`` over ``ops.im2col`` patch
-  rows (:func:`repro.nn.kernels.build_percall_infer_kernels`, kept
-  precisely as this baseline);
-* ``plan``     — the compiled-plan engine path: the layer stack lowered
-  once per batch shape into arena-preallocated, fusion-folded ops, served
-  from the engine's plan cache (:mod:`repro.nn.plan`).
+inference* on the digits CNN — through the compiled-plan engine path: the
+layer stack lowered once per batch shape into arena-preallocated,
+fusion-folded ops, served from the engine's plan cache
+(:mod:`repro.nn.plan`).
 
 ``per_op_ms`` breaks the fan-out batch's plan forward down by step: the
 script walks ``plan.steps`` itself and times each op's ``step`` (the base
@@ -18,16 +12,16 @@ op plus its fused elementwise stages, exactly as the plan runs them), so
 the plan carries no timing code.
 
 Both regimes of the DCN serving asymmetry are timed: the detector-gated
-single-request forward (batch 1) and the corrector's fused fan-out batch.
-Run as a script::
+single-request forward (batch 1, ``plan-single``) and the corrector's
+fused fan-out batch (``plan-batch``).  Run as a script::
 
     PYTHONPATH=src python benchmarks/bench_plan_throughput.py
     PYTHONPATH=src python benchmarks/bench_plan_throughput.py --smoke
 
-The acceptance bar from the plan-compiler refactor: ``plan`` must beat
-``percall`` by >= 1.3x examples/second on the fan-out batch regime.
-Results (with provenance context) are persisted to
-``BENCH_plan_throughput.json`` for the bench-regression gate.
+A full run exits 1 when ``plan-batch`` falls below ``PLAN_BATCH_FLOOR``
+examples/second; ``--smoke`` never fails it.  Results (with provenance
+context) are persisted to ``BENCH_plan_throughput.json`` for the
+bench-regression gate.
 """
 
 from __future__ import annotations
@@ -42,33 +36,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 
-from bench_common import bench_context, dataset_fingerprint, write_payload
+from bench_common import bench_context, dataset_fingerprint, floor_gates, write_payload
 from repro.nn import InferenceEngine
-from repro.nn.kernels import build_percall_infer_kernels
 from repro.zoo import model_for_dataset
 
-
-def percall_forward(kernels, x: np.ndarray, dtype) -> np.ndarray:
-    out = np.ascontiguousarray(x, dtype=dtype)
-    for kernel in kernels:
-        out = kernel(out)
-    return out
-
-
-def make_percall_runner(network, dtype):
-    """The pre-plan execution with the same cast-cache the engines use."""
-    casts: dict[int, np.ndarray] = {}
-
-    def cast(param):
-        cached = casts.get(id(param))
-        if cached is None:
-            cached = np.ascontiguousarray(param.data, dtype=dtype)
-            casts[id(param)] = cached
-        return cached
-
-    kernels = build_percall_infer_kernels(network, cast)
-    assert kernels is not None, "benchmark model must lower to per-call kernels"
-    return lambda x: percall_forward(kernels, x, dtype)
+# Examples/second ``plan-batch`` must reach: the retired 1.3x ratio bar times
+# the per-call baseline's batch rate in BENCH_plan_throughput.json at commit
+# 4771dbc (recorded at 0b30156), rounded up: 1.3 x 3501.29 = 4551.67.
+PLAN_BATCH_FLOOR = 4551.7
 
 
 def timeit(fn, repeats):
@@ -132,31 +107,16 @@ def run(batch_size: int, calls: int, repeats: int) -> dict:
     fanout = np.ascontiguousarray(dataset.x_test[:batch_size], dtype=dtype)
     single = fanout[:1]
 
-    percall = make_percall_runner(model, dtype)
     engine = InferenceEngine(model, dtype=dtype, memo_entries=0)
     plan = lambda x: engine.logits(x, memo=False)  # noqa: E731
 
     results = {
-        "percall-batch": measure(percall, fanout, calls, repeats),
         "plan-batch": measure(plan, fanout, calls, repeats),
-        "percall-single": measure(percall, single, calls, repeats),
         "plan-single": measure(plan, single, calls, repeats),
     }
 
     ops_ms = per_op_ms(engine._plan_for(fanout.shape), fanout, calls, repeats)
-
-    # Numerical sanity alongside the throughput claim: both paths compute
-    # the same fused math, so they must agree to f32 roundoff.
-    ref = percall(fanout)
-    out = engine.logits(fanout, memo=False)
-    max_abs = float(np.max(np.abs(out.astype(np.float64) - ref.astype(np.float64))))
-
-    speedup = (
-        results["plan-batch"]["examples_per_sec"] / results["percall-batch"]["examples_per_sec"]
-    )
-    single_speedup = (
-        results["plan-single"]["examples_per_sec"] / results["percall-single"]["examples_per_sec"]
-    )
+    floors = floor_gates(results, {"plan-batch.examples_per_sec": PLAN_BATCH_FLOOR})
     return {
         "context": bench_context(
             dataset=dataset.name,
@@ -168,12 +128,9 @@ def run(batch_size: int, calls: int, repeats: int) -> dict:
         "results": results,
         "per_op_ms": ops_ms,
         "per_op_total_ms": sum(ops_ms.values()),
-        "plan_vs_percall_speedup": speedup,
-        "plan_vs_percall_single_speedup": single_speedup,
-        "max_abs_error_vs_percall": max_abs,
-        "label_agreement": float((out.argmax(-1) == ref.argmax(-1)).mean()),
         "plan_counters": engine.counters.as_dict(),
-        "meets_1p3x_bar": bool(speedup >= 1.3),
+        "floors": floors,
+        "meets_floors": all(gate["holds"] for gate in floors.values()),
     }
 
 
@@ -186,7 +143,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="tiny sizes, single repeat, no JSON write, never fails the bar (CI wiring)",
+        help="tiny sizes, single repeat, no JSON write, never fails the floor (CI wiring)",
     )
     args = parser.parse_args(argv)
     if args.smoke:
@@ -203,7 +160,7 @@ def main(argv=None) -> int:
         print(f"wrote {path}", file=sys.stderr)
     if args.smoke:
         return 0
-    return 0 if payload["meets_1p3x_bar"] else 1
+    return 0 if payload["meets_floors"] else 1
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Throughput benchmark for the TrainingEngine (standalone, JSON output).
 
 Measures epochs/second of the training loops that dominate the repo's
-cache-warm cost, each as ``legacy`` (float64 autograd graph) vs ``engine``
-(fused float32 parameter-gradient kernels):
+cache-warm cost on the ``engine`` (fused float32 parameter-gradient
+kernels, through :func:`repro.nn.fit`):
 
 * ``cnn-fast``     — the -fast preset CNN on mnist-fast (the workhorse of
                      every test-suite model build)
@@ -22,13 +22,12 @@ plan's forward + cross-entropy backward) down by plan step: forward and
 backward milliseconds per step, timed in one loop so the steps sum to
 ``per_op_total_ms``.
 
-The acceptance bar from the training-engine refactor: the engine must beat
-legacy by >= 2x epochs/sec on ``cnn-fast``.  ``--smoke`` runs a tiny
-configuration for CI wiring (skipping the paper-scale CNN) and does not
-enforce the bar.  Both modes exit non-zero when a workload's engine and
-legacy final losses differ by more than ``MAX_FINAL_LOSS_DELTA``: a
-reference loop that trains something else would otherwise silently
-rescale the speedup.
+A full run exits 1 when ``cnn-fast`` falls below ``CNN_FAST_FLOOR``
+epochs/second.  ``--smoke`` runs a tiny configuration for CI wiring
+(skipping the paper-scale CNN) and never fails the floor.  That ``fit``
+trains what a float64 autograd loop trains, to a final loss within 1e-4
+on the smoke's two shapes, is a tier-1 test
+(``tests/test_train_equivalence.py``).
 
 Full (non-smoke) runs persist ``BENCH_train_throughput.json`` with the
 provenance context (git SHA, NumPy, dataset fingerprint) the
@@ -40,59 +39,33 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 
-from bench_common import bench_context, dataset_fingerprint, write_payload
+from bench_common import bench_context, dataset_fingerprint, floor_gates, write_payload
 from bench_grad_throughput import per_op_ms
 from repro.core.detector import build_detector_network
 from repro.datasets import load_dataset
-from repro.nn import Adam, Tensor, TrainConfig, TrainingEngine, fit
-from repro.nn.losses import cross_entropy
+from repro.nn import Adam, TrainConfig, TrainingEngine, fit
 from repro.nn.train_engine import CROSS_ENTROPY
 from repro.zoo import MODEL_CONFIGS, build_network
-
-# Engine and legacy optimise the same objective from the same seeds; their
-# final losses agree to float32 training noise (~1e-8 measured).
-MAX_FINAL_LOSS_DELTA = 1e-4
 
 # 64-row training-step walks per per-op repeat.
 OP_CALLS = 40
 OP_ROWS = 64
 
-
-def legacy_fit(network, optimizer, x, y, config, rng) -> tuple[float, float]:
-    """The pre-engine float64 autograd training loop; ``(seconds, final loss)``.
-
-    Shuffles, batches and steps exactly like :func:`repro.nn.fit` at a
-    constant learning rate, with the full Tensor graph per batch.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    indices = np.arange(len(x))
-    start = time.perf_counter()
-    for _ in range(config.epochs):
-        rng.shuffle(indices)
-        epoch_loss = 0.0
-        for begin in range(0, len(x), config.batch_size):
-            batch = indices[begin : begin + config.batch_size]
-            optimizer.zero_grad()
-            loss = cross_entropy(network.forward(Tensor(x[batch]), training=True), y[batch])
-            loss.backward()
-            optimizer.step()
-            epoch_loss += float(loss.data) * len(batch)
-    return time.perf_counter() - start, epoch_loss / len(x)
+# Epochs/second ``cnn-fast`` must reach: the retired 2x ratio bar times the
+# float64 autograd baseline's rate in BENCH_train_throughput.json at commit
+# 4771dbc (recorded at 0b30156), rounded up: 2 x 2.07860 = 4.15720.
+CNN_FAST_FLOOR = 4.158
 
 
-def _train(engine: bool, network, optimizer, x, y, config) -> tuple[float, float]:
-    rng = np.random.default_rng(1)
-    if not engine:
-        return legacy_fit(network, optimizer, x, y, config, rng)
-    history = fit(network, optimizer, x, y, config, rng)
-    return history.seconds, history.loss[-1]
+def _train(network, optimizer, x, y, config) -> float:
+    """Seconds of one seeded ``fit`` run."""
+    return fit(network, optimizer, x, y, config, np.random.default_rng(1)).seconds
 
 
 def _cnn_workload(dataset_name: str, model_name: str, examples: int, epochs: int):
@@ -101,11 +74,11 @@ def _cnn_workload(dataset_name: str, model_name: str, examples: int, epochs: int
     x = dataset.x_train[:examples]
     y = dataset.y_train[:examples]
 
-    def run_once(engine: bool) -> tuple[float, float]:
+    def run_once() -> float:
         network = build_network(config, dataset.input_shape, 10)
         optimizer = Adam(network.parameters(), lr=config.learning_rate)
         return _train(
-            engine, network, optimizer, x, y, TrainConfig(epochs=epochs, batch_size=config.batch_size)
+            network, optimizer, x, y, TrainConfig(epochs=epochs, batch_size=config.batch_size)
         )
 
     return run_once, len(x), epochs
@@ -119,12 +92,10 @@ def _detector_workload(examples: int, epochs: int):
     features = np.sort(np.concatenate([benign, rng.normal(size=(half, 10))]), axis=-1)
     labels = np.concatenate([np.zeros(half, dtype=int), np.ones(half, dtype=int)])
 
-    def run_once(engine: bool) -> tuple[float, float]:
+    def run_once() -> float:
         network = build_detector_network()
         optimizer = Adam(network.parameters(), lr=1e-2)
-        return _train(
-            engine, network, optimizer, features, labels, TrainConfig(epochs=epochs, batch_size=64)
-        )
+        return _train(network, optimizer, features, labels, TrainConfig(epochs=epochs, batch_size=64))
 
     return run_once, len(features), epochs
 
@@ -156,20 +127,15 @@ def run(examples: int, epochs: int, detector_epochs: int, repeats: int, smoke: b
 
     results = {}
     for name, (run_once, amount, n_epochs) in workloads.items():
-        entry = {"examples": amount, "epochs": n_epochs}
-        losses = {}
-        for variant, engine in (("legacy", False), ("engine", True)):
-            best = float("inf")
-            for _ in range(repeats):
-                seconds, final_loss = run_once(engine)
-                best = min(best, seconds)
-                losses[variant] = final_loss
-            entry[variant] = {"seconds": best, "epochs_per_sec": n_epochs / best}
-        entry["speedup"] = entry["legacy"]["seconds"] / entry["engine"]["seconds"]
-        entry["final_loss_delta"] = abs(losses["engine"] - losses["legacy"])
-        results[name] = entry
+        best = min(run_once() for _ in range(repeats))
+        results[name] = {
+            "examples": amount,
+            "epochs": n_epochs,
+            "engine": {"seconds": best, "epochs_per_sec": n_epochs / best},
+        }
 
     ops_ms = {f"rows_{OP_ROWS}": train_per_op_ms(op_calls, repeats)}
+    floors = floor_gates(results, {"cnn-fast.engine.epochs_per_sec": CNN_FAST_FLOOR})
     train_x = load_dataset("mnist-fast").x_train[:examples]
     return {
         "context": bench_context(
@@ -190,10 +156,8 @@ def run(examples: int, epochs: int, detector_epochs: int, repeats: int, smoke: b
             rows: {phase: sum(steps.values()) for phase, steps in phases.items()}
             for rows, phases in ops_ms.items()
         },
-        "meets_2x_bar": bool(results["cnn-fast"]["speedup"] >= 2.0),
-        "final_losses_agree": all(
-            entry["final_loss_delta"] <= MAX_FINAL_LOSS_DELTA for entry in results.values()
-        ),
+        "floors": floors,
+        "meets_floors": all(gate["holds"] for gate in floors.values()),
     }
 
 
@@ -207,7 +171,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="tiny sizes, single repeat, never fails the speedup bar (CI wiring)",
+        help="tiny sizes, single repeat, never fails the floor (CI wiring)",
     )
     args = parser.parse_args(argv)
     if args.smoke:
@@ -224,12 +188,9 @@ def main(argv=None) -> int:
     elif not args.smoke:
         path = write_payload("train_throughput", payload)
         print(f"wrote {path}", file=sys.stderr)
-    if not payload["final_losses_agree"]:
-        print(f"final_loss_delta above {MAX_FINAL_LOSS_DELTA:g}", file=sys.stderr)
-        return 1
     if args.smoke:
         return 0
-    return 0 if payload["meets_2x_bar"] else 1
+    return 0 if payload["meets_floors"] else 1
 
 
 if __name__ == "__main__":

@@ -22,7 +22,9 @@ The inner loops run on the network's :class:`~repro.nn.grad_engine.GradientEngin
 (float32 fused kernels by default): the engine supplies ``∂f/∂x'``, the
 logits and the raw margin in one pass, while the change-of-variable algebra
 (tanh transform, distance terms, Adam state) stays in float64 NumPy here so
-box arithmetic — e.g. frozen L0 pixels — remains exact.
+box arithmetic — e.g. frozen L0 pixels — remains exact.  No attack builds
+an autograd graph; the float64 margin reference the parity tests check the
+engine against lives with them (``tests/nn/test_grad_engine.py``).
 """
 
 from __future__ import annotations
@@ -31,16 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..nn import ops
 from ..nn.grad_engine import margin_seed
 from ..nn.network import Network
-from ..nn.tensor import Tensor
 from .base import AttackResult
 
 __all__ = ["CarliniWagnerL2", "CarliniWagnerL0", "CarliniWagnerLinf", "AdamState"]
 
-# Offset used to exclude the target class when computing max_{i != t} Z_i.
-_EXCLUDE = 1e6
 # Keep arctanh finite at the box boundary.
 _ATANH_SCALE = 1.0 - 1e-6
 
@@ -75,13 +73,6 @@ class AdamState:
 
 def _feature_axes(x: np.ndarray) -> tuple[int, ...]:
     return tuple(range(1, x.ndim))
-
-
-def _margin_loss(logits: Tensor, target_onehot: np.ndarray, confidence: float) -> Tensor:
-    """Per-example ``f(x') = max(max_{i≠t} Z_i − Z_t + κ, 0)``."""
-    z_target = ops.sum_(ops.mul(logits, target_onehot), axis=-1)
-    z_other = ops.max_(logits - Tensor(target_onehot * _EXCLUDE), axis=-1)
-    return ops.maximum(z_other - z_target + confidence, Tensor(np.zeros(len(target_onehot))))
 
 
 def _to_w(x: np.ndarray) -> np.ndarray:

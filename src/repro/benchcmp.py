@@ -17,7 +17,9 @@ Comparability is decided by metric name, not by schema knowledge:
 Run-parameter drift makes numbers incomparable (a ``--smoke`` run against
 a full baseline, a different batch size, a different input pool), so
 context keys other than pure provenance (git SHA, timestamps, toolchain
-versions) are diffed too and reported as warnings.
+versions) are diffed too.  Any such mismatch is reported per key and no
+metric is classified: the comparison is not ``ok`` and ends with
+``context mismatch, not compared``.
 
 CLI: ``python -m repro bench --compare base.json [current.json]``.
 """
@@ -118,7 +120,7 @@ class BenchComparison:
 
     @property
     def ok(self) -> bool:
-        return not self.regressions
+        return not self.regressions and not self.context_mismatches
 
 
 def _classify(name: str, base: float, current: float, threshold: float) -> MetricDelta:
@@ -145,17 +147,6 @@ def compare_payloads(base: dict, current: dict, threshold: float = 0.10) -> Benc
     """Diff two persisted benchmark payloads (see module docstring)."""
     comparison = BenchComparison(threshold=threshold)
 
-    base_metrics = _flatten(base.get("results", {}))
-    current_metrics = _flatten(current.get("results", {}))
-    for name in sorted(base_metrics):
-        if name not in current_metrics:
-            comparison.missing.append(name)
-            continue
-        comparison.deltas.append(
-            _classify(name, base_metrics[name], current_metrics[name], threshold)
-        )
-    comparison.added = sorted(set(current_metrics) - set(base_metrics))
-
     base_ctx = base.get("context", {}) or {}
     current_ctx = current.get("context", {}) or {}
     for key in sorted(set(base_ctx) | set(current_ctx)):
@@ -163,6 +154,16 @@ def compare_payloads(base: dict, current: dict, threshold: float = 0.10) -> Benc
             continue
         if base_ctx.get(key) != current_ctx.get(key):
             comparison.context_mismatches[key] = (base_ctx.get(key), current_ctx.get(key))
+
+    base_metrics = _flatten(base.get("results", {}))
+    current_metrics = _flatten(current.get("results", {}))
+    comparison.missing = sorted(set(base_metrics) - set(current_metrics))
+    comparison.added = sorted(set(current_metrics) - set(base_metrics))
+    if not comparison.context_mismatches:
+        comparison.deltas = [
+            _classify(name, base_metrics[name], current_metrics[name], threshold)
+            for name in sorted(base_metrics.keys() & current_metrics.keys())
+        ]
     return comparison
 
 
@@ -181,9 +182,10 @@ def format_comparison(comparison: BenchComparison) -> str:
         key=lambda d: (order[d.classification], d.name),
     )
     width = max((len(d.name) for d in gated), default=4)
-    lines.append(
-        f"{'metric':<{width}}  {'base':>12}  {'current':>12}  {'change':>8}  class"
-    )
+    if gated:
+        lines.append(
+            f"{'metric':<{width}}  {'base':>12}  {'current':>12}  {'change':>8}  class"
+        )
     for delta in gated:
         marker = {"regression": "✗", "improvement": "✓", "unchanged": " "}[delta.classification]
         lines.append(
@@ -196,8 +198,11 @@ def format_comparison(comparison: BenchComparison) -> str:
         lines.append(f"WARNING: metric {name} missing from current")
     for name in comparison.added:
         lines.append(f"note: new metric {name} (no baseline)")
-    lines.append(
-        f"{len(comparison.regressions)} regression(s), {len(comparison.improvements)} improvement(s), "
-        f"threshold ±{comparison.threshold:.0%}"
-    )
+    if comparison.context_mismatches:
+        lines.append(f"context mismatch, not compared: {', '.join(comparison.context_mismatches)}")
+    else:
+        lines.append(
+            f"{len(comparison.regressions)} regression(s), {len(comparison.improvements)} "
+            f"improvement(s), threshold ±{comparison.threshold:.0%}"
+        )
     return "\n".join(lines)

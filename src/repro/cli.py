@@ -80,11 +80,13 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--dataset", default=None, help="defaults to the scale's MNIST substitute")
     run.add_argument("--ledger", default=None, help="ledger path (default .artifacts/run-<scale>.jsonl)")
     run.add_argument("--resume", action="store_true", help="replay the ledger instead of starting fresh")
-    run.add_argument("--chunk", type=int, default=6, help="benign seeds per table 4/5 eval unit")
+    run.add_argument(
+        "--chunk", type=_positive_int, default=6, help="benign seeds per table 4/5 eval unit"
+    )
     run.add_argument("--retry-failed", action="store_true", help="re-execute ledgered failed units")
     run.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=1,
         help="worker processes leasing units from the shared ledger (1: in-process)",
     )
@@ -140,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--dataset", default=None, help="defaults to the scale's MNIST substitute")
     serve.add_argument("--requests", type=_positive_int, default=256)
     serve.add_argument("--adv-fraction", type=float, default=0.05)
-    serve.add_argument("--min-size", type=int, default=1, help="smallest request, in rows")
+    serve.add_argument("--min-size", type=_positive_int, default=1, help="smallest request, in rows")
     serve.add_argument("--max-size", type=int, default=4, help="largest request, in rows")
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument(
@@ -213,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--dataset", default=None, help="defaults to the scale's MNIST substitute")
     loadgen.add_argument("--requests", type=_positive_int, default=192)
     loadgen.add_argument("--adv-fraction", type=float, default=0.05)
-    loadgen.add_argument("--min-size", type=int, default=1, help="smallest request, in rows")
+    loadgen.add_argument("--min-size", type=_positive_int, default=1, help="smallest request, in rows")
     loadgen.add_argument("--max-size", type=int, default=1, help="largest request, in rows")
     loadgen.add_argument("--seed", type=int, default=7)
     loadgen.add_argument("--max-batch", type=_positive_int, default=64)
@@ -481,7 +483,7 @@ def _cmd_bench(compare: str, current: str | None, threshold: float, warn_only: b
     print(f"base:    {base_path}\ncurrent: {current_path}")
     print(format_comparison(comparison))
     if not comparison.ok and warn_only:
-        print("warn-only: regressions reported but not failing the run")
+        print("warn-only: regressions or context mismatches reported but not failing the run")
         return 0
     return 0 if comparison.ok else 1
 
@@ -677,7 +679,10 @@ def _cmd_loadgen(dataset_name: str | None, requests: int, adv_fraction: float,
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command in ("serve", "loadgen") and args.min_size > args.max_size:
+        parser.error(f"--min-size {args.min_size} exceeds --max-size {args.max_size}")
     if args.command == "info":
         return _cmd_info()
     if args.command == "train":

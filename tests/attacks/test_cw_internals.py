@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.attacks.cw import _margin_loss, _to_w, CarliniWagnerL2
+from repro.attacks.cw import _to_w, CarliniWagnerL2
 from repro.nn.tensor import Tensor
+from tests.nn.test_grad_engine import _margin_loss
 
 finite = {"allow_nan": False, "allow_infinity": False}
 

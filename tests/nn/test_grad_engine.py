@@ -10,7 +10,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.attacks.cw import _margin_loss
 from repro.nn import (
     Conv2D,
     Dense,
@@ -31,6 +30,16 @@ TOLERANCE = {np.float32: 1e-4, np.float64: 1e-10}
 
 
 # -- float64 autograd references ------------------------------------------------
+
+# Offset used to exclude the target class when computing max_{i != t} Z_i.
+_EXCLUDE = 1e6
+
+
+def _margin_loss(logits: Tensor, target_onehot: np.ndarray, confidence: float) -> Tensor:
+    """Per-example ``f(x') = max(max_{i≠t} Z_i − Z_t + κ, 0)``."""
+    z_target = ops.sum_(ops.mul(logits, target_onehot), axis=-1)
+    z_other = ops.max_(logits - Tensor(target_onehot * _EXCLUDE), axis=-1)
+    return ops.maximum(z_other - z_target + confidence, Tensor(np.zeros(len(target_onehot))))
 
 
 def autograd_cross_entropy_grad(network, x, labels):

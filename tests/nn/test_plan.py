@@ -1,15 +1,17 @@
 """Tests for the compiled-plan layer: caching, invalidation, reuse hazards."""
 
 import hashlib
+from typing import Callable
 
 import numpy as np
 import pytest
 
 from repro.nn import GradientEngine, InferenceEngine, SGD, Tensor, TrainingEngine, no_grad
-from repro.nn.kernels import build_percall_infer_kernels
+from repro.nn.kernels import conv_output_size
 from repro.nn.layers import Conv2D, Dense, Dropout, Flatten, Layer, MaxPool2D, ReLU, Tanh
 from repro.nn.losses import cross_entropy
 from repro.nn.network import Network
+from repro.nn.ops import im2col
 from repro.nn import plan as plan_module
 from repro.nn.plan import CompiledPlan, _ConvOp, compile_plan, unplannable
 from repro.nn.train import TrainConfig, fit
@@ -239,6 +241,80 @@ class TestCompiledPlanContract:
         second = plan.run(x)
         assert first is second  # same plan-owned buffer both times
         assert plan.arena_bytes > 0
+
+
+# -- per-call reference kernels (the pre-plan inference path) -------------------
+
+
+def max_pool_forward(x: np.ndarray, size: int, stride: int) -> np.ndarray:
+    """Inference max pool; fast reshape path for aligned non-overlapping windows."""
+    n, c, h, w = x.shape
+    if stride == size and h % size == 0 and w % size == 0:
+        return x.reshape(n, c, h // size, size, w // size, size).max(axis=(3, 5))
+    out_h = conv_output_size(h, size, stride)
+    out_w = conv_output_size(w, size, stride)
+    cols = im2col(x.reshape(n * c, 1, h, w), size, stride)
+    return cols.max(axis=1).reshape(n, c, out_h, out_w)
+
+
+def build_percall_infer_kernels(
+    network, cast: Callable[[object], np.ndarray]
+) -> list[Callable[[np.ndarray], np.ndarray]] | None:
+    """The pre-plan per-call dispatch: one allocating closure per layer.
+
+    ``cast`` maps a parameter :class:`~repro.nn.tensor.Tensor` to its
+    engine-dtype array (the engines pass their staleness-checked cast
+    cache).  Returns ``None`` when the network contains an unsupported
+    layer type.  This path re-decides shapes and re-allocates every
+    temporary on every call, convolution as the row-major
+    ``cols @ w_mat.T`` over ``im2col`` patch rows — an independent
+    reference for the plan parity tests.
+    """
+    kernels = []
+    for layer in network.layers:
+        kernel = _percall_kernel(layer, cast)
+        if kernel is None:
+            return None
+        kernels.append(kernel)
+    return kernels
+
+
+def _percall_kernel(layer, cast) -> Callable[[np.ndarray], np.ndarray] | None:
+    if isinstance(layer, Dense):
+        weight, bias = layer.params["weight"], layer.params["bias"]
+        return lambda x: x @ cast(weight) + cast(bias)
+    if isinstance(layer, Conv2D):
+        return _percall_conv_kernel(layer, cast)
+    if isinstance(layer, MaxPool2D):
+        return lambda x: max_pool_forward(x, layer.size, layer.stride)
+    if isinstance(layer, Flatten):
+        return lambda x: x.reshape(len(x), int(np.prod(x.shape[1:])))
+    if isinstance(layer, ReLU):
+        return lambda x: np.maximum(x, 0.0, dtype=x.dtype)
+    if isinstance(layer, Tanh):
+        return np.tanh
+    if isinstance(layer, Dropout):
+        return lambda x: x  # inference-time identity
+    return None
+
+
+def _percall_conv_kernel(layer: Conv2D, cast) -> Callable[[np.ndarray], np.ndarray]:
+    weight, bias = layer.params["weight"], layer.params["bias"]
+    stride, padding, kernel = layer.stride, layer.padding, layer.kernel_size
+    c_out = layer.out_channels
+
+    def run(x: np.ndarray) -> np.ndarray:
+        if padding:
+            x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        n, _, h, w = x.shape
+        out_h = conv_output_size(h, kernel, stride)
+        out_w = conv_output_size(w, kernel, stride)
+        cols = im2col(x, kernel, stride)
+        w_mat = cast(weight).reshape(c_out, -1)
+        out = cols @ w_mat.T + cast(bias)
+        return np.ascontiguousarray(out.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2))
+
+    return run
 
 
 def _percall_logits(network, x):

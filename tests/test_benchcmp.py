@@ -107,6 +107,19 @@ class TestContextDiff:
         assert cmp.context_mismatches == {"batch_size": (64, 8)}
         assert "context mismatch batch_size" in format_comparison(cmp)
 
+    def test_context_mismatch_classifies_nothing(self):
+        base = payload({"a": {"seconds": 1.0, "examples_per_sec": 10.0}, "b": {"seconds": 1.0}},
+                       {"batch_size": 64, "calls": 50})
+        curr = payload({"a": {"seconds": 0.01, "examples_per_sec": 1000.0}},
+                       {"batch_size": 8, "calls": 3})
+        cmp = compare_payloads(base, curr)
+        assert cmp.deltas == [] and not cmp.improvements and not cmp.regressions
+        assert cmp.missing == ["b.seconds"]
+        assert not cmp.ok
+        text = format_comparison(cmp)
+        assert text.splitlines()[-1] == "context mismatch, not compared: batch_size, calls"
+        assert "improvement" not in text and "regression(s)" not in text
+
     def test_format_orders_regressions_first(self):
         base = payload({"a": {"examples_per_sec": 100.0}, "b": {"examples_per_sec": 100.0}})
         curr = payload({"a": {"examples_per_sec": 200.0}, "b": {"examples_per_sec": 10.0}})
@@ -139,6 +152,16 @@ class TestBenchCli:
         assert main(["bench", "--compare", str(base), str(curr)]) == 0
         out = capsys.readouterr().out
         assert "0 regression(s)" in out
+
+    def test_context_mismatch_fails_unless_warn_only(self, tmp_path, capsys):
+        base = self.write(tmp_path, "base.json", {"a": {"seconds": 1.0}}, {"batch_size": 64})
+        curr = self.write(tmp_path, "curr.json", {"a": {"seconds": 0.01}}, {"batch_size": 8})
+        assert main(["bench", "--compare", str(base), str(curr)]) == 1
+        out = capsys.readouterr().out
+        assert "context mismatch, not compared: batch_size" in out
+        assert "improvement" not in out
+        assert main(["bench", "--compare", str(base), str(curr), "--warn-only"]) == 0
+        assert "warn-only" in capsys.readouterr().out
 
     def test_missing_file_is_a_usage_error(self, tmp_path, capsys):
         base = self.write(tmp_path, "base.json", {"a": {"seconds": 1.0}})

@@ -156,6 +156,10 @@ class TestVerifyCommand:
 
 
 _COUNT_FLAGS = [
+    ("run", "--workers"),
+    ("run", "--chunk"),
+    ("serve", "--min-size"),
+    ("loadgen", "--min-size"),
     ("serve", "--requests"),
     ("serve", "--burst"),
     ("serve", "--workers"),
@@ -176,6 +180,14 @@ class TestCountFlags:
             main([command, flag, value])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["serve", "loadgen"])
+    def test_refuses_min_size_above_max_size(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--min-size", "3", "--max-size", "2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--min-size" in err and "--max-size" in err
 
 
 class _StubFront:

@@ -5,7 +5,8 @@ These tests pin the two guarantees that made that switch safe:
 
 * **equivalence** — models trained on the float32 engine reach the same
   final accuracy as float64 training — the float64 engine, and float64
-  autograd for the detector MLP (seeds held fixed);
+  autograd for the detector MLP (seeds held fixed) — and, on the training
+  benchmark's smoke shapes, the same final epoch loss as float64 autograd;
 * **cache compatibility** — float64-trained artifacts keep their
   pre-engine cache keys, so weights cached before the switch still load
   byte-identically, while the float32 default forks new entries.
@@ -32,6 +33,18 @@ def mnist_fast():
 
 def _short_config(epochs=3):
     return replace(MODEL_CONFIGS["cnn-fast"], epochs=epochs)
+
+
+def _detector_features(rows=600):
+    """Sorted logit-like features: benign rows carry one dominant logit."""
+    rng = np.random.default_rng(0)
+    half = rows // 2
+    benign = rng.normal(0.0, 1.0, size=(half, 10))
+    benign[np.arange(half), rng.integers(0, 10, half)] += 10.0
+    adversarial = rng.normal(0.0, 1.0, size=(half, 10))
+    features = np.sort(np.concatenate([benign, adversarial]), axis=-1)
+    labels = np.concatenate([np.full(half, BENIGN), np.full(half, ADVERSARIAL)])
+    return features, labels
 
 
 class TestZooEquivalence:
@@ -67,12 +80,7 @@ class TestDistillationEquivalence:
 class TestDetectorEquivalence:
     def test_detector_mlp_trains_identically_under_engine(self):
         """The detector's 2-layer MLP path: float32 engine vs float64 autograd."""
-        rng = np.random.default_rng(0)
-        benign = rng.normal(0.0, 1.0, size=(300, 10))
-        benign[np.arange(300), rng.integers(0, 10, 300)] += 10.0
-        adversarial = rng.normal(0.0, 1.0, size=(300, 10))
-        features = np.sort(np.concatenate([benign, adversarial]), axis=-1)
-        labels = np.concatenate([np.full(300, BENIGN), np.full(300, ADVERSARIAL)])
+        features, labels = _detector_features()
         accuracies = {}
         for train in (fit, autograd_fit):
             network = build_detector_network()
@@ -87,6 +95,47 @@ class TestDetectorEquivalence:
             accuracies[train] = network.accuracy(features, labels)
         assert accuracies[fit] > 0.95
         assert abs(accuracies[fit] - accuracies[autograd_fit]) <= 0.02
+
+
+# Engine and float64 autograd optimise the same objective from the same
+# seeds; their final epoch losses agree to float32 training noise (~1e-8).
+MAX_FINAL_LOSS_DELTA = 1e-4
+
+
+def _cnn_fast_run(mnist_fast):
+    """``cnn-fast`` on 64 training rows for one epoch (the training bench's smoke)."""
+    config = MODEL_CONFIGS["cnn-fast"]
+
+    def build():
+        network = build_network(config, mnist_fast.input_shape, 10)
+        return network, Adam(network.parameters(), lr=config.learning_rate)
+
+    x, y = mnist_fast.x_train[:64], mnist_fast.y_train[:64]
+    return build, x, y, TrainConfig(epochs=1, batch_size=config.batch_size)
+
+
+def _detector_mlp_run(mnist_fast):
+    """The detector MLP on 600 synthetic rows for five epochs (the bench's smoke)."""
+
+    def build():
+        network = build_detector_network()
+        return network, Adam(network.parameters(), lr=1e-2)
+
+    features, labels = _detector_features()
+    return build, features, labels, TrainConfig(epochs=5, batch_size=64)
+
+
+class TestFinalLossAgreement:
+    @pytest.mark.parametrize(
+        "workload", [_cnn_fast_run, _detector_mlp_run], ids=["cnn-fast", "detector-mlp"]
+    )
+    def test_fit_final_loss_matches_autograd(self, workload, mnist_fast):
+        build, x, y, config = workload(mnist_fast)
+        network, optimizer = build()
+        engine_loss = fit(network, optimizer, x, y, config, np.random.default_rng(1)).loss[-1]
+        network, optimizer = build()
+        autograd_loss = autograd_fit(network, optimizer, x, y, config, np.random.default_rng(1))[-1]
+        assert abs(engine_loss - autograd_loss) <= MAX_FINAL_LOSS_DELTA
 
 
 class TestCacheCompatibility:
